@@ -1,7 +1,7 @@
 // Micro-benchmarks for the cube-counting substrate (google-benchmark):
-// bitset AND+popcount vs posting-list intersection vs naive scan, the
-// effect of the memoization cache, and grid construction cost. This is the
-// design-choice ablation behind CubeCounter's kAuto strategy.
+// the AND+popcount kernels, bitset vs posting-list intersection, and grid
+// construction cost. This is the design-choice ablation behind
+// CubeCounter's kAuto strategy.
 //
 // Besides the console table, the run writes BENCH_counting.json
 // (HIDO_BENCH_JSON overrides the path): one telemetry result row per
@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -18,11 +17,9 @@
 
 #include "common/bitset.h"
 #include "common/bitset_kernels.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators/synthetic.h"
 #include "grid/cube_counter.h"
-#include "grid/shared_cube_cache.h"
 #include "obs/telemetry.h"
 
 namespace hido {
@@ -127,14 +124,11 @@ void BM_CountStrategy(benchmark::State& state, CountingStrategy strategy,
                       size_t n) {
   const size_t k = static_cast<size_t>(state.range(0));
   BenchFixture fixture(n, 32, 10);
-  CubeCounter::Options options;
-  options.cache_capacity = 0;
-  CubeCounter counter(fixture.grid, options);
+  CubeCounter counter(fixture.grid, {strategy});
   const auto queries = MakeQueries(fixture.grid, k, 256);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        counter.CountUncached(queries[i++ & 255], strategy));
+    benchmark::DoNotOptimize(counter.Count(queries[i++ & 255]));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -144,9 +138,6 @@ void BM_CountBitset1k(benchmark::State& state) {
 }
 void BM_CountPostings1k(benchmark::State& state) {
   BM_CountStrategy(state, CountingStrategy::kPostingList, 1000);
-}
-void BM_CountNaive1k(benchmark::State& state) {
-  BM_CountStrategy(state, CountingStrategy::kNaive, 1000);
 }
 void BM_CountBitset100k(benchmark::State& state) {
   BM_CountStrategy(state, CountingStrategy::kBitset, 100000);
@@ -159,156 +150,9 @@ void BM_CountAuto100k(benchmark::State& state) {
 }
 BENCHMARK(BM_CountBitset1k)->Arg(2)->Arg(4);
 BENCHMARK(BM_CountPostings1k)->Arg(2)->Arg(4);
-BENCHMARK(BM_CountNaive1k)->Arg(2)->Arg(4);
 BENCHMARK(BM_CountBitset100k)->Arg(2)->Arg(4);
 BENCHMARK(BM_CountPostings100k)->Arg(2)->Arg(4);
 BENCHMARK(BM_CountAuto100k)->Arg(2)->Arg(4);
-
-void BM_CountCached(benchmark::State& state) {
-  BenchFixture fixture(10000, 32, 10);
-  CubeCounter counter(fixture.grid);  // cache on
-  const auto queries = MakeQueries(fixture.grid, 3, 64);  // small working set
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(counter.Count(queries[i++ & 63]));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CountCached);
-
-// ---------------------------------------------------------------------------
-// GA-shaped cache-mode ablation: shared vs private vs off, prefix on/off.
-//
-// The workload models the evolutionary search's evaluation loop: a pool of
-// k-cubes where many queries share a (k-1)-prefix and differ only in the
-// last condition (what crossover/mutation produce), and W concurrent
-// "restarts" that each evaluate the *same* recurring pool with a private
-// per-worker CubeCounter — exactly the shape of the parallel search. With
-// private caches every worker recomputes every distinct cube once; one
-// SharedCubeCache makes each distinct cube cost one computation per run,
-// and prefix memoization finishes each same-prefix sibling with a single
-// AND+popcount. items/sec counts evaluated queries, so the shared-cache
-// win shows up even on one CPU: less total work, not more parallelism.
-
-enum class BenchCacheMode { kOff, kPrivate, kShared, kSharedNoPrefix };
-
-// `num_prefixes` groups of `variants` queries; within a group the first
-// k-1 conditions are identical and the last condition (on the largest
-// sampled dim, so it sorts last in the packed CubeKey) varies its cell.
-std::vector<std::vector<DimRange>> MakeGaQueries(const GridModel& grid,
-                                                 size_t k,
-                                                 size_t num_prefixes,
-                                                 size_t variants) {
-  Rng rng(13);
-  std::vector<std::vector<DimRange>> queries;
-  queries.reserve(num_prefixes * variants);
-  for (size_t p = 0; p < num_prefixes; ++p) {
-    std::vector<size_t> dims;
-    for (size_t d : rng.SampleWithoutReplacement(grid.num_dims(), k)) {
-      dims.push_back(d);
-    }
-    std::sort(dims.begin(), dims.end());
-    std::vector<DimRange> base;
-    for (size_t i = 0; i + 1 < k; ++i) {
-      base.push_back({static_cast<uint32_t>(dims[i]),
-                      static_cast<uint32_t>(rng.UniformIndex(grid.phi()))});
-    }
-    for (size_t v = 0; v < variants; ++v) {
-      std::vector<DimRange> query = base;
-      query.push_back({static_cast<uint32_t>(dims[k - 1]),
-                       static_cast<uint32_t>(v % grid.phi())});
-      queries.push_back(std::move(query));
-    }
-  }
-  return queries;
-}
-
-void BM_GaWorkload(benchmark::State& state, BenchCacheMode mode) {
-  const size_t workers = static_cast<size_t>(state.range(0));
-  // Large-n so the AND chains dominate the per-query bookkeeping (at small
-  // n the memo-table probes cost as much as the intersections they save).
-  BenchFixture fixture(100000, 32, 10);
-  const auto queries = MakeGaQueries(fixture.grid, 5, 64, 8);
-  for (auto _ : state) {
-    SharedCubeCache::Options cache_options;
-    if (mode == BenchCacheMode::kSharedNoPrefix) {
-      cache_options.prefix_capacity = 0;
-    }
-    // Fresh per iteration: each iteration is one "search" starting cold.
-    SharedCubeCache shared(cache_options);
-    std::vector<uint64_t> sums(workers, 0);
-    ParallelFor(workers, workers, [&](size_t task, size_t /*worker*/) {
-      CubeCounter::Options options;
-      if (mode == BenchCacheMode::kOff) {
-        options.cache_capacity = 0;
-      } else if (mode != BenchCacheMode::kPrivate) {
-        options.shared_cache = &shared;
-      }
-      CubeCounter counter(fixture.grid, options);
-      uint64_t sum = 0;
-      for (const auto& query : queries) sum += counter.Count(query);
-      sums[task] = sum;
-    });
-    benchmark::DoNotOptimize(sums.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(workers * queries.size()));
-}
-
-void BM_GaCacheOff(benchmark::State& state) {
-  BM_GaWorkload(state, BenchCacheMode::kOff);
-}
-void BM_GaCachePrivate(benchmark::State& state) {
-  BM_GaWorkload(state, BenchCacheMode::kPrivate);
-}
-void BM_GaCacheShared(benchmark::State& state) {
-  BM_GaWorkload(state, BenchCacheMode::kShared);
-}
-void BM_GaCacheSharedNoPrefix(benchmark::State& state) {
-  BM_GaWorkload(state, BenchCacheMode::kSharedNoPrefix);
-}
-BENCHMARK(BM_GaCacheOff)->Arg(1)->Arg(2)->Arg(4);
-BENCHMARK(BM_GaCachePrivate)->Arg(1)->Arg(2)->Arg(4);
-BENCHMARK(BM_GaCacheShared)->Arg(1)->Arg(2)->Arg(4);
-BENCHMARK(BM_GaCacheSharedNoPrefix)->Arg(1)->Arg(2)->Arg(4);
-
-// ---------------------------------------------------------------------------
-// Ensemble fan-out: E members run SEQUENTIALLY (the EnsembleDetector
-// contract), each with its own CubeCounter over a heavily overlapping
-// query pool. With private caches, member i+1 recomputes everything member
-// i already counted; with one SharedCubeCache, later members start fully
-// warm. items/sec counts member-evaluated queries, so shared-vs-private at
-// the same E is the ensemble's cache amplification, and scaling E shows
-// the marginal member approaching cache-hit cost.
-
-void BM_EnsembleWorkload(benchmark::State& state, bool shared_cache) {
-  const size_t members = static_cast<size_t>(state.range(0));
-  BenchFixture fixture(100000, 32, 10);
-  const auto queries = MakeGaQueries(fixture.grid, 5, 64, 8);
-  for (auto _ : state) {
-    // Fresh per iteration: each iteration is one cold ensemble fit.
-    SharedCubeCache shared;
-    uint64_t sum = 0;
-    for (size_t member = 0; member < members; ++member) {
-      CubeCounter::Options options;
-      if (shared_cache) options.shared_cache = &shared;
-      CubeCounter counter(fixture.grid, options);
-      for (const auto& query : queries) sum += counter.Count(query);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(members * queries.size()));
-}
-
-void BM_EnsembleSharedCache(benchmark::State& state) {
-  BM_EnsembleWorkload(state, true);
-}
-void BM_EnsemblePrivateCaches(benchmark::State& state) {
-  BM_EnsembleWorkload(state, false);
-}
-BENCHMARK(BM_EnsembleSharedCache)->Arg(1)->Arg(3)->Arg(5);
-BENCHMARK(BM_EnsemblePrivateCaches)->Arg(1)->Arg(3)->Arg(5);
 
 void BM_GridBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

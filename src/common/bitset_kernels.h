@@ -54,8 +54,8 @@ struct BitsetKernels {
   /// dst &= src.
   void (*and_with)(uint64_t* dst, const uint64_t* src, size_t n);
   /// Fused dst &= src returning the population count of the result —
-  /// one pass where AndWith + Count would take two (used when a prefix
-  /// intersection's cardinality decides its cached representation).
+  /// one pass where AndWith + Count would take two (the brute-force
+  /// descent needs each partial cube's cardinality).
   size_t (*and_count_into)(uint64_t* dst, const uint64_t* src, size_t n);
 };
 

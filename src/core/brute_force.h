@@ -18,12 +18,10 @@
 // extensions, and empty cubes are not reportable, so the subtree below an
 // empty partial cube is skipped. This does not change the returned set.
 //
-// Cube-count memoization (DetectorConfig::cache_mode) is deliberately a
-// no-op here: the depth-first walk visits each cube exactly once and counts
-// it directly on the carried bitset, never through CubeCounter::Count, so
-// a memo table — private or shared — has nothing to serve. The bottom-up
-// CandidateSetSearch variant and the evolutionary search both count through
-// CubeCounter and do benefit.
+// The depth-first walk visits each cube exactly once and counts it
+// directly on the carried bitset, never through CubeCounter::Count, so it
+// publishes no counter.* statistics. The bottom-up CandidateSetSearch
+// variant and the evolutionary search both count through CubeCounter.
 
 #include <cstdint>
 

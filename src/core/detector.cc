@@ -1,13 +1,11 @@
 #include "core/detector.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/macros.h"
 #include "common/timer.h"
 #include "core/parameter_advisor.h"
 #include "grid/cube_counter.h"
-#include "grid/shared_cube_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -33,29 +31,6 @@ void PublishDetectMetrics(const DetectionResult& result) {
 }
 
 }  // namespace
-
-const char* CubeCacheModeToString(CubeCacheMode mode) {
-  switch (mode) {
-    case CubeCacheMode::kPrivate: return "private";
-    case CubeCacheMode::kShared: return "shared";
-    case CubeCacheMode::kOff: return "off";
-  }
-  HIDO_CHECK_MSG(false, "unreachable cube cache mode");
-  return "private";
-}
-
-bool ParseCubeCacheMode(const std::string& name, CubeCacheMode* mode) {
-  if (name == "private") {
-    *mode = CubeCacheMode::kPrivate;
-  } else if (name == "shared") {
-    *mode = CubeCacheMode::kShared;
-  } else if (name == "off") {
-    *mode = CubeCacheMode::kOff;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 OutlierDetector::OutlierDetector() : config_() {}
 
@@ -100,30 +75,7 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
   }
   result.grid = std::move(grid).value();
 
-  // Resolve the memoization mode. A shared cache lives exactly as long as
-  // this Detect call: every worker counter the search spawns copies the
-  // attachment through CubeCounter::Options, and the accumulated statistics
-  // are published once after the search drains.
-  std::optional<SharedCubeCache> shared_cache;
-  CubeCounter::Options copts;
-  switch (config_.cache_mode) {
-    case CubeCacheMode::kOff:
-      copts.cache_capacity = 0;
-      break;
-    case CubeCacheMode::kPrivate:
-      if (config_.cache_capacity != 0) {
-        copts.cache_capacity = config_.cache_capacity;
-      }
-      break;
-    case CubeCacheMode::kShared: {
-      SharedCubeCache::Options sopts;
-      if (config_.cache_capacity != 0) sopts.capacity = config_.cache_capacity;
-      shared_cache.emplace(sopts);
-      copts.shared_cache = &*shared_cache;
-      break;
-    }
-  }
-  CubeCounter counter(result.grid, copts);
+  CubeCounter counter(result.grid);
   SparsityObjective objective(counter, config_.expectation);
 
   std::vector<ScoredProjection> best;
@@ -150,10 +102,6 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
     result.completed = search.stats.completed;
     result.stop_cause = search.stats.stop_cause;
     best = std::move(search.best);
-  }
-
-  if (shared_cache.has_value()) {
-    PublishSharedCubeCacheMetrics(shared_cache->stats());
   }
 
   {

@@ -11,7 +11,6 @@
 //   for (const auto& o : result.report.outliers) { ... }
 
 #include <cstdint>
-#include <string>
 
 #include "core/brute_force.h"
 #include "core/evolutionary_search.h"
@@ -25,23 +24,6 @@ enum class SearchAlgorithm {
   kEvolutionary,  ///< Figure 3 (default; scales to high dimensionality)
   kBruteForce,    ///< Figure 2 (exact; exponential in k)
 };
-
-/// How the search memoizes cube counts. Determinism contract: counts are
-/// pure functions of the grid, so every mode produces bit-identical
-/// reports; only speed and the serving-path statistics differ (see
-/// DESIGN.md "Shared cube-count cache").
-enum class CubeCacheMode {
-  kPrivate,  ///< per-worker memo tables (the historical default)
-  kShared,   ///< one lock-striped table for all workers + prefix memo
-             ///< (the default since bench-trend soak confirmed it)
-  kOff,      ///< no memoization; every query recomputes
-};
-
-/// Canonical lowercase name ("private" / "shared" / "off").
-const char* CubeCacheModeToString(CubeCacheMode mode);
-
-/// Inverse of CubeCacheModeToString. Returns false on unknown names.
-bool ParseCubeCacheMode(const std::string& name, CubeCacheMode* mode);
 
 /// Detector configuration. Zeros mean "choose automatically per §2.4".
 struct DetectorConfig {
@@ -62,15 +44,6 @@ struct DetectorConfig {
   /// Brute-force knobs; target_dim/num_projections are overridden.
   BruteForceOptions brute_force;
   uint64_t seed = 42;  ///< master RNG seed for the whole run
-  /// Cube-count memoization mode. kShared (the default) builds one
-  /// SharedCubeCache per Detect call, attaches every search worker's
-  /// counter to it, and publishes its statistics as cube.cache.shared.*
-  /// when done; reports are bit-identical in every mode.
-  CubeCacheMode cache_mode = CubeCacheMode::kShared;
-  /// Capacity override for whichever cache `cache_mode` selects (private
-  /// per-worker tables or the shared table). 0 keeps the mode's default;
-  /// ignored when cache_mode == kOff.
-  size_t cache_capacity = 0;
   /// Grid ranges with fewer members than this become sorted-array
   /// containers instead of bitmaps (GridModel::Options::array_threshold).
   /// 0 forces all bitmaps; GridModel::kAutoArrayThreshold (the default)

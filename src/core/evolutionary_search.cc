@@ -51,10 +51,8 @@ bool OfferPopulation(const std::vector<Individual>& population,
 // (stats + bitset scratch are single-threaded state) and objective per
 // worker, all over the shared read-only grid. Worker 0 is the restart's
 // own base objective. The counters are built from the base counter's
-// Options, so when the caller attached a SharedCubeCache every worker's
-// counter memoizes through that one concurrent table (per-worker Stats
-// stay private scratch and are absorbed at the end); without one, each
-// worker keeps a private memo table.
+// Options (so a forced strategy reaches every worker); their Stats stay
+// private scratch and are absorbed at the end.
 class EvalScratch {
  public:
   EvalScratch(SparsityObjective& base, size_t workers) {
@@ -215,7 +213,7 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
 
   // Private evaluation state: restarts may run concurrently, so none of
   // them may touch the caller's counter. Results are unaffected — fitness
-  // evaluation is pure; caches only affect speed and statistics.
+  // evaluation is pure.
   CubeCounter counter(*ctx.grid, ctx.counter_options);
   SparsityObjective objective(counter, ctx.expectation);
   EvalScratch scratch(objective, ctx.eval_threads);
@@ -505,10 +503,9 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
   result.best = best.Sorted();
 
   // Publish this run's totals to the process-wide registry once, at
-  // aggregation — never from the hot loops. All search.* counters are
-  // deterministic for a fixed seed at any thread count; the counter.*
-  // strategy/cache breakdowns are not (private caches restart cold), only
-  // their sum counter.queries is.
+  // aggregation — never from the hot loops. All search.* and counter.*
+  // counters are deterministic for a fixed seed at any thread count; the
+  // counter.* strategy split also follows the container threshold.
   {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     registry.GetCounter("search.runs").Add(1);
@@ -530,22 +527,10 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
           static_cast<double>(outcome.generations));
     }
     registry.GetCounter("counter.queries").Add(counter_totals.queries);
-    registry.GetCounter("counter.cache_hits")
-        .Add(counter_totals.cache_hits);
-    registry.GetCounter("counter.shared_hits")
-        .Add(counter_totals.shared_hits);
-    registry.GetCounter("counter.prefix_counts")
-        .Add(counter_totals.prefix_counts);
     registry.GetCounter("counter.bitset_counts")
         .Add(counter_totals.bitset_counts);
     registry.GetCounter("counter.posting_counts")
         .Add(counter_totals.posting_counts);
-    registry.GetCounter("counter.naive_counts")
-        .Add(counter_totals.naive_counts);
-    registry.GetCounter("counter.cache_evictions")
-        .Add(counter_totals.cache_evictions);
-    registry.GetCounter("counter.cache_clears")
-        .Add(counter_totals.cache_clears);
   }
   result.stats.completed = !poller.stopped();
   result.stats.stop_cause = poller.cause();

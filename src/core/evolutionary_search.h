@@ -71,8 +71,8 @@ struct EvolutionaryOptions {
   /// ValidateCheckpoint). Finished restarts are replayed from the snapshot;
   /// interrupted ones continue from their saved generation on the exact
   /// RNG stream position, so the final result is bit-identical to the
-  /// uninterrupted run at any thread count. Counter cache-hit breakdowns
-  /// may differ (caches restart cold); results never depend on them.
+  /// uninterrupted run at any thread count, and so are its counter.*
+  /// totals.
   const EvolutionCheckpoint* resume = nullptr;
   bool require_non_empty = true;  ///< skip empty-cube projections
   uint64_t seed = 42;             ///< master seed for all restart streams

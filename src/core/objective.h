@@ -37,7 +37,7 @@ struct CubeEvaluation {
 };
 
 /// Computes sparsity coefficients over a grid model. Holds a reference to a
-/// CubeCounter (so all searches share its cache); not thread-safe.
+/// CubeCounter (whose statistics it feeds); not thread-safe.
 class SparsityObjective {
  public:
   /// `counter` must outlive the objective.

@@ -15,9 +15,7 @@ OutlierReport ExtractOutliers(const GridModel& grid,
   OutlierReport report;
   report.projections = std::move(projections);
 
-  CubeCounter::Options copts;
-  copts.cache_capacity = 0;  // one-shot lookups, no cache needed
-  CubeCounter counter(grid, copts);
+  const CubeCounter counter(grid);
 
   std::map<size_t, OutlierRecord> by_row;
   for (size_t p = 0; p < report.projections.size(); ++p) {

@@ -17,9 +17,7 @@ std::vector<PointScore> ScoreAllPoints(
     scores[row].row = row;
   }
 
-  CubeCounter::Options copts;
-  copts.cache_capacity = 0;
-  CubeCounter counter(grid, copts);
+  const CubeCounter counter(grid);
   for (const ScoredProjection& scored : projections) {
     if (scored.projection.Dimensionality() == 0) continue;
     for (uint32_t row :

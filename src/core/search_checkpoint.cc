@@ -12,11 +12,12 @@ namespace {
 
 constexpr char kMagic[] = "hido-checkpoint";
 // v2 added the per-restart `ops` line (genetic-operator totals), so a
-// resumed run's telemetry counters match the uninterrupted run's. v3 widens
-// `counter_stats` to the full serving-path breakdown (shared-cache and
-// prefix-memo hits, private-cache eviction accounting). Older versions are
-// rejected; checkpoints are short-lived scratch state, not archives.
-constexpr char kVersion[] = "v3";
+// resumed run's telemetry counters match the uninterrupted run's. v3 widened
+// `counter_stats` to the cube-cache breakdown; v4 shrinks it back to the
+// queries and the two counting strategies once counts were no longer
+// memoized. Older versions are rejected; checkpoints are short-lived
+// scratch state, not archives.
+constexpr char kVersion[] = "v4";
 
 const char* StateName(RestartCheckpoint::State state) {
   switch (state) {
@@ -39,17 +40,10 @@ void AppendConditions(std::string& out, const Projection& projection) {
 }
 
 void AppendStats(std::string& out, const CubeCounter::Stats& stats) {
-  out += StrFormat("counter_stats %llu %llu %llu %llu %llu %llu %llu %llu "
-                   "%llu\n",
+  out += StrFormat("counter_stats %llu %llu %llu\n",
                    static_cast<unsigned long long>(stats.queries),
-                   static_cast<unsigned long long>(stats.cache_hits),
-                   static_cast<unsigned long long>(stats.shared_hits),
-                   static_cast<unsigned long long>(stats.prefix_counts),
                    static_cast<unsigned long long>(stats.bitset_counts),
-                   static_cast<unsigned long long>(stats.posting_counts),
-                   static_cast<unsigned long long>(stats.naive_counts),
-                   static_cast<unsigned long long>(stats.cache_evictions),
-                   static_cast<unsigned long long>(stats.cache_clears));
+                   static_cast<unsigned long long>(stats.posting_counts));
 }
 
 void AppendBest(std::string& out,
@@ -109,15 +103,11 @@ Status ParseProjection(Parser& p, size_t num_dims, size_t phi,
 
 Status ParseStats(Parser& p, CubeCounter::Stats& stats) {
   HIDO_RETURN_IF_ERROR(p.ExpectKey("counter_stats"));
-  if (!(p.in >> stats.queries >> stats.cache_hits >> stats.shared_hits >>
-        stats.prefix_counts >> stats.bitset_counts >>
-        stats.posting_counts >> stats.naive_counts >>
-        stats.cache_evictions >> stats.cache_clears)) {
+  if (!(p.in >> stats.queries >> stats.bitset_counts >>
+        stats.posting_counts)) {
     return p.Fail("bad counter_stats");
   }
-  if (stats.queries != stats.cache_hits + stats.shared_hits +
-                           stats.prefix_counts + stats.bitset_counts +
-                           stats.posting_counts + stats.naive_counts) {
+  if (stats.queries != stats.bitset_counts + stats.posting_counts) {
     return p.Fail("counter_stats violate the dispatch invariant");
   }
   return Status::Ok();

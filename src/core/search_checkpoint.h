@@ -19,10 +19,8 @@
 //   * unstarted — resumes from scratch on its own RNG stream.
 // Because each restart owns an independent RNG stream and restart-local
 // BestSet (merged in restart order under key-based tie-breaking), the
-// resumed batch's result is bit-identical to the uninterrupted run at any
-// thread count. The one documented exception: counter *cache-hit
-// breakdowns* may differ, since caches restart cold; results never depend
-// on them.
+// resumed batch's result and its evaluation/counter totals are identical
+// to the uninterrupted run's at any thread count.
 //
 // Format: the model_io-style versioned text format (%.17g round-trips
 // doubles exactly); files are written with an atomic write-rename, so a

@@ -1,7 +1,6 @@
 #include "ensemble/ensemble_detector.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -11,7 +10,6 @@
 #include "core/local_search.h"
 #include "core/parameter_advisor.h"
 #include "grid/cube_counter.h"
-#include "grid/shared_cube_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -29,11 +27,9 @@ const std::vector<double>& DurationBounds() {
   return bounds;
 }
 
-// One registry event per finished Detect: run/member volume counters, the
-// stop-cause breakdown shared with the single-run detector, and the
-// shared-cache amplification gauge when a shared cache served the run.
-void PublishEnsembleMetrics(const EnsembleDetectionResult& result,
-                            const SharedCubeCache* shared_cache) {
+// One registry event per finished Detect: run/member volume counters and
+// the stop-cause breakdown shared with the single-run detector.
+void PublishEnsembleMetrics(const EnsembleDetectionResult& result) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("ensemble.runs").Add(1);
   registry.GetCounter("ensemble.members_run").Add(result.members.size());
@@ -47,16 +43,6 @@ void PublishEnsembleMetrics(const EnsembleDetectionResult& result,
         .GetCounter(std::string("run.stops.") +
                     StopCauseToString(result.stop_cause))
         .Add(1);
-  }
-  if (shared_cache != nullptr) {
-    const SharedCubeCache::Stats stats = shared_cache->stats();
-    PublishSharedCubeCacheMetrics(stats);
-    // Hit amplification: shared hits per computed (missed) count, as a
-    // percentage. > 100% means every miss the first member paid was repaid
-    // more than once by later members — the ensemble's cost advantage.
-    const uint64_t misses = std::max<uint64_t>(1, stats.misses);
-    registry.GetGauge("ensemble.cache.hit_amplification_pct")
-        .Set(static_cast<int64_t>(stats.hits * 100 / misses));
   }
 }
 
@@ -138,33 +124,10 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
     result.stop_cause =
         base.stop != nullptr ? base.stop->cause() : StopCause::kNone;
     result.seconds = watch.ElapsedSeconds();
-    PublishEnsembleMetrics(result, nullptr);
+    PublishEnsembleMetrics(result);
     return result;
   }
   result.grid = std::move(grid).value();
-
-  // One cache for the whole ensemble. With kShared this is the fan-out
-  // enabler: member i+1 starts with everything members 0..i counted
-  // already memoized.
-  std::optional<SharedCubeCache> shared_cache;
-  CubeCounter::Options copts;
-  switch (base.cache_mode) {
-    case CubeCacheMode::kOff:
-      copts.cache_capacity = 0;
-      break;
-    case CubeCacheMode::kPrivate:
-      if (base.cache_capacity != 0) {
-        copts.cache_capacity = base.cache_capacity;
-      }
-      break;
-    case CubeCacheMode::kShared: {
-      SharedCubeCache::Options sopts;
-      if (base.cache_capacity != 0) sopts.capacity = base.cache_capacity;
-      shared_cache.emplace(sopts);
-      copts.shared_cache = &*shared_cache;
-      break;
-    }
-  }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Histogram& member_duration = registry.GetHistogram(
@@ -174,11 +137,9 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
       ResolveMemberKinds(options.mix, options.num_members);
 
   // Members run sequentially in member order — each member's search fans
-  // out internally on the shared pool with the full thread budget, and the
-  // sequential outer loop is what keeps the cache-warming order (and thus
-  // the variant cache telemetry) independent of scheduling races between
-  // members. Determinism of the *results* needs only per-member
-  // determinism, which each strategy guarantees for its derived seed.
+  // out internally on the shared pool with the full thread budget.
+  // Determinism of the *results* needs only per-member determinism, which
+  // each strategy guarantees for its derived seed.
   std::vector<std::vector<PointScore>> member_scores;
   std::vector<double> scales;
   for (size_t index = 0; index < kinds.size(); ++index) {
@@ -193,7 +154,7 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
     member.kind = kinds[index];
     member.seed = DeriveMemberSeed(base.seed, index);
 
-    CubeCounter counter(result.grid, copts);
+    CubeCounter counter(result.grid);
     SparsityObjective objective(counter, base.expectation);
 
     switch (member.kind) {
@@ -257,8 +218,7 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
   }
 
   result.seconds = watch.ElapsedSeconds();
-  PublishEnsembleMetrics(
-      result, shared_cache.has_value() ? &*shared_cache : nullptr);
+  PublishEnsembleMetrics(result);
   return result;
 }
 

@@ -3,22 +3,21 @@
 
 // The subspace-ensemble meta-detector: E diverse members (GA restarts with
 // distinct seeds, Liu & Fokoué random-subspace sampling, local-search
-// variants) run over ONE grid and ONE shared cube-count cache, and their
-// per-point scores fold through a pluggable combiner (He et al.).
+// variants) run over ONE grid, and their per-point scores fold through a
+// pluggable combiner (He et al.).
 //
-// Cost model: the members share the projection/objective encoding, so with
-// `--cache-mode=shared` every cube a member counts is memoized for all the
-// later members — an E-member ensemble costs far less than E independent
-// runs (the amplification is published as
-// ensemble.cache.hit_amplification_pct and tracked by
-// BM_EnsembleSharedVsPrivate).
+// Cost model: the members share the grid (built once) and the
+// projection/objective encoding; each member counts its own cubes. Cube
+// counts are not memoized across members: on the end-to-end benchmark an
+// E=5 ensemble ran faster with no memo at all (DESIGN.md "Why cube counts
+// are not memoized").
 //
 // Determinism contract (the repo's standing invariant): members run
 // *sequentially* in member order, each deterministic for its derived seed
 // (the GA's own contract covers its internal fan-out; the sampling members
 // are single-stream). The combiner is pure. An EnsembleDetectionResult is
-// therefore bit-identical across thread counts and cache modes; only the
-// variant telemetry (cache breakdowns, durations) moves.
+// therefore bit-identical across thread counts; only the variant telemetry
+// (durations) moves.
 
 #include <cstdint>
 #include <vector>
@@ -49,11 +48,11 @@ struct EnsembleOptions {
   uint64_t local_evaluations = 20000;
 };
 
-/// Full ensemble configuration: the shared search/grid/cache knobs plus the
+/// Full ensemble configuration: the shared search/grid knobs plus the
 /// ensemble layer. `base.seed` derives every member seed; `base.algorithm`
 /// is ignored (the mix decides what runs).
 struct EnsembleConfig {
-  DetectorConfig base;       ///< grid, phi/k, cache mode, threads, stop
+  DetectorConfig base;       ///< grid, phi/k, threads, stop
   EnsembleOptions ensemble;  ///< member count, mix, combiner
 };
 

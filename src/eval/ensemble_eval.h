@@ -24,8 +24,8 @@ namespace hido {
 namespace eval {
 
 /// Parameters of one ensemble-vs-single comparison. The single run and the
-/// ensemble share the grid knobs (phi, k, m), expectation model, cache
-/// mode, and master seed; the ensemble layers its member mix on top.
+/// ensemble share the grid knobs (phi, k, m), expectation model, and
+/// master seed; the ensemble layers its member mix on top.
 struct EnsembleEvalParams {
   /// Workload with planted ground truth.
   SubspaceOutlierConfig data;

@@ -1,7 +1,6 @@
 #include "grid/cube_counter.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/macros.h"
 
@@ -31,14 +30,8 @@ void ValidateConditions(const GridModel& grid,
 
 CubeCounter::Stats& CubeCounter::Stats::operator+=(const Stats& other) {
   queries += other.queries;
-  cache_hits += other.cache_hits;
-  shared_hits += other.shared_hits;
-  prefix_counts += other.prefix_counts;
   bitset_counts += other.bitset_counts;
   posting_counts += other.posting_counts;
-  naive_counts += other.naive_counts;
-  cache_evictions += other.cache_evictions;
-  cache_clears += other.cache_clears;
   return *this;
 }
 
@@ -48,120 +41,27 @@ CubeCounter::CubeCounter(const GridModel& grid)
 CubeCounter::CubeCounter(const GridModel& grid, const Options& options)
     : grid_(&grid), options_(options), scratch_(grid.num_points()) {}
 
-const PostingContainer& CubeCounter::ContainerOf(uint64_t packed) const {
-  return grid_->Container(static_cast<size_t>(packed >> 32),
-                          static_cast<uint32_t>(packed & 0xffffffffu));
-}
-
 size_t CubeCounter::Count(const std::vector<DimRange>& conditions) {
   ValidateConditions(*grid_, conditions);
   ++stats_.queries;
-  SharedCubeCache* shared = options_.shared_cache;
-  if (shared != nullptr) {
-    // Shared mode: the concurrent table replaces the private one entirely,
-    // so every worker attached to it reuses every other worker's counts.
-    const CubeKey key = PackCubeKey(conditions);
-    size_t count = 0;
-    if (shared->LookupCount(key, &count)) {
-      ++stats_.shared_hits;
-      return count;
-    }
-    count = DispatchWithPrefix(conditions, key, options_.strategy);
-    shared->InsertCount(key, count);
-    return count;
+  const CountingStrategy strategy =
+      options_.strategy == CountingStrategy::kAuto ? Choose(conditions)
+                                                   : options_.strategy;
+  if (strategy == CountingStrategy::kBitset) {
+    ++stats_.bitset_counts;
+    return CountBitset(conditions);
   }
-  if (options_.cache_capacity == 0) {
-    return Dispatch(conditions, options_.strategy);
+  ++stats_.posting_counts;
+  if (conditions.size() == 1) {
+    return grid_->RangeCardinality(conditions[0].dim, conditions[0].cell);
   }
-  CubeKey key = PackCubeKey(conditions);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++stats_.cache_hits;
-    return it->second;
-  }
-  const size_t count = Dispatch(conditions, options_.strategy);
-  if (cache_.size() >= options_.cache_capacity) {
-    // Wholesale eviction keeps bookkeeping O(1); the price — every dropped
-    // entry is a potential recomputation — is visible in the stats.
-    stats_.cache_evictions += cache_.size();
-    ++stats_.cache_clears;
-    cache_.clear();
-  }
-  cache_.emplace(std::move(key), count);
-  return count;
+  return IntersectIds(conditions).size();
 }
 
-size_t CubeCounter::CountUncached(const std::vector<DimRange>& conditions,
-                                  CountingStrategy strategy) {
+std::vector<uint32_t> CubeCounter::CoveredPoints(
+    const std::vector<DimRange>& conditions) const {
   ValidateConditions(*grid_, conditions);
-  ++stats_.queries;
-  return Dispatch(conditions, strategy);
-}
-
-size_t CubeCounter::Dispatch(const std::vector<DimRange>& conditions,
-                             CountingStrategy strategy) {
-  if (strategy == CountingStrategy::kAuto) {
-    strategy = Choose(conditions);
-  }
-  switch (strategy) {
-    case CountingStrategy::kBitset:
-      ++stats_.bitset_counts;
-      return CountBitset(conditions);
-    case CountingStrategy::kPostingList:
-      ++stats_.posting_counts;
-      return CountPostings(conditions);
-    case CountingStrategy::kNaive:
-      ++stats_.naive_counts;
-      return CountNaive(conditions);
-    case CountingStrategy::kAuto:
-      break;
-  }
-  HIDO_CHECK_MSG(false, "unreachable counting strategy");
-  return 0;
-}
-
-size_t CubeCounter::DispatchWithPrefix(
-    const std::vector<DimRange>& conditions, const CubeKey& key,
-    CountingStrategy strategy) {
-  // Prefix memoization: the first k-1 elements of the sorted key identify
-  // the (k-1)-sub-cube whose intersection bitset finishes this query with
-  // one AND+popcount. Only worthwhile for k >= 3 — a 2-cube's "prefix" is
-  // a raw membership bitset the grid already holds.
-  SharedCubeCache* shared = options_.shared_cache;
-  if (conditions.size() < 3 || !shared->prefix_enabled()) {
-    return Dispatch(conditions, strategy);
-  }
-  const CubeKey prefix_key(key.begin(), key.end() - 1);
-  if (const std::shared_ptr<const PostingContainer> prefix =
-          shared->LookupPrefix(prefix_key)) {
-    ++stats_.prefix_counts;
-    return prefix->AndCount(ContainerOf(key.back()));
-  }
-  if (strategy == CountingStrategy::kAuto) {
-    strategy = Choose(conditions);
-  }
-  if (strategy != CountingStrategy::kBitset) {
-    // Postings/naive computations never materialize the prefix, so there
-    // is nothing cheap to store; count the plain way.
-    return Dispatch(conditions, strategy);
-  }
-  // Intersect in sorted-key order so the running bitset after k-1 steps is
-  // exactly the prefix entry (the count is order-independent either way).
-  // The fused AndInto hands back each intermediate cardinality, so the
-  // prefix's array-vs-bitmap representation choice costs no extra pass —
-  // a prefix intersection may densify or sparsify, and the cache stores
-  // whichever form it lands in.
-  ++stats_.bitset_counts;
-  ContainerOf(key[0]).MaterializeInto(scratch_);
-  size_t prefix_cardinality = ContainerOf(key[0]).cardinality();
-  for (size_t i = 1; i + 1 < key.size(); ++i) {
-    prefix_cardinality = ContainerOf(key[i]).AndInto(scratch_);
-  }
-  const size_t count = ContainerOf(key.back()).AndCountWith(scratch_);
-  shared->InsertPrefix(
-      prefix_key, PostingContainer::FromBitmap(scratch_, prefix_cardinality,
-                                               grid_->array_threshold()));
-  return count;
+  return IntersectIds(conditions);
 }
 
 CountingStrategy CubeCounter::Choose(
@@ -206,47 +106,11 @@ size_t CubeCounter::CountBitset(const std::vector<DimRange>& conditions) {
   return grid_->Container(last.dim, last.cell).AndCountWith(scratch_);
 }
 
-size_t CubeCounter::CountPostings(
+std::vector<uint32_t> CubeCounter::IntersectIds(
     const std::vector<DimRange>& conditions) const {
   // Intersect starting from the smallest container: its ids seed the
   // candidate list, and every other container is probed via Contains
   // (O(1) on bitmaps, binary search on arrays).
-  std::vector<const PostingContainer*> containers;
-  containers.reserve(conditions.size());
-  for (const DimRange& c : conditions) {
-    containers.push_back(&grid_->Container(c.dim, c.cell));
-  }
-  std::sort(containers.begin(), containers.end(),
-            [](const PostingContainer* a, const PostingContainer* b) {
-              return a->cardinality() < b->cardinality();
-            });
-  if (containers.front()->cardinality() == 0) return 0;
-  if (containers.size() == 1) return containers.front()->cardinality();
-
-  std::vector<uint32_t> current = containers.front()->ToIds();
-  for (size_t i = 1; i < containers.size() && !current.empty(); ++i) {
-    const PostingContainer& other = *containers[i];
-    size_t kept = 0;
-    for (uint32_t id : current) {
-      if (other.Contains(id)) current[kept++] = id;
-    }
-    current.resize(kept);
-  }
-  return current.size();
-}
-
-size_t CubeCounter::CountNaive(
-    const std::vector<DimRange>& conditions) const {
-  size_t count = 0;
-  for (size_t row = 0; row < grid_->num_points(); ++row) {
-    count += grid_->Covers(row, conditions) ? 1 : 0;
-  }
-  return count;
-}
-
-std::vector<uint32_t> CubeCounter::CoveredPoints(
-    const std::vector<DimRange>& conditions) const {
-  ValidateConditions(*grid_, conditions);
   std::vector<const PostingContainer*> containers;
   containers.reserve(conditions.size());
   for (const DimRange& c : conditions) {
@@ -266,14 +130,6 @@ std::vector<uint32_t> CubeCounter::CoveredPoints(
     current.resize(kept);
   }
   return current;
-}
-
-void CubeCounter::ClearCache() {
-  if (!cache_.empty()) {
-    stats_.cache_evictions += cache_.size();
-    ++stats_.cache_clears;
-  }
-  cache_.clear();
 }
 
 }  // namespace hido

@@ -2,99 +2,62 @@
 #define HIDO_GRID_CUBE_COUNTER_H_
 
 // Counting the points inside a k-dimensional cube — the fitness evaluation
-// at the heart of both search algorithms. Three interchangeable strategies
-// (bitset AND+popcount, posting-list intersection, naive row scan) plus a
-// memoizing cache, since the evolutionary search re-evaluates recurring
-// sub-combinations constantly.
+// at the heart of both search algorithms. Two interchangeable strategies
+// (bitset AND+popcount, posting-list intersection), chosen per query from
+// the containers involved. Counts are not memoized: see DESIGN.md "Why cube
+// counts are not memoized" for the end-to-end measurement.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitset.h"
 #include "grid/grid_model.h"
-#include "grid/shared_cube_cache.h"
 
 namespace hido {
 
 /// How CubeCounter intersects range memberships.
 enum class CountingStrategy {
-  kAuto,         ///< pick per query from selectivity (default)
+  kAuto,         ///< pick per query from the containers (default)
   kBitset,       ///< AND of membership bitsets, popcount
-  kPostingList,  ///< k-way sorted-list intersection
-  kNaive,        ///< scan every row, test all conditions
+  kPostingList,  ///< probe the smallest range's ids against the others
 };
 
 /// Counts points covered by conjunctions of grid conditions.
 ///
 /// Threading contract: one CubeCounter instance serves one thread (its
-/// statistics, private cache, and scratch bitset are unsynchronized
-/// mutable state). Concurrent searches use one counter per worker, and the
-/// workers' counters may all attach to a single SharedCubeCache
-/// (Options::shared_cache) — the shared table is lock-striped and
-/// thread-safe, and it *replaces* the private per-counter memo table so
-/// every worker reuses every other worker's computed counts.
+/// statistics and scratch bitset are unsynchronized mutable state).
+/// Concurrent searches use one counter per worker over the shared
+/// read-only grid.
 ///
 /// Determinism: a cube count is a pure function of the grid and the
-/// conditions, so caching (private, shared, or off) can change which code
-/// path produces a count but never its value. Results are bit-identical
-/// across cache configurations and thread counts; only speed and the
-/// serving-path statistics below move. See DESIGN.md "Shared cube-count
-/// cache" for the full argument.
-/// Counts dataset points falling in grid cubes under a chosen strategy.
+/// conditions, and so is the strategy that serves it under kAuto (it
+/// follows the container representations, i.e. the container threshold).
+/// Counts and the per-strategy statistics below are therefore identical
+/// at any thread count.
 class CubeCounter {
  public:
-  /// Strategy selection and cache sizing knobs.
+  /// Strategy selection.
   struct Options {
     CountingStrategy strategy = CountingStrategy::kAuto;  ///< counting path
-    /// Maximum privately cached cubes; the private cache is wholesale-
-    /// cleared when full (0 disables private caching). Ignored while
-    /// `shared_cache` is attached.
-    size_t cache_capacity = 1u << 18;
-    /// When set, memoization goes through this shared table instead of the
-    /// private cache (read-through/write-through), and k-cube queries may
-    /// be finished from a cached (k-1)-prefix intersection with a single
-    /// AND+popcount. Non-owning; must outlive the counter. Copying these
-    /// Options propagates the attachment, which is how a search hands one
-    /// shared cache to all of its per-worker counters.
-    SharedCubeCache* shared_cache = nullptr;
   };
 
   /// Counters for introspection and the micro benchmarks. Invariant:
   ///
-  ///   queries == cache_hits + shared_hits + prefix_counts
-  ///              + bitset_counts + posting_counts + naive_counts
+  ///   queries == bitset_counts + posting_counts
   ///
-  /// — every query is served from exactly one source: the private cache,
-  /// the shared cache's count table, a cached prefix finished by one
-  /// AND+popcount, or a full computation by exactly one strategy
-  /// (including queries made through CountUncached).
-  ///
-  /// A wholesale clear of the full private cache costs `cache_evictions`
-  /// recomputations in the worst case (every dropped entry that would have
-  /// been re-queried); `cache_clears` counts the clear events themselves
-  /// (capacity overflows plus explicit ClearCache calls), so
-  /// cache_evictions / cache_clears is the average table size at clear
-  /// time. Shared-cache eviction accounting lives in SharedCubeCache::Stats
-  /// (it is cache-wide, not per-worker).
+  /// — every query is computed by exactly one strategy.
   struct Stats {
-    uint64_t queries = 0;         ///< total Count() calls on any path
-    uint64_t cache_hits = 0;      ///< served by the private memo table
-    uint64_t shared_hits = 0;     ///< served by the shared count table
-    uint64_t prefix_counts = 0;   ///< finished from a cached (k-1)-prefix
+    uint64_t queries = 0;         ///< total Count() calls
     uint64_t bitset_counts = 0;   ///< answered by bitset intersection
-    uint64_t posting_counts = 0;  ///< answered by posting-list merge
-    uint64_t naive_counts = 0;    ///< answered by a full point scan
-    uint64_t cache_evictions = 0;  ///< private entries dropped by clears
-    uint64_t cache_clears = 0;     ///< private wholesale-clear events
+    uint64_t posting_counts = 0;  ///< answered by posting-list probing
 
     /// Element-wise accumulation (for merging per-thread counters).
     Stats& operator+=(const Stats& other);
   };
 
-  /// `grid` must outlive the counter. Default options: kAuto + caching.
+  /// `grid` must outlive the counter. Default options: kAuto.
   explicit CubeCounter(const GridModel& grid);
-  /// Same, with explicit strategy/cache options.
+  /// Same, with an explicit strategy.
   CubeCounter(const GridModel& grid, const Options& options);
 
   /// Number of points satisfying all `conditions`.
@@ -102,11 +65,8 @@ class CubeCounter {
   /// cell < phi.
   size_t Count(const std::vector<DimRange>& conditions);
 
-  /// As Count, bypassing the cache (used by the cache's own tests).
-  size_t CountUncached(const std::vector<DimRange>& conditions,
-                       CountingStrategy strategy);
-
-  /// Sorted ids of the points satisfying all `conditions` (uncached).
+  /// Sorted ids of the points satisfying all `conditions` (not counted in
+  /// the statistics). Same preconditions as Count.
   std::vector<uint32_t> CoveredPoints(
       const std::vector<DimRange>& conditions) const;
 
@@ -117,33 +77,21 @@ class CubeCounter {
   /// counter, so totals stay truthful under concurrency.
   void AbsorbStats(const Stats& other) { stats_ += other; }
 
-  /// Drops the private memo table (counted in cache_evictions /
-  /// cache_clears). Does not touch an attached shared cache.
-  void ClearCache();
-
   const GridModel& grid() const { return *grid_; }  ///< the indexed grid
   const Options& options() const { return options_; }  ///< as constructed
 
  private:
-  size_t Dispatch(const std::vector<DimRange>& conditions,
-                  CountingStrategy strategy);
-  /// As Dispatch, but first tries to finish the cube from a shared cached
-  /// (k-1)-prefix container, and stores the prefix it computes on a miss
-  /// (in whichever representation — array or bitmap — it lands in).
-  size_t DispatchWithPrefix(const std::vector<DimRange>& conditions,
-                            const CubeKey& key, CountingStrategy strategy);
-  size_t CountBitset(const std::vector<DimRange>& conditions);
-  size_t CountPostings(const std::vector<DimRange>& conditions) const;
-  size_t CountNaive(const std::vector<DimRange>& conditions) const;
   CountingStrategy Choose(const std::vector<DimRange>& conditions) const;
-  /// The membership container of one packed key element.
-  const PostingContainer& ContainerOf(uint64_t packed) const;
+  size_t CountBitset(const std::vector<DimRange>& conditions);
+  /// The posting-list path: ids of the smallest container, filtered by
+  /// probing every other container.
+  std::vector<uint32_t> IntersectIds(
+      const std::vector<DimRange>& conditions) const;
 
   const GridModel* grid_;
   Options options_;
   Stats stats_;
   DynamicBitset scratch_;
-  std::unordered_map<CubeKey, size_t, CubeKeyHash> cache_;
 };
 
 }  // namespace hido

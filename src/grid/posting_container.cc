@@ -23,24 +23,6 @@ PostingContainer PostingContainer::FromIds(std::vector<uint32_t> ids,
   return c;
 }
 
-PostingContainer PostingContainer::FromBitmap(DynamicBitset bits,
-                                              size_t cardinality,
-                                              size_t array_threshold) {
-  PostingContainer c;
-  c.universe_ = bits.size();
-  c.cardinality_ = cardinality;
-  HIDO_DCHECK(bits.Count() == cardinality);
-  if (cardinality < array_threshold) {
-    c.kind_ = Kind::kArray;
-    c.ids_.reserve(cardinality);
-    bits.AppendSetBits(c.ids_);
-    return c;
-  }
-  c.kind_ = Kind::kBitmap;
-  c.bits_ = std::move(bits);
-  return c;
-}
-
 bool PostingContainer::Contains(uint32_t id) const {
   HIDO_DCHECK(id < universe_);
   if (kind_ == Kind::kBitmap) return bits_.Test(id);

@@ -2,7 +2,7 @@
 #define HIDO_GRID_POSTING_CONTAINER_H_
 
 // Roaring-style hybrid membership container for one (dimension, range)
-// pair — or for a cached prefix intersection. Dense ranges keep the
+// pair. Dense ranges keep the
 // DynamicBitset (one bit per point, AND+popcount through the counting
 // kernels); sparse ranges (cardinality below a build-time threshold)
 // store a sorted array of point ids instead, which is both smaller
@@ -41,13 +41,6 @@ class PostingContainer {
   /// Becomes an array when ids.size() < array_threshold, else a bitmap.
   static PostingContainer FromIds(std::vector<uint32_t> ids, size_t universe,
                                   size_t array_threshold);
-
-  /// Builds a container from a materialized bitmap whose popcount is
-  /// `cardinality` (callers on the counting path already know it — see
-  /// DynamicBitset::AndCountInto). Sparsifies to an array when
-  /// cardinality < array_threshold, else keeps the bitmap.
-  static PostingContainer FromBitmap(DynamicBitset bits, size_t cardinality,
-                                     size_t array_threshold);
 
   Kind kind() const { return kind_; }          ///< physical representation
   size_t universe() const { return universe_; }  ///< points in the grid

@@ -10,18 +10,20 @@
 //
 // Determinism contract: for a fixed seed and complete run, the `config`,
 // `counters`, `histograms`, and `results` sections are byte-identical at
-// any thread count *and any cube cache mode*, *except* instruments
-// declared `variant` in the machine-readable contract block below —
-// scheduling-dependent breakdowns (which cube-counter path served a
-// query, the shared-cache family, the kNN scored/pruned split, pool.*
-// gauges) and the client-dependent serve.* family. counter.queries itself
-// is invariant — every query increments it exactly once no matter which
-// path serves it. The serve.* family is client-dependent rather than
-// thread-dependent: deterministic for a scripted client schedule (the CI
-// chaos job asserts exact values) but dependent on kernel read coalescing
-// when clients race. Wall-clock lives only in `timing` and in explicitly
-// "_seconds"-named result fields, so consumers can diff everything above
-// it. telemetry_invariance_test.cc enforces the invariant set.
+// any thread count, *except* instruments declared `variant` in the
+// machine-readable contract block below — scheduling-dependent breakdowns
+// (the kNN scored/pruned split, pool.* gauges), configuration-dependent
+// ones (the grid's container mix and the cube-counter strategy split both
+// follow the container threshold, so they are invariant across threads
+// only at a fixed threshold) and the client-dependent serve.* family.
+// counter.queries itself is invariant under every configuration — every
+// query increments it exactly once. The serve.* family is client-dependent
+// rather than thread-dependent: deterministic for a scripted client
+// schedule (the CI chaos job asserts exact values) but dependent on kernel
+// read coalescing when clients race. Wall-clock lives only in `timing` and
+// in explicitly "_seconds"-named result fields, so consumers can diff
+// everything above it. telemetry_invariance_test.cc enforces the invariant
+// set.
 //
 // The block between the markers is the metric contract, machine-checked
 // by hido_lint's metric-contract rule: every Counter/Gauge/Histogram name
@@ -45,22 +47,9 @@
 //   counter checkpoint.resumes invariant
 //   counter checkpoint.save_failures invariant
 //   counter checkpoint.saves invariant
-//   counter counter.bitset_counts variant serving-path breakdown
-//   counter counter.cache_clears variant serving-path breakdown
-//   counter counter.cache_evictions variant serving-path breakdown
-//   counter counter.cache_hits variant serving-path breakdown
-//   counter counter.naive_counts variant serving-path breakdown
-//   counter counter.posting_counts variant serving-path breakdown
-//   counter counter.prefix_counts variant serving-path breakdown
-//   counter counter.queries invariant one increment per query on every path
-//   counter counter.shared_hits variant serving-path breakdown
-//   counter cube.cache.shared.evictions variant worker-interleaving dependent
-//   counter cube.cache.shared.hits variant worker-interleaving dependent
-//   counter cube.cache.shared.insertions variant worker-interleaving dependent
-//   counter cube.cache.shared.misses variant worker-interleaving dependent
-//   counter cube.cache.shared.prefix_evictions variant worker-interleaving dependent
-//   counter cube.cache.shared.prefix_hits variant worker-interleaving dependent
-//   counter cube.cache.shared.prefix_insertions variant worker-interleaving dependent
+//   counter counter.bitset_counts variant strategy follows the container threshold
+//   counter counter.posting_counts variant strategy follows the container threshold
+//   counter counter.queries invariant one increment per query
 //   counter data.columns_encoded invariant
 //   counter data.csv_loads invariant
 //   counter data.csv_rows invariant
@@ -95,7 +84,6 @@
 //   counter snapshot.v2.loads variant client-dependent (loads count swaps)
 //   counter snapshot.v2.saves invariant one per ensemble serialization
 //   gauge cube.kernel.<kernel> variant which counting kernel served the run
-//   gauge ensemble.cache.hit_amplification_pct variant worker-interleaving dependent
 //   gauge pool.queue_high_water variant scheduling-dependent
 //   gauge pool.tasks_executed variant scheduling-dependent
 //   gauge pool.workers variant configuration of the shared pool at capture

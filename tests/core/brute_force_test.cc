@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generators/synthetic.h"
+#include "testing/count_oracle.h"
 
 namespace hido {
 namespace {
@@ -53,7 +54,7 @@ TEST(BruteForceTest, MatchesNaiveEnumerationOptimum) {
   ASSERT_EQ(result.best.size(), 5u);
   EXPECT_TRUE(result.stats.completed);
 
-  // Reference computation.
+  // Reference computation, counted by the row-scan oracle.
   std::vector<std::vector<DimRange>> cubes;
   std::vector<DimRange> prefix;
   EnumerateAll(f.grid, 2, 0, prefix, cubes);
@@ -61,8 +62,10 @@ TEST(BruteForceTest, MatchesNaiveEnumerationOptimum) {
             static_cast<size_t>(BruteForceSearchSpace(5, 2, 3)));
   std::vector<double> sparsities;
   for (const auto& cube : cubes) {
-    const CubeEvaluation eval = f.objective.EvaluateConditions(cube);
-    if (eval.count > 0) sparsities.push_back(eval.sparsity);
+    const size_t count = CountByScan(f.grid, cube);
+    if (count > 0) {
+      sparsities.push_back(f.objective.model().Coefficient(count, 2));
+    }
   }
   std::sort(sparsities.begin(), sparsities.end());
   for (size_t i = 0; i < 5; ++i) {
@@ -191,22 +194,28 @@ TEST(BruteForceTest, OversizedThreadCountIsClampedNotAllocated) {
 }
 
 TEST(BruteForceTest, CounterStatsInvariantSurvivesCountUncached) {
-  // Every query through CubeCounter — cached Count or public CountUncached —
-  // must be either a cache hit or dispatched to exactly one strategy:
-  // queries == cache_hits + bitset + posting + naive. CountUncached
-  // historically forgot to bump `queries`, breaking the identity.
+  // Every query through CubeCounter must be dispatched to exactly one
+  // strategy: queries == bitset_counts + posting_counts. The public
+  // CountUncached once forgot to bump `queries`, breaking the identity; a
+  // forced strategy now goes through Count on a counter built with
+  // Options::strategy, and per-thread counters merge with AbsorbStats, so
+  // the identity must survive both.
   Fixture f(300, 6, 4, 24);
   const std::vector<DimRange> cube = {{0, 1}, {2, 0}};
-  f.counter.Count(cube);                // miss: dispatched
-  f.counter.Count(cube);                // hit
-  f.counter.CountUncached(cube, CountingStrategy::kBitset);
-  f.counter.CountUncached(cube, CountingStrategy::kPostingList);
-  f.counter.CountUncached(cube, CountingStrategy::kNaive);
+  const size_t expected = CountByScan(f.grid, cube);
+  CubeCounter bitset_counter(f.grid, {CountingStrategy::kBitset});
+  CubeCounter posting_counter(f.grid, {CountingStrategy::kPostingList});
+  EXPECT_EQ(f.counter.Count(cube), expected);
+  EXPECT_EQ(f.counter.Count(cube), expected);  // recounted: no memo
+  EXPECT_EQ(bitset_counter.Count(cube), expected);
+  EXPECT_EQ(posting_counter.Count(cube), expected);
+  f.counter.AbsorbStats(bitset_counter.stats());
+  f.counter.AbsorbStats(posting_counter.stats());
   const CubeCounter::Stats stats = f.counter.stats();
-  EXPECT_EQ(stats.queries, 5u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.queries, stats.cache_hits + stats.bitset_counts +
-                               stats.posting_counts + stats.naive_counts);
+  EXPECT_EQ(stats.queries, 4u);
+  EXPECT_GE(stats.bitset_counts, 1u);
+  EXPECT_GE(stats.posting_counts, 1u);
+  EXPECT_EQ(stats.queries, stats.bitset_counts + stats.posting_counts);
 }
 
 TEST(BruteForceTest, KEqualsOneScansSingleRanges) {

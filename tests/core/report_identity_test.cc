@@ -1,8 +1,8 @@
 // The determinism contract, end to end: the detection report is a pure
 // function of (data, seed, logical configuration). Counting kernels,
-// container thresholds, thread counts, and cache modes change which code
-// computes each count — never the count — so the serialized report must
-// be byte-identical across all of them.
+// container thresholds, and thread counts change which code computes each
+// count — never the count — so the serialized report must be
+// byte-identical across all of them.
 
 #include <string>
 #include <vector>
@@ -35,9 +35,9 @@ std::string RunAndSerialize(const Dataset& data, const DetectorConfig& config) {
   return ProjectionsToCsv(result.report) + OutliersToCsv(result.report);
 }
 
-// Every (kernel, container threshold, threads, cache mode) variant must
-// reproduce the baseline report byte for byte.
-TEST(ReportIdentityTest, InvariantAcrossKernelsContainersThreadsAndCaches) {
+// Every (kernel, container threshold, threads) variant must reproduce the
+// baseline report byte for byte.
+TEST(ReportIdentityTest, InvariantAcrossKernelsContainersAndThreads) {
   SubspaceOutlierConfig gen;
   gen.num_points = 250;
   gen.num_dims = 8;
@@ -73,23 +73,13 @@ TEST(ReportIdentityTest, InvariantAcrossKernelsContainersThreadsAndCaches) {
         << "threads " << threads;
   }
 
-  // Cache-mode axis.
-  for (CubeCacheMode mode :
-       {CubeCacheMode::kPrivate, CubeCacheMode::kShared, CubeCacheMode::kOff}) {
-    DetectorConfig config = BaseConfig();
-    config.cache_mode = mode;
-    EXPECT_EQ(RunAndSerialize(g.data, config), baseline)
-        << "cache mode " << CubeCacheModeToString(mode);
-  }
-
   // Cross terms: the axes compose — a scalar-kernel, all-array,
-  // multi-threaded, cache-off run still reproduces the baseline.
+  // multi-threaded run still reproduces the baseline.
   {
     ScopedKernelOverride forced(KernelKind::kScalar);
     DetectorConfig config = BaseConfig();
     config.container_threshold = gen.num_points + 1;
     config.num_threads = 8;
-    config.cache_mode = CubeCacheMode::kOff;
     EXPECT_EQ(RunAndSerialize(g.data, config), baseline);
   }
   {
@@ -97,7 +87,6 @@ TEST(ReportIdentityTest, InvariantAcrossKernelsContainersThreadsAndCaches) {
     DetectorConfig config = BaseConfig();
     config.container_threshold = 0;
     config.num_threads = 2;
-    config.cache_mode = CubeCacheMode::kPrivate;
     EXPECT_EQ(RunAndSerialize(g.data, config), baseline);
   }
 }

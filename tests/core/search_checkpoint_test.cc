@@ -130,15 +130,21 @@ TEST(SearchCheckpointTest, SerializeParseRoundTripsExactly) {
 TEST(SearchCheckpointTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseCheckpoint("").ok());
   EXPECT_FALSE(ParseCheckpoint("not a checkpoint").ok());
-  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v3\nseed oops\n").ok());
+  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v4\nseed oops\n").ok());
 }
 
 TEST(SearchCheckpointTest, ParseRejectsOldFormatVersion) {
-  // v1 files lack the per-restart `ops` tallies and v2 the widened
-  // counter_stats breakdown; checkpoints are short-lived scratch state,
-  // so old versions are rejected outright rather than migrated.
-  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v1\nseed 17\n").ok());
-  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v2\nseed 17\n").ok());
+  // v1 files lack the per-restart `ops` tallies, and v2/v3 carry a
+  // different counter_stats shape; checkpoints are short-lived scratch
+  // state, so old versions are rejected outright rather than migrated.
+  for (const char* version : {"v1", "v2", "v3"}) {
+    const Result<EvolutionCheckpoint> parsed = ParseCheckpoint(
+        std::string("hido-checkpoint ") + version + "\nseed 17\n");
+    ASSERT_FALSE(parsed.ok()) << version;
+    EXPECT_NE(parsed.status().message().find("bad version"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(SearchCheckpointTest, LoadMissingFileFails) {

@@ -1,8 +1,8 @@
 // Acceptance tests for the ensemble meta-detector
 // (ensemble/ensemble_detector.h): the combined report is byte-identical
-// across thread counts and cube-cache modes, members are decorrelated and
-// diverse, the ensemble.* registry family publishes, and a stop degrades
-// to a valid best-so-far ensemble instead of failing.
+// across thread counts, members are decorrelated and diverse, the
+// ensemble.* registry family publishes, and a stop degrades to a valid
+// best-so-far ensemble instead of failing.
 
 #include "ensemble/ensemble_detector.h"
 
@@ -22,7 +22,7 @@ namespace {
 
 Dataset MakeData() { return GenerateUniform(300, 8, 13); }
 
-EnsembleConfig MakeConfig(size_t threads, CubeCacheMode cache_mode) {
+EnsembleConfig MakeConfig(size_t threads) {
   EnsembleConfig config;
   config.base.phi = 4;
   config.base.target_dim = 2;
@@ -33,7 +33,6 @@ EnsembleConfig MakeConfig(size_t threads, CubeCacheMode cache_mode) {
   config.base.evolution.restarts = 1;
   config.base.seed = 29;
   config.base.num_threads = threads;
-  config.base.cache_mode = cache_mode;
   config.ensemble.num_members = 4;
   config.ensemble.combiner = CombinerKind::kMeanNormalized;
   config.ensemble.mix = {MemberKind::kGa, MemberKind::kRandomSubspace,
@@ -72,35 +71,28 @@ std::string SerializeResult(const EnsembleDetectionResult& result) {
   return out;
 }
 
-// The tentpole acceptance criterion: one baseline at 1 thread / private
-// cache, then every {threads} x {cache mode} combination must reproduce it
-// byte for byte.
-TEST(EnsembleDetectorTest, ResultBytesInvariantAcrossThreadsAndCacheModes) {
+// The tentpole acceptance criterion: one baseline at 1 thread, then every
+// thread count must reproduce it byte for byte.
+TEST(EnsembleDetectorTest, ResultBytesInvariantAcrossThreads) {
   const Dataset data = MakeData();
   const EnsembleDetectionResult baseline_result =
-      EnsembleDetector(MakeConfig(1, CubeCacheMode::kPrivate)).Detect(data);
+      EnsembleDetector(MakeConfig(1)).Detect(data);
   ASSERT_TRUE(baseline_result.completed);
   const std::string baseline = SerializeResult(baseline_result);
   ASSERT_FALSE(baseline_result.scores.empty());
 
-  for (const CubeCacheMode mode :
-       {CubeCacheMode::kPrivate, CubeCacheMode::kShared,
-        CubeCacheMode::kOff}) {
-    for (const size_t threads : {1u, 2u, 8u}) {
-      const EnsembleDetectionResult result =
-          EnsembleDetector(MakeConfig(threads, mode)).Detect(data);
-      EXPECT_TRUE(result.completed);
-      EXPECT_EQ(SerializeResult(result), baseline)
-          << "mode=" << CubeCacheModeToString(mode)
-          << " threads=" << threads;
-    }
+  for (const size_t threads : {1u, 2u, 8u}) {
+    const EnsembleDetectionResult result =
+        EnsembleDetector(MakeConfig(threads)).Detect(data);
+    EXPECT_TRUE(result.completed);
+    EXPECT_EQ(SerializeResult(result), baseline) << "threads=" << threads;
   }
 }
 
 TEST(EnsembleDetectorTest, MembersAreDecorrelatedAndDiverse) {
   const Dataset data = MakeData();
   const EnsembleDetectionResult result =
-      EnsembleDetector(MakeConfig(2, CubeCacheMode::kShared)).Detect(data);
+      EnsembleDetector(MakeConfig(2)).Detect(data);
   ASSERT_EQ(result.members.size(), 4u);
   EXPECT_EQ(result.members[0].kind, MemberKind::kGa);
   EXPECT_EQ(result.members[1].kind, MemberKind::kRandomSubspace);
@@ -122,7 +114,7 @@ TEST(EnsembleDetectorTest, MembersAreDecorrelatedAndDiverse) {
 TEST(EnsembleDetectorTest, PublishesEnsembleMetricsFamily) {
   obs::MetricsRegistry::Global().ResetForTest();
   const Dataset data = MakeData();
-  EnsembleDetector(MakeConfig(1, CubeCacheMode::kShared)).Detect(data);
+  EnsembleDetector(MakeConfig(1)).Detect(data);
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().TakeSnapshot();
 
@@ -137,14 +129,6 @@ TEST(EnsembleDetectorTest, PublishesEnsembleMetricsFamily) {
   EXPECT_EQ(counter("ensemble.members_run"), 4u);
   EXPECT_GT(counter("ensemble.projections_reported"), 0u);
 
-  bool saw_gauge = false;
-  for (const obs::GaugeSample& sample : snapshot.gauges) {
-    if (sample.name == "ensemble.cache.hit_amplification_pct") {
-      saw_gauge = true;
-    }
-  }
-  EXPECT_TRUE(saw_gauge);
-
   bool saw_member_duration = false;
   bool saw_combine = false;
   for (const obs::HistogramSample& sample : snapshot.histograms) {
@@ -158,26 +142,9 @@ TEST(EnsembleDetectorTest, PublishesEnsembleMetricsFamily) {
   EXPECT_TRUE(saw_combine);
 }
 
-// With a shared cache, members after the first re-count mostly memoized
-// cubes: the shared table must report hits once the later members run.
-TEST(EnsembleDetectorTest, SharedCacheIsReusedAcrossMembers) {
-  obs::MetricsRegistry::Global().ResetForTest();
-  const Dataset data = MakeData();
-  EnsembleConfig config = MakeConfig(1, CubeCacheMode::kShared);
-  config.ensemble.mix = {MemberKind::kGa};  // identical strategy, new seeds
-  EnsembleDetector(config).Detect(data);
-  const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::Global().TakeSnapshot();
-  uint64_t hits = 0;
-  for (const obs::CounterSample& sample : snapshot.counters) {
-    if (sample.name == "cube.cache.shared.hits") hits = sample.value;
-  }
-  EXPECT_GT(hits, 0u);
-}
-
 TEST(EnsembleDetectorTest, StopDegradesToBestSoFarEnsemble) {
   const Dataset data = MakeData();
-  EnsembleConfig config = MakeConfig(1, CubeCacheMode::kPrivate);
+  EnsembleConfig config = MakeConfig(1);
   StopToken token;
   // Budget chosen to trip after the grid build but before the last member:
   // polls come from the grid build, the GA (~one per generation), the
@@ -196,7 +163,7 @@ TEST(EnsembleDetectorTest, StopDegradesToBestSoFarEnsemble) {
 }
 
 TEST(EnsembleDetectorTest, ZeroMembersClampsToOne) {
-  EnsembleConfig config = MakeConfig(1, CubeCacheMode::kOff);
+  EnsembleConfig config = MakeConfig(1);
   config.ensemble.num_members = 0;
   config.ensemble.mix.clear();
   const EnsembleDetector detector(config);

@@ -36,7 +36,6 @@ EnsembleEvalParams PinnedParams() {
   params.detector.evolution.stagnation_generations = 0;
   params.detector.evolution.restarts = 1;
   params.detector.seed = 7;
-  params.detector.cache_mode = CubeCacheMode::kShared;
 
   // Max-combine: members with decorrelated seeds *specialize* (each finds
   // a different subset of the planted cells), and max is the union-taking

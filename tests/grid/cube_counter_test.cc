@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "data/generators/synthetic.h"
+#include "testing/count_oracle.h"
 
 namespace hido {
 namespace {
@@ -34,22 +35,24 @@ TEST(CubeCounterTest, SingleConditionMatchesPostingList) {
   }
 }
 
+// Forced strategies agree with each other and with the row-scan oracle,
+// and each forced counter serves every query by its own strategy.
 TEST(CubeCounterTest, AllStrategiesAgree) {
   const GridModel grid = MakeGrid(700, 6, 4, 2);
-  CubeCounter counter(grid);
+  CubeCounter bitset_counter(grid, {CountingStrategy::kBitset});
+  CubeCounter posting_counter(grid, {CountingStrategy::kPostingList});
   Rng rng(3);
   for (int trial = 0; trial < 50; ++trial) {
     const size_t k = 1 + rng.UniformIndex(4);
     const std::vector<DimRange> conditions = RandomConditions(grid, k, rng);
-    const size_t bitset =
-        counter.CountUncached(conditions, CountingStrategy::kBitset);
-    const size_t postings =
-        counter.CountUncached(conditions, CountingStrategy::kPostingList);
-    const size_t naive =
-        counter.CountUncached(conditions, CountingStrategy::kNaive);
-    EXPECT_EQ(bitset, postings);
-    EXPECT_EQ(bitset, naive);
+    const size_t expected = CountByScan(grid, conditions);
+    EXPECT_EQ(bitset_counter.Count(conditions), expected);
+    EXPECT_EQ(posting_counter.Count(conditions), expected);
   }
+  EXPECT_EQ(bitset_counter.stats().queries, 50u);
+  EXPECT_EQ(bitset_counter.stats().bitset_counts, 50u);
+  EXPECT_EQ(posting_counter.stats().queries, 50u);
+  EXPECT_EQ(posting_counter.stats().posting_counts, 50u);
 }
 
 TEST(CubeCounterTest, ConditionOrderDoesNotMatter) {
@@ -58,83 +61,6 @@ TEST(CubeCounterTest, ConditionOrderDoesNotMatter) {
   const std::vector<DimRange> a = {{0, 1}, {2, 0}, {3, 2}};
   const std::vector<DimRange> b = {{3, 2}, {0, 1}, {2, 0}};
   EXPECT_EQ(counter.Count(a), counter.Count(b));
-}
-
-TEST(CubeCounterTest, CacheHitsOnRepeatedQueries) {
-  const GridModel grid = MakeGrid(300, 4, 3, 7);
-  CubeCounter counter(grid);
-  const std::vector<DimRange> conditions = {{0, 0}, {1, 1}};
-  const size_t first = counter.Count(conditions);
-  const size_t again = counter.Count(conditions);
-  EXPECT_EQ(first, again);
-  EXPECT_EQ(counter.stats().queries, 2u);
-  EXPECT_EQ(counter.stats().cache_hits, 1u);
-  // Permuted conditions hit the same cache entry.
-  counter.Count({{1, 1}, {0, 0}});
-  EXPECT_EQ(counter.stats().cache_hits, 2u);
-}
-
-TEST(CubeCounterTest, CacheDisabled) {
-  const GridModel grid = MakeGrid(300, 4, 3, 7);
-  CubeCounter::Options opts;
-  opts.cache_capacity = 0;
-  CubeCounter counter(grid, opts);
-  counter.Count({{0, 0}});
-  counter.Count({{0, 0}});
-  EXPECT_EQ(counter.stats().cache_hits, 0u);
-}
-
-TEST(CubeCounterTest, ClearCacheForgets) {
-  const GridModel grid = MakeGrid(300, 4, 3, 7);
-  CubeCounter counter(grid);
-  counter.Count({{0, 0}});
-  counter.ClearCache();
-  counter.Count({{0, 0}});
-  EXPECT_EQ(counter.stats().cache_hits, 0u);
-  // The drop is accounted, not silent: one clear event, one entry lost.
-  EXPECT_EQ(counter.stats().cache_clears, 1u);
-  EXPECT_EQ(counter.stats().cache_evictions, 1u);
-}
-
-TEST(CubeCounterTest, WholesaleClearOnFullIsAccounted) {
-  const GridModel grid = MakeGrid(300, 4, 3, 7);
-  CubeCounter::Options opts;
-  opts.cache_capacity = 2;
-  CubeCounter counter(grid, opts);
-  // Three distinct queries: the third finds the table full, clears the two
-  // residents (counted), and caches itself.
-  counter.Count({{0, 0}});
-  counter.Count({{0, 1}});
-  counter.Count({{0, 2}});
-  EXPECT_EQ(counter.stats().cache_clears, 1u);
-  EXPECT_EQ(counter.stats().cache_evictions, 2u);
-  // The newest entry survived the clear; the evicted ones recompute.
-  counter.Count({{0, 2}});
-  EXPECT_EQ(counter.stats().cache_hits, 1u);
-  counter.Count({{0, 0}});
-  EXPECT_EQ(counter.stats().cache_hits, 1u);
-  // Every query is still served by exactly one path.
-  const CubeCounter::Stats& s = counter.stats();
-  EXPECT_EQ(s.queries, s.cache_hits + s.shared_hits + s.prefix_counts +
-                           s.bitset_counts + s.posting_counts +
-                           s.naive_counts);
-}
-
-TEST(CubeCounterTest, SharedModeBypassesPrivateCache) {
-  const GridModel grid = MakeGrid(300, 4, 3, 7);
-  SharedCubeCache cache;
-  CubeCounter::Options opts;
-  opts.shared_cache = &cache;
-  CubeCounter counter(grid, opts);
-  const std::vector<DimRange> conditions = {{0, 0}, {1, 1}};
-  const size_t first = counter.Count(conditions);
-  EXPECT_EQ(counter.Count(conditions), first);
-  EXPECT_EQ(counter.stats().cache_hits, 0u);
-  EXPECT_EQ(counter.stats().shared_hits, 1u);
-  // A second counter on the same cache reuses the first one's work.
-  CubeCounter other(grid, opts);
-  EXPECT_EQ(other.Count(conditions), first);
-  EXPECT_EQ(other.stats().shared_hits, 1u);
 }
 
 TEST(CubeCounterTest, CoveredPointsMatchCount) {
@@ -198,9 +124,7 @@ TEST(CubeCounterTest, CountsAgreeAcrossContainerThresholds) {
   for (const CubeCounter* counter :
        {&bitmap_counter, &array_counter, &mixed_counter}) {
     const CubeCounter::Stats& s = counter->stats();
-    EXPECT_EQ(s.queries, s.cache_hits + s.shared_hits + s.prefix_counts +
-                             s.bitset_counts + s.posting_counts +
-                             s.naive_counts);
+    EXPECT_EQ(s.queries, s.bitset_counts + s.posting_counts);
   }
 }
 
@@ -213,9 +137,7 @@ TEST(CubeCounterTest, ChooseRoutesAllArrayCubesToPostings) {
   opts.phi = 3;
   opts.array_threshold = 401;  // force every range to array form
   const GridModel grid = GridModel::Build(data, opts);
-  CubeCounter::Options copts;
-  copts.cache_capacity = 0;
-  CubeCounter counter(grid, copts);
+  CubeCounter counter(grid);
   Rng rng(27);
   for (int trial = 0; trial < 20; ++trial) {
     counter.Count(RandomConditions(grid, 2 + rng.UniformIndex(3), rng));
@@ -233,20 +155,15 @@ TEST(CubeCounterTest, ForcedBitsetCorrectOnArrayContainers) {
   opts.phi = 3;
   opts.array_threshold = 401;
   const GridModel forced = GridModel::Build(data, opts);
-  opts.array_threshold = 0;
-  const GridModel reference = GridModel::Build(data, opts);
-  CubeCounter forced_counter(forced);
-  CubeCounter reference_counter(reference);
+  CubeCounter bitset_counter(forced, {CountingStrategy::kBitset});
+  CubeCounter posting_counter(forced, {CountingStrategy::kPostingList});
   Rng rng(31);
   for (int trial = 0; trial < 30; ++trial) {
     const std::vector<DimRange> conditions =
         RandomConditions(forced, 1 + rng.UniformIndex(4), rng);
-    EXPECT_EQ(
-        forced_counter.CountUncached(conditions, CountingStrategy::kBitset),
-        reference_counter.CountUncached(conditions, CountingStrategy::kBitset));
-    EXPECT_EQ(
-        forced_counter.CountUncached(conditions, CountingStrategy::kPostingList),
-        reference_counter.CountUncached(conditions, CountingStrategy::kNaive));
+    const size_t expected = CountByScan(forced, conditions);
+    EXPECT_EQ(bitset_counter.Count(conditions), expected);
+    EXPECT_EQ(posting_counter.Count(conditions), expected);
   }
 }
 

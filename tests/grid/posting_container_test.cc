@@ -44,18 +44,6 @@ TEST(PostingContainerTest, ThresholdDecidesRepresentation) {
   }
 }
 
-TEST(PostingContainerTest, FromBitmapMaySparsify) {
-  DynamicBitset bits(200);
-  bits.Set(3);
-  bits.Set(150);
-  const PostingContainer sparse = PostingContainer::FromBitmap(bits, 2, 10);
-  EXPECT_EQ(sparse.kind(), PostingContainer::Kind::kArray);
-  EXPECT_EQ(sparse.ToIds(), std::vector<uint32_t>({3, 150}));
-  const PostingContainer dense = PostingContainer::FromBitmap(bits, 2, 0);
-  EXPECT_EQ(dense.kind(), PostingContainer::Kind::kBitmap);
-  EXPECT_EQ(dense.ToIds(), std::vector<uint32_t>({3, 150}));
-}
-
 TEST(PostingContainerTest, EmptyContainer) {
   const PostingContainer empty = PostingContainer::FromIds({}, 100, 5);
   EXPECT_EQ(empty.kind(), PostingContainer::Kind::kArray);

@@ -129,11 +129,11 @@ TEST(ExtractMetricLiterals, HandlesLineBreaksAndAdjacentLiterals) {
   const std::vector<MetricLiteral> metrics =
       Metrics("void F() {\n"
               "  Counter(\n"
-              "      \"cube.cache.\"\n"
-              "      \"shared.hits\");\n"
+              "      \"serve.model.\"\n"
+              "      \"swaps\");\n"
               "}\n");
   ASSERT_EQ(metrics.size(), 1u);
-  EXPECT_EQ(metrics[0].pattern, "cube.cache.shared.hits");
+  EXPECT_EQ(metrics[0].pattern, "serve.model.swaps");
 }
 
 TEST(ExtractMetricLiterals, NormalizesDynamicSegments) {
@@ -276,7 +276,7 @@ TEST(ParseMetricContract, MissingBlockIsAFinding) {
 
 TEST(IsValidMetricPattern, EnforcesDottedGrammar) {
   EXPECT_TRUE(IsValidMetricPattern("search.runs", false));
-  EXPECT_TRUE(IsValidMetricPattern("cube.cache.shared.prefix_hits", false));
+  EXPECT_TRUE(IsValidMetricPattern("serve.score.latency_seconds", false));
   EXPECT_FALSE(IsValidMetricPattern("single", false));
   EXPECT_FALSE(IsValidMetricPattern("Bad.Name", false));
   EXPECT_FALSE(IsValidMetricPattern("trailing.", false));

@@ -8,6 +8,7 @@
 #include "data/generators/synthetic.h"
 #include "grid/cube_counter.h"
 #include "grid/sparsity.h"
+#include "testing/count_oracle.h"
 
 namespace hido {
 namespace {
@@ -70,9 +71,8 @@ TEST_P(GridProperty, CellAssignmentsConsistent) {
 }
 
 TEST_P(GridProperty, CountingStrategiesAgreeOnRandomCubes) {
-  CubeCounter::Options copts;
-  copts.cache_capacity = 0;
-  CubeCounter counter(grid_, copts);
+  CubeCounter bitset_counter(grid_, {CountingStrategy::kBitset});
+  CubeCounter posting_counter(grid_, {CountingStrategy::kPostingList});
   Rng rng(99);
   for (int trial = 0; trial < 30; ++trial) {
     const size_t k = 1 + rng.UniformIndex(std::min<size_t>(4, d_));
@@ -82,14 +82,10 @@ TEST_P(GridProperty, CountingStrategiesAgreeOnRandomCubes) {
           {static_cast<uint32_t>(dim),
            static_cast<uint32_t>(rng.UniformIndex(phi_))});
     }
-    const size_t bitset =
-        counter.CountUncached(conditions, CountingStrategy::kBitset);
-    EXPECT_EQ(bitset,
-              counter.CountUncached(conditions,
-                                    CountingStrategy::kPostingList));
-    EXPECT_EQ(bitset,
-              counter.CountUncached(conditions, CountingStrategy::kNaive));
-    EXPECT_EQ(bitset, counter.CoveredPoints(conditions).size());
+    const size_t expected = CountByScan(grid_, conditions);
+    EXPECT_EQ(bitset_counter.Count(conditions), expected);
+    EXPECT_EQ(posting_counter.Count(conditions), expected);
+    EXPECT_EQ(posting_counter.CoveredPoints(conditions).size(), expected);
   }
 }
 

@@ -14,6 +14,7 @@
 #include "core/local_search.h"
 #include "data/generators/synthetic.h"
 #include "grid/cube_counter.h"
+#include "testing/count_oracle.h"
 
 namespace hido {
 namespace {
@@ -102,10 +103,7 @@ TEST_P(SearchConsistency, ReportedCountsAreTruthful) {
   const BruteForceResult result = BruteForceSearch(*objective_, bopts);
   for (const ScoredProjection& s : result.best) {
     // Recount through an independent path.
-    size_t count = 0;
-    for (size_t row = 0; row < grid_.num_points(); ++row) {
-      count += grid_.Covers(row, s.projection.Conditions()) ? 1 : 0;
-    }
+    const size_t count = CountByScan(grid_, s.projection.Conditions());
     EXPECT_EQ(count, s.count);
     EXPECT_NEAR(s.sparsity, objective_->model().Coefficient(count, k_),
                 1e-12);

@@ -37,6 +37,7 @@
 #include "core/detector.h"
 #include "core/model_io.h"
 #include "core/parameter_advisor.h"
+#include "core/projection.h"
 #include "core/report_io.h"
 #include "core/scoring.h"
 #include "core/search_checkpoint.h"
@@ -189,14 +190,6 @@ void AddSearchFlags(FlagParser& flags) {
                "worker threads for the search (0: all hardware threads); "
                "results are seed-deterministic for any value");
   flags.AddInt("seed", 42, "random seed");
-  flags.AddString("cache-mode", "shared",
-                  "cube-count memoization: shared (default; one concurrent "
-                  "table + prefix memo for all workers) | private "
-                  "(per-worker tables) | off; reports are bit-identical "
-                  "across modes");
-  flags.AddInt("cache-capacity", 0,
-               "cube cache entry budget for the selected --cache-mode "
-               "(0: mode default)");
   flags.AddInt("container-threshold", -1,
                "grid ranges with fewer members than this are stored as "
                "sorted-array containers instead of bitmaps (-1: auto, "
@@ -207,8 +200,8 @@ void AddSearchFlags(FlagParser& flags) {
                   "still reports its best-so-far projections");
   flags.AddInt("ensemble", 0,
                "run an E-member subspace ensemble instead of one search "
-               "(0: off); members share the grid and the cube cache and "
-               "results stay bit-identical across --threads/--cache-mode");
+               "(0: off); members share the grid and results stay "
+               "bit-identical across --threads");
   flags.AddString("combiner", "mean",
                   "ensemble score combiner: breadth-first | cumsum | max | "
                   "mean");
@@ -220,20 +213,38 @@ void AddSearchFlags(FlagParser& flags) {
 }
 
 // Translates the AddSearchFlags values into a DetectorConfig (everything
-// except stop/checkpoint/resume, which stay subcommand-specific).
+// except stop/checkpoint/resume, which stay subcommand-specific). Values
+// the search would reject with an invariant check are range-checked here,
+// so a bad flag ends in an error message instead of an abort.
 Status SearchConfigFromFlags(const FlagParser& flags,
                              DetectorConfig* config) {
-  config->phi = static_cast<size_t>(flags.GetInt("phi"));
+  const int64_t phi = flags.GetInt("phi");
+  if (phi != 0 && (phi < 2 || phi >= Projection::kDontCare)) {
+    return Status::InvalidArgument(
+        StrFormat("--phi must be 0 (auto) or in [2, %u), got %lld",
+                  static_cast<unsigned>(Projection::kDontCare),
+                  static_cast<long long>(phi)));
+  }
+  if (!(flags.GetDouble("s") < 0.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "--s must be negative (paper reference point: -3), got %g",
+        flags.GetDouble("s")));
+  }
+  if (flags.GetInt("m") < 1) {
+    return Status::InvalidArgument(
+        StrFormat("--m must be at least 1, got %lld",
+                  static_cast<long long>(flags.GetInt("m"))));
+  }
+  if (flags.GetInt("population") < 2) {
+    return Status::InvalidArgument(
+        StrFormat("--population must be at least 2, got %lld",
+                  static_cast<long long>(flags.GetInt("population"))));
+  }
+  config->phi = static_cast<size_t>(phi);
   config->target_dim = static_cast<size_t>(flags.GetInt("k"));
   config->sparsity_target = flags.GetDouble("s");
   config->num_projections = static_cast<size_t>(flags.GetInt("m"));
   config->seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  if (!ParseCubeCacheMode(flags.GetString("cache-mode"),
-                          &config->cache_mode)) {
-    return Status::InvalidArgument("unknown --cache-mode");
-  }
-  config->cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache-capacity"));
   const int64_t container_threshold = flags.GetInt("container-threshold");
   config->container_threshold =
       container_threshold < 0 ? GridModel::kAutoArrayThreshold
@@ -416,8 +427,6 @@ int RunDetect(const std::vector<std::string>& args) {
         {"ensemble_mix", flags.GetString("ensemble-mix")},
         {"seed", static_cast<uint64_t>(config.seed)},
         {"threads", static_cast<uint64_t>(config.num_threads)},
-        {"cache_mode", CubeCacheModeToString(config.cache_mode)},
-        {"cache_capacity", static_cast<uint64_t>(config.cache_capacity)},
     };
     obs::TelemetryRow result_row{
         {"completed", result.completed},
@@ -524,8 +533,6 @@ int RunDetect(const std::vector<std::string>& args) {
       {"expectation", flags.GetString("expectation")},
       {"seed", static_cast<uint64_t>(config.seed)},
       {"threads", static_cast<uint64_t>(config.num_threads)},
-      {"cache_mode", CubeCacheModeToString(config.cache_mode)},
-      {"cache_capacity", static_cast<uint64_t>(config.cache_capacity)},
       {"resumed", config.evolution.resume != nullptr},
   };
   obs::TelemetryRow result_row{

@@ -83,9 +83,9 @@ const std::vector<TokenRule>& TokenRules() {
                   R"(|\bstd::(lock_guard|unique_lock|scoped_lock|shared_lock)\b)"),
        {},
        // Exactly the wrapper that owns the raw primitives. Everything else
-       // in src/common/ — and every new concurrent component, e.g.
-       // src/grid/shared_cube_cache.cc — uses common::Mutex like the rest
-       // of the repo.
+       // in src/common/ — including concurrent components such as
+       // src/common/thread_pool.cc — uses common::Mutex like the rest of
+       // the repo.
        {"src/common/mutex.h"},
        {},
        "raw std::mutex/lock; use common::Mutex / MutexLock / CondVar "
