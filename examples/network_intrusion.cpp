@@ -5,7 +5,9 @@
 // attacks are connections whose every field is individually ordinary but
 // whose combination matches no service. The example also demonstrates the
 // train-once / score-live workflow: the detector is fitted on yesterday's
-// log and new connections are scored one at a time with ScoreNewPoint.
+// log, frozen into a Model (quantizer + reported cubes, no training data),
+// and new connections are scored one at a time with Model::Score — the
+// scorer `hido score` and `hido serve` use.
 
 #include <algorithm>
 #include <cstdio>
@@ -15,8 +17,8 @@
 #include "common/rng.h"
 #include "core/detector.h"
 #include "core/postprocess.h"
-#include "core/scoring.h"
 #include "data/dataset.h"
+#include "ensemble/model.h"
 
 namespace {
 
@@ -136,11 +138,12 @@ int main() {
 
   // --- live scoring of new connections against the fitted model --------
   std::printf("=== live scoring of fresh connections ===\n");
+  const hido::ensemble::Model model =
+      hido::ensemble::Model::FromDetection(result, log);
   auto score_live = [&](const char* what, const std::vector<double>& c) {
-    const hido::PointScore s =
-        ScoreNewPoint(result.grid, result.report.projections, c);
+    const hido::ensemble::ModelScore s = model.Score(c);
     std::printf("%-34s score %-8.3f covering projections %zu %s\n", what,
-                s.sparsity_score, s.covering_projections,
+                s.score, s.covering_projections,
                 s.covering_projections > 0 ? "<== ALERT" : "");
   };
   score_live("normal HTTPS connection", SampleConnection(https, rng));

@@ -1,8 +1,6 @@
 #include "core/scoring.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "grid/cube_counter.h"
@@ -31,34 +29,6 @@ std::vector<PointScore> ScoreAllPoints(
     }
   }
   return scores;
-}
-
-PointScore ScoreNewPoint(const GridModel& grid,
-                         const std::vector<ScoredProjection>& projections,
-                         const std::vector<double>& values) {
-  HIDO_CHECK_MSG(values.size() == grid.num_dims(),
-                 "point has %zu coordinates, grid expects %zu",
-                 values.size(), grid.num_dims());
-  PointScore score;
-  score.row = std::numeric_limits<size_t>::max();
-  for (const ScoredProjection& scored : projections) {
-    bool covered = scored.projection.Dimensionality() > 0;
-    for (const DimRange& cond : scored.projection.Conditions()) {
-      const double v = values[cond.dim];
-      if (std::isnan(v) ||
-          grid.quantizer().CellOf(cond.dim, v) != cond.cell) {
-        covered = false;
-        break;
-      }
-    }
-    if (!covered) continue;
-    if (score.covering_projections == 0 ||
-        scored.sparsity < score.sparsity_score) {
-      score.sparsity_score = scored.sparsity;
-    }
-    ++score.covering_projections;
-  }
-  return score;
 }
 
 std::vector<size_t> RankRows(const std::vector<PointScore>& scores) {

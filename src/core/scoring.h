@@ -37,15 +37,6 @@ std::vector<PointScore> ScoreAllPoints(
 /// 0 projections) sort last.
 std::vector<size_t> RankRows(const std::vector<PointScore>& scores);
 
-/// Scores an *out-of-sample* point against a fitted grid and its reported
-/// projections — the train-once / score-new-events workflow (e.g. checking
-/// an incoming transaction against last night's model). `values` must hold
-/// grid.num_dims() coordinates; NaN marks a missing coordinate, which never
-/// matches a condition. The returned row field is meaningless (SIZE_MAX).
-PointScore ScoreNewPoint(const GridModel& grid,
-                         const std::vector<ScoredProjection>& projections,
-                         const std::vector<double>& values);
-
 }  // namespace hido
 
 #endif  // HIDO_CORE_SCORING_H_

@@ -22,9 +22,10 @@
 // resumed batch's result and its evaluation/counter totals are identical
 // to the uninterrupted run's at any thread count.
 //
-// Format: the model_io-style versioned text format (%.17g round-trips
-// doubles exactly); files are written with an atomic write-rename, so a
-// crash mid-write leaves the previous complete snapshot in place.
+// Format: a versioned `key value...` line format in the style of the
+// model snapshot (serve/snapshot.h; %.17g round-trips doubles exactly);
+// files are written with an atomic write-rename, so a crash mid-write
+// leaves the previous complete checkpoint in place.
 
 #include <cstdint>
 #include <string>

@@ -83,9 +83,10 @@ std::vector<EnsemblePointScore> CombineMemberScores(
     const std::vector<double>& scales);
 
 /// Combines one out-of-sample point's per-member scores (the serving path:
-/// each entry is one member model's Score). kBreadthFirst has no population
-/// to rank against a single point, so it degrades to kMax — documented in
-/// serve/snapshot.h so fit-time and serve-time semantics stay aligned.
+/// Model::Score scores the point against each member's cubes and folds the
+/// results here). kBreadthFirst has no population to rank against a single
+/// point, so it degrades to kMax — documented on ensemble/model.h so
+/// fit-time and serve-time semantics stay aligned.
 EnsemblePointScore CombinePoint(CombinerKind kind,
                                 const std::vector<PointScore>& member_scores,
                                 const std::vector<double>& scales);

@@ -46,9 +46,10 @@ class Quantizer {
   /// column has at least one present value.
   static Quantizer Fit(const Dataset& data, const Options& options);
 
-  /// Reconstructs a quantizer from previously fitted state (model loading;
-  /// see core/model_io.h). Per column: num_ranges-1 non-decreasing interior
-  /// cuts plus the fitted min/max. Sizes are checked.
+  /// Reconstructs a quantizer from previously fitted state (snapshot
+  /// loading; see serve/snapshot.h). Per column: num_ranges-1
+  /// non-decreasing interior cuts plus the fitted min/max. Sizes are
+  /// checked.
   static Quantizer FromCuts(const Options& options,
                             std::vector<std::vector<double>> cuts,
                             std::vector<double> col_min,

@@ -160,7 +160,8 @@ std::string ScoreService::HandleOne(const ServeRequest& request) {
 std::string ScoreService::HandleScore(const std::string& args) {
   const std::shared_ptr<const ModelSnapshot> snapshot = Current();
   if (snapshot == nullptr) return "err no model published";
-  const size_t dims = snapshot->num_dims();
+  const ensemble::Model& model = snapshot->model;
+  const size_t dims = model.num_dims();
 
   const std::vector<std::string> fields = Split(args, ',');
   if (fields.size() != dims) {
@@ -180,40 +181,35 @@ std::string ScoreService::HandleScore(const std::string& args) {
     }
     values[i] = parsed.value();
   }
-  // Ensemble generations score through the combined model; the `members`
-  // field (kept before `gen=` so clients that parse the generation suffix
-  // keep working) tells clients which orientation the score has — combined
-  // ensemble scores are higher-is-stronger, single-model sparsity scores
-  // are more-negative-is-stronger.
-  if (snapshot->is_ensemble()) {
-    const ensemble::EnsemblePointScore score =
-        snapshot->ensemble->Score(values);
-    return StrFormat("ok score=%.17g covering=%zu members=%zu gen=%llu",
-                     score.score, score.covering_projections,
-                     snapshot->ensemble->members.size(),
-                     static_cast<unsigned long long>(snapshot->generation));
-  }
-  const PointScore score = snapshot->model.Score(values);
-  return StrFormat("ok score=%.17g covering=%zu gen=%llu",
-                   score.sparsity_score, score.covering_projections,
+  // For ensembles the `members` field (kept before `gen=` so clients that
+  // parse the generation suffix keep working) tells clients which
+  // orientation the score has — combined ensemble scores are
+  // higher-is-stronger, single-model sparsity scores are
+  // more-negative-is-stronger.
+  const ensemble::ModelScore score = model.Score(values);
+  const std::string members =
+      model.is_ensemble() ? StrFormat(" members=%zu", model.members.size())
+                          : std::string();
+  return StrFormat("ok score=%.17g covering=%zu%s gen=%llu", score.score,
+                   score.covering_projections, members.c_str(),
                    static_cast<unsigned long long>(snapshot->generation));
 }
 
 std::string ScoreService::HandleInfo() {
   const std::shared_ptr<const ModelSnapshot> snapshot = Current();
   if (snapshot == nullptr) return "err no model published";
+  const ensemble::Model& model = snapshot->model;
   std::string response = StrFormat(
       "ok gen=%llu dims=%zu phi=%zu projections=%zu points=%zu "
       "algorithm=%s seed=%llu",
       static_cast<unsigned long long>(snapshot->generation),
-      snapshot->num_dims(), static_cast<size_t>(snapshot->info.phi),
-      snapshot->num_projections(), snapshot->num_points(),
+      model.num_dims(), static_cast<size_t>(snapshot->info.phi),
+      model.num_projections(), model.num_points,
       snapshot->info.algorithm.c_str(),
       static_cast<unsigned long long>(snapshot->info.seed));
-  if (snapshot->is_ensemble()) {
-    response += StrFormat(
-        " members=%zu combiner=%s", snapshot->ensemble->members.size(),
-        ensemble::CombinerKindToString(snapshot->ensemble->combiner));
+  if (model.is_ensemble()) {
+    response += StrFormat(" members=%zu combiner=%s", model.members.size(),
+                          ensemble::CombinerKindToString(*model.combiner));
   }
   return response;
 }
@@ -238,8 +234,8 @@ std::string ScoreService::HandleSwap(const std::string& args) {
   if (!loaded.ok()) {
     return "err " + loaded.status().message();
   }
-  const size_t dims = loaded.value()->num_dims();
-  const size_t projections = loaded.value()->num_projections();
+  const size_t dims = loaded.value()->model.num_dims();
+  const size_t projections = loaded.value()->model.num_projections();
   const uint64_t gen = Publish(std::move(loaded.value()));
   swaps_->Add();
   return StrFormat("ok swapped gen=%llu dims=%zu projections=%zu",

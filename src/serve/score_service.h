@@ -30,7 +30,7 @@
 //   anything else         ->  err <reason>
 // Score values are CSV doubles; missing-value spellings ("", "?", "na",
 // "nan", "null") become NaN coordinates, which never match a cube
-// condition (same contract as ScoreNewPoint).
+// condition. Every score is one ensemble::Model::Score call.
 //
 // Ensemble generations (a v2 snapshot published or swapped in): `score`
 // answers `ok score=<s> covering=<n> members=<E> gen=<g>` where <s> is the

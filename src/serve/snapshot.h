@@ -1,14 +1,18 @@
 #ifndef HIDO_SERVE_SNAPSHOT_H_
 #define HIDO_SERVE_SNAPSHOT_H_
 
-// The immutable model snapshot produced by `hido fit` and consumed by
-// `hido serve` / the ScoreService: a versioned envelope around the
-// persistable model plus the fit provenance needed to audit what is being
-// served. A snapshot is written once (atomic write-rename) and never
-// mutated; refits publish a *new* snapshot and the service swaps a
-// shared_ptr (see serve/score_service.h).
+// The immutable model snapshot produced by `hido fit` and `hido detect
+// --save-model` and consumed by `hido serve`, `hido score` and the
+// ScoreService: fit provenance plus one ensemble::Model. A snapshot is
+// written once (atomic write-rename) and never mutated; refits publish a
+// *new* snapshot and the service swaps a shared_ptr (see
+// serve/score_service.h).
 //
-// v1 (single model; written by non-ensemble fits, readable forever):
+// This file's codec is the only code that reads or writes model files: it
+// writes v1 for single fits and v2 for ensembles, and also reads the bare
+// model text older builds wrote, as a header-less v1.
+//
+// v1 (single model):
 //
 //   hido-snapshot v1
 //   algorithm evolutionary
@@ -16,12 +20,13 @@
 //   phi 10
 //   target_dim 3
 //   model
-//   <core/model_io.h text format to EOF>
+//   <model text to EOF>
 //
-// v2 (ensemble; written when `hido fit --ensemble=E` ran): the header
-// carries the combiner and member count, then one length-prefixed block
-// per member. The byte length makes each embedded model self-delimiting,
-// so the member parser never guesses where one model ends:
+// v2 (ensemble): the header carries the combiner and member count, then
+// one length-prefixed block per member. Each block is a complete model
+// text: a copy of the shared quantizer followed by the member's cubes. The
+// byte length makes each block self-delimiting, and every copy of the
+// quantizer, column names and num_points must agree:
 //
 //   hido-snapshot v2
 //   algorithm ensemble
@@ -31,25 +36,37 @@
 //   combiner mean
 //   members 2
 //   member 0 ga 7811 scale 4.25 model_bytes 431
-//   <exactly 431 bytes of core/model_io.h text>
+//   <exactly 431 bytes of model text>
 //   member 1 anneal 9310 scale 3.5 model_bytes 407
 //   <exactly 407 bytes ...>
 //
-// Both versions: unknown *header keys* are ignored (additive extensions
-// stay readable); unknown versions, algorithms, kinds, and malformed
-// content are rejected. Serialize(Parse(x)) == x — the byte-fixpoint
-// property both formats are tested for. Ensemble scoring semantics,
-// including the kBreadthFirst→kMax degradation for single points, live in
+// Model text (the bare file `hido detect --save-model` wrote before it
+// wrote snapshots is exactly this; spaces in column names are stored as
+// \x01, and %.17g round-trips every double):
+//
+//   hido-model v1
+//   num_points 400
+//   phi 5
+//   num_dims 12
+//   mode equi-depth
+//   column <i> <name> <min> <max> <phi-1 ascending cuts>  (per column)
+//   num_projections 10
+//   projection <count> <sparsity> <dim>:<cell>...         (per cube)
+//
+// Unknown *header keys* are ignored (additive extensions stay readable);
+// unknown versions, algorithms, kinds, malformed content and trailing bytes
+// are rejected. No count read from a file sizes an allocation: containers
+// grow as their lines parse. Serialize(Parse(x)) == x for every file this
+// codec writes. Ensemble scoring semantics, including the
+// kBreadthFirst->kMax degradation for single points, live in
 // ensemble/combiner.h.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/status.h"
-#include "core/model_io.h"
-#include "ensemble/ensemble_model.h"
+#include "ensemble/model.h"
 
 namespace hido {
 
@@ -75,22 +92,11 @@ struct SnapshotInfo {
 /// when a ScoreService publishes the snapshot; it is not serialized.
 struct ModelSnapshot {
   SnapshotInfo info;        ///< fit provenance
-  /// Single-model payload (v1 snapshots; empty when `ensemble` is set).
-  SparseModel model;
-  /// Ensemble payload (v2 snapshots; nullopt for v1). The service
-  /// dispatches on presence, so single and ensemble generations swap
-  /// interchangeably with zero downtime.
-  std::optional<ensemble::EnsembleModel> ensemble;
+  ensemble::Model model;    ///< the fitted detector (E = 1 for single fits)
   uint64_t generation = 0;  ///< publish order, 1-based; 0 = unpublished
 
-  /// True when this snapshot serves an ensemble (v2 payload).
-  bool is_ensemble() const { return ensemble.has_value(); }
-  /// Input dimensionality the served model expects.
-  size_t num_dims() const;
-  /// Abnormal projections served (summed over members for ensembles).
-  size_t num_projections() const;
-  /// Training-set size recorded at fit time.
-  size_t num_points() const;
+  /// True when this snapshot serves an ensemble (a v2 snapshot).
+  bool is_ensemble() const { return model.is_ensemble(); }
 };
 
 /// Builds a v1 snapshot from a finished detection run (fit path). `data`
@@ -98,25 +104,29 @@ struct ModelSnapshot {
 ModelSnapshot MakeSnapshot(const DetectionResult& result,
                            const Dataset& data, uint64_t seed);
 
-/// Builds a v2 snapshot from a finished ensemble run: one member model per
-/// ensemble member (each sharing the run's grid quantizer) plus the
-/// combiner configuration. `data` supplies the column names.
+/// Builds a v2 snapshot from a finished ensemble run: one member per
+/// finished ensemble member, all sharing the run's grid quantizer, plus the
+/// combiner. `data` supplies the column names.
 ModelSnapshot MakeEnsembleSnapshot(
     const ensemble::EnsembleDetectionResult& result, const Dataset& data,
     uint64_t seed);
 
-/// Canonical text form (deterministic bytes for a given snapshot; v1 or v2
-/// chosen by the payload).
+/// Canonical text form (deterministic bytes for a given snapshot; v1 for a
+/// single fit, v2 for an ensemble).
 std::string SerializeSnapshot(const ModelSnapshot& snapshot);
 
-/// Parses either text form. Unknown versions and malformed content are
-/// ParseErrors; unknown *header keys* are ignored so readers tolerate
+/// Parses v1, v2 or a bare model text (a header-less v1 whose provenance
+/// keeps the SnapshotInfo defaults). Unknown versions and malformed content
+/// are ParseErrors; unknown *header keys* are ignored so readers tolerate
 /// additive extensions.
 Result<ModelSnapshot> ParseSnapshot(const std::string& text);
 
-/// File convenience wrapper: serialize + atomic write-rename.
+/// Serializes and writes atomically (write-rename). A model with no fitted
+/// quantizer or no members — what a fit stopped before its grid was built,
+/// or before its first ensemble member finished, leaves — is a
+/// FailedPrecondition and nothing is written.
 Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path);
-/// File convenience wrapper: read + parse.
+/// File convenience wrapper: read + ParseSnapshot.
 Result<std::shared_ptr<ModelSnapshot>> LoadSnapshot(const std::string& path);
 
 }  // namespace serve

@@ -1,11 +1,9 @@
 #include "core/scoring.h"
 
-#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "data/generators/synthetic.h"
 #include "grid/cube_counter.h"
 #include "grid/sparsity.h"
@@ -101,65 +99,6 @@ TEST(ScoringTest, PlantedAnomaliesRankFirst) {
   for (size_t row : g.outlier_rows) {
     EXPECT_TRUE(top.contains(row)) << row;
   }
-}
-
-TEST(ScoreNewPointTest, InSampleEquivalence) {
-  // Scoring a training row as a "new" point must match ScoreAllPoints.
-  SubspaceOutlierConfig config;
-  config.num_points = 300;
-  config.num_dims = 10;
-  config.num_groups = 2;
-  config.num_outliers = 3;
-  config.seed = 8;
-  const GeneratedDataset g = GenerateSubspaceOutliers(config);
-  GridModel::Options gopts;
-  gopts.phi = 5;
-  const GridModel grid = GridModel::Build(g.data, gopts);
-  CubeCounter counter(grid);
-  const SparsityModel model(300, 5);
-
-  std::vector<ScoredProjection> projections;
-  Rng rng(4);
-  for (int trial = 0; trial < 10; ++trial) {
-    ScoredProjection s;
-    s.projection = Projection::Random(10, 2, 5, rng);
-    s.count = counter.Count(s.projection.Conditions());
-    s.sparsity = model.Coefficient(s.count, 2);
-    projections.push_back(s);
-  }
-  const std::vector<PointScore> all = ScoreAllPoints(grid, projections);
-  for (size_t row = 0; row < 300; row += 17) {
-    const PointScore fresh =
-        ScoreNewPoint(grid, projections, g.data.Row(row));
-    EXPECT_DOUBLE_EQ(fresh.sparsity_score, all[row].sparsity_score) << row;
-    EXPECT_EQ(fresh.covering_projections, all[row].covering_projections)
-        << row;
-  }
-}
-
-TEST(ScoreNewPointTest, MissingCoordinateNeverMatches) {
-  const Dataset ds = GenerateUniform(100, 3, 2);
-  GridModel::Options gopts;
-  gopts.phi = 2;
-  const GridModel grid = GridModel::Build(ds, gopts);
-  ScoredProjection s;
-  s.projection = Projection(3);
-  s.projection.Specify(1, 0);
-  s.count = 1;
-  s.sparsity = -3.0;
-
-  std::vector<double> values = {0.5, 0.0, 0.5};  // cell 0 on dim 1
-  EXPECT_EQ(ScoreNewPoint(grid, {s}, values).covering_projections, 1u);
-  values[1] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(ScoreNewPoint(grid, {s}, values).covering_projections, 0u);
-}
-
-TEST(ScoreNewPointDeathTest, WrongWidthAborts) {
-  const Dataset ds = GenerateUniform(10, 3, 3);
-  GridModel::Options gopts;
-  gopts.phi = 2;
-  const GridModel grid = GridModel::Build(ds, gopts);
-  EXPECT_DEATH(ScoreNewPoint(grid, {}, {0.5}), "coordinates");
 }
 
 }  // namespace

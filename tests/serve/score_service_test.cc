@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,6 +43,23 @@ std::shared_ptr<ModelSnapshot> FitSnapshot(const GeneratedDataset& g,
       MakeSnapshot(OutlierDetector(config).Detect(g.data), g.data, seed));
 }
 
+std::shared_ptr<ModelSnapshot> FitEnsembleSnapshot(const GeneratedDataset& g,
+                                                   uint64_t seed = 3) {
+  ensemble::EnsembleConfig config;
+  config.base.phi = 5;
+  config.base.target_dim = 2;
+  config.base.num_projections = 6;
+  config.base.evolution.population_size = 24;
+  config.base.evolution.max_generations = 10;
+  config.base.evolution.stagnation_generations = 0;
+  config.base.evolution.restarts = 1;
+  config.base.seed = seed;
+  config.ensemble.num_members = 3;
+  config.ensemble.combiner = ensemble::CombinerKind::kMeanNormalized;
+  return std::make_shared<ModelSnapshot>(MakeEnsembleSnapshot(
+      ensemble::EnsembleDetector(config).Detect(g.data), g.data, seed));
+}
+
 std::string CsvRow(const Dataset& data, size_t row) {
   std::vector<std::string> fields;
   for (const double v : data.Row(row)) {
@@ -59,16 +78,15 @@ TEST(ScoreServiceTest, NoModelPublishedIsAnError) {
 TEST(ScoreServiceTest, ScoreMatchesDirectModelScore) {
   const GeneratedDataset g = MakeData();
   std::shared_ptr<ModelSnapshot> snapshot = FitSnapshot(g);
-  const SparseModel model = snapshot->model;  // copy before publishing
+  const ensemble::Model model = snapshot->model;  // copy before publishing
   ScoreService service;
   EXPECT_EQ(service.Publish(std::move(snapshot)), 1u);
 
   for (size_t row = 0; row < g.data.num_rows(); row += 17) {
-    const PointScore expected = model.Score(g.data.Row(row));
+    const ensemble::ModelScore expected = model.Score(g.data.Row(row));
     EXPECT_EQ(service.Handle("score " + CsvRow(g.data, row)),
               StrFormat("ok score=%.17g covering=%zu gen=1",
-                        expected.sparsity_score,
-                        expected.covering_projections))
+                        expected.score, expected.covering_projections))
         << "row " << row;
   }
 }
@@ -196,9 +214,30 @@ TEST(ScoreServiceTest, SwapFaultsLeaveServedGenerationUntouched) {
   for (size_t i = 0; i < corrupt.size(); i += 3) corrupt[i] ^= 0x5a;
   ASSERT_TRUE(WriteFileAtomic(corrupt_path, corrupt).ok());
 
-  for (const std::string& bad :
-       {std::string("/no/such/dir/snapshot.hido"), truncated_path,
-        corrupt_path}) {
+  // Counts a crafted file could use to size an allocation: the model's
+  // num_dims and phi, and a v2's member count.
+  const std::string ensemble_bytes = SerializeSnapshot(*FitEnsembleSnapshot(g));
+  const size_t model_text = bytes.value().find("hido-model");
+  ASSERT_NE(model_text, std::string::npos);
+  std::vector<std::string> crafted_paths;
+  for (const auto& [text, key, from] :
+       {std::tuple(bytes.value(), "\nnum_dims ", model_text),
+        std::tuple(bytes.value(), "\nphi ", model_text),
+        std::tuple(ensemble_bytes, "\nmembers ", size_t{0})}) {
+    std::string crafted = text;
+    const size_t start = crafted.find(key, from) + std::strlen(key);
+    crafted.replace(start, crafted.find('\n', start) - start,
+                    "999999999999");
+    crafted_paths.push_back(::testing::TempDir() + "/swap_crafted_" +
+                            std::to_string(crafted_paths.size()) + ".hido");
+    ASSERT_TRUE(WriteFileAtomic(crafted_paths.back(), crafted).ok());
+  }
+
+  std::vector<std::string> bad_paths = {"/no/such/dir/snapshot.hido",
+                                        truncated_path, corrupt_path};
+  bad_paths.insert(bad_paths.end(), crafted_paths.begin(),
+                   crafted_paths.end());
+  for (const std::string& bad : bad_paths) {
     const std::string response = service.Handle("swap " + bad);
     EXPECT_EQ(response.substr(0, 4), "err ") << bad << " -> " << response;
     EXPECT_EQ(service.generation(), 1u) << bad;
@@ -210,8 +249,9 @@ TEST(ScoreServiceTest, SwapFaultsLeaveServedGenerationUntouched) {
             "ok swapped gen=2");
   EXPECT_EQ(service.generation(), 2u);
   std::remove(good_path.c_str());
-  std::remove(truncated_path.c_str());
-  std::remove(corrupt_path.c_str());
+  for (size_t i = 1; i < bad_paths.size(); ++i) {
+    std::remove(bad_paths[i].c_str());
+  }
 }
 
 // The RCU contract: score requests racing an arbitrary number of model
@@ -254,36 +294,18 @@ TEST(ScoreServiceTest, ConcurrentSwapsLoseNoRequests) {
 
 // ------------------------------------------------------- ensemble v2 --
 
-std::shared_ptr<ModelSnapshot> FitEnsembleSnapshot(const GeneratedDataset& g,
-                                                   uint64_t seed = 3) {
-  ensemble::EnsembleConfig config;
-  config.base.phi = 5;
-  config.base.target_dim = 2;
-  config.base.num_projections = 6;
-  config.base.evolution.population_size = 24;
-  config.base.evolution.max_generations = 10;
-  config.base.evolution.stagnation_generations = 0;
-  config.base.evolution.restarts = 1;
-  config.base.seed = seed;
-  config.ensemble.num_members = 3;
-  config.ensemble.combiner = ensemble::CombinerKind::kMeanNormalized;
-  return std::make_shared<ModelSnapshot>(MakeEnsembleSnapshot(
-      ensemble::EnsembleDetector(config).Detect(g.data), g.data, seed));
-}
-
 // Ensemble score responses carry members=<E> (placed before gen=, which
 // smoke tooling locates with a reverse search) and match the in-memory
-// EnsembleModel byte for byte.
+// model byte for byte.
 TEST(ScoreServiceTest, EnsembleScoreMatchesDirectModelScore) {
   const GeneratedDataset g = MakeData();
   std::shared_ptr<ModelSnapshot> snapshot = FitEnsembleSnapshot(g);
-  const ensemble::EnsembleModel model = *snapshot->ensemble;
+  const ensemble::Model model = snapshot->model;
   ScoreService service;
   EXPECT_EQ(service.Publish(std::move(snapshot)), 1u);
 
   for (size_t row = 0; row < g.data.num_rows(); row += 17) {
-    const ensemble::EnsemblePointScore expected =
-        model.Score(g.data.Row(row));
+    const ensemble::ModelScore expected = model.Score(g.data.Row(row));
     EXPECT_EQ(service.Handle("score " + CsvRow(g.data, row)),
               StrFormat("ok score=%.17g covering=%zu members=3 gen=1",
                         expected.score, expected.covering_projections))

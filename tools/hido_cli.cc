@@ -5,6 +5,7 @@
 //   hido fit       --input data.csv --out m     freeze a serveable snapshot
 //   hido serve     --snapshot m [options]       serve score queries over TCP
 //   hido loadgen   --port P [options]           drive a serve with traffic
+//   hido score     --input new.csv --model m    score rows against m
 //   hido advise    --rows N --dims D [options]  print §2.4 parameter advice
 //   hido baselines --input data.csv [options]   run kNN / LOF / DB(k,λ)
 //   hido describe  --input data.csv             dataset summary
@@ -13,13 +14,14 @@
 // strongest ones, and optionally writes machine-readable CSVs via --output.
 // `fit` + `serve` split the same pipeline across processes: fit runs the
 // search once and writes an immutable snapshot; serve loads it and answers
-// line-protocol score requests (see src/serve/score_service.h).
+// line-protocol score requests (see src/serve/score_service.h); score
+// reads the same snapshot, which `detect --save-model` also writes.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <numeric>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -35,7 +37,6 @@
 #include "common/socket.h"
 #include "common/string_util.h"
 #include "core/detector.h"
-#include "core/model_io.h"
 #include "core/parameter_advisor.h"
 #include "core/projection.h"
 #include "core/report_io.h"
@@ -45,6 +46,7 @@
 #include "data/csv.h"
 #include "data/encoding.h"
 #include "ensemble/ensemble_detector.h"
+#include "ensemble/model.h"
 #include "eval/table.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -83,13 +85,18 @@ int ParseOrReport(FlagParser& flags, const std::vector<std::string>& args) {
   return -1;
 }
 
+// Reads --input. An input with no data rows is an error here, once, so no
+// subcommand hands an empty dataset to code that requires rows.
 Result<Dataset> LoadInput(const FlagParser& flags,
                           const StopToken* stop = nullptr) {
   CsvReadOptions options;
   options.has_header = flags.GetBool("header");
   options.label_column = static_cast<int>(flags.GetInt("label-column"));
   options.stop = stop;  // Ctrl-C aborts a long load instead of hanging it
-  if (flags.GetBool("encode-categorical")) {
+  Result<Dataset> data = [&]() -> Result<Dataset> {
+    if (!flags.GetBool("encode-categorical")) {
+      return ReadCsv(flags.GetString("input"), options);
+    }
     Result<EncodedDataset> encoded =
         ReadCsvEncoded(flags.GetString("input"), options);
     if (!encoded.ok()) return encoded.status();
@@ -101,8 +108,12 @@ Result<Dataset> LoadInput(const FlagParser& flags,
                    mapping.values.size());
     }
     return std::move(encoded.value().data);
+  }();
+  if (data.ok() && data.value().num_rows() == 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s has no data rows", flags.GetString("input").c_str()));
   }
-  return ReadCsv(flags.GetString("input"), options);
+  return data;
 }
 
 void AddInputFlags(FlagParser& flags) {
@@ -212,12 +223,9 @@ void AddSearchFlags(FlagParser& flags) {
                   "restarts)");
 }
 
-// Translates the AddSearchFlags values into a DetectorConfig (everything
-// except stop/checkpoint/resume, which stay subcommand-specific). Values
-// the search would reject with an invariant check are range-checked here,
-// so a bad flag ends in an error message instead of an abort.
-Status SearchConfigFromFlags(const FlagParser& flags,
-                             DetectorConfig* config) {
+// Range-checks the --phi and --s flags that `detect`, `fit` and `advise`
+// share, so a bad value ends in an error message instead of an abort.
+Status CheckPhiAndS(const FlagParser& flags) {
   const int64_t phi = flags.GetInt("phi");
   if (phi != 0 && (phi < 2 || phi >= Projection::kDontCare)) {
     return Status::InvalidArgument(
@@ -230,6 +238,16 @@ Status SearchConfigFromFlags(const FlagParser& flags,
         "--s must be negative (paper reference point: -3), got %g",
         flags.GetDouble("s")));
   }
+  return Status::Ok();
+}
+
+// Translates the AddSearchFlags values into a DetectorConfig (everything
+// except stop/checkpoint/resume, which stay subcommand-specific). Values
+// the search would reject with an invariant check are range-checked here,
+// so a bad flag ends in an error message instead of an abort.
+Status SearchConfigFromFlags(const FlagParser& flags,
+                             DetectorConfig* config) {
+  HIDO_RETURN_IF_ERROR(CheckPhiAndS(flags));
   if (flags.GetInt("m") < 1) {
     return Status::InvalidArgument(
         StrFormat("--m must be at least 1, got %lld",
@@ -240,7 +258,7 @@ Status SearchConfigFromFlags(const FlagParser& flags,
         StrFormat("--population must be at least 2, got %lld",
                   static_cast<long long>(flags.GetInt("population"))));
   }
-  config->phi = static_cast<size_t>(phi);
+  config->phi = static_cast<size_t>(flags.GetInt("phi"));
   config->target_dim = static_cast<size_t>(flags.GetInt("k"));
   config->sparsity_target = flags.GetDouble("s");
   config->num_projections = static_cast<size_t>(flags.GetInt("m"));
@@ -339,6 +357,18 @@ void PrintEnsembleResult(const ensemble::EnsembleDetectionResult& result,
 
 // ---------------------------------------------------------------- detect --
 
+// `detect --save-model`: writes the snapshot `fit` would write for the
+// same flags. Returns a non-zero exit code only when the save fails.
+int SaveSnapshotIfAsked(const FlagParser& flags,
+                     const serve::ModelSnapshot& snapshot) {
+  const std::string path = flags.GetString("save-model");
+  if (path.empty()) return 0;
+  const Status saved = serve::SaveSnapshot(snapshot, path);
+  if (!saved.ok()) return Fail(saved);
+  std::printf("wrote model to %s\n", path.c_str());
+  return 0;
+}
+
 int RunDetect(const std::vector<std::string>& args) {
   FlagParser flags("hido detect", "find outliers by sparse projections");
   AddInputFlags(flags);
@@ -357,7 +387,9 @@ int RunDetect(const std::vector<std::string>& args) {
   flags.AddString("output", "",
                   "prefix for <prefix>.projections.csv / .outliers.csv");
   flags.AddString("save-model", "",
-                  "persist the fitted model for `hido score` (path)");
+                  "also write the fitted model as a snapshot for `hido "
+                  "score` / `hido serve` (path; the bytes `hido fit --out` "
+                  "writes for the same flags)");
   AddTelemetryFlags(flags);
   const int parse_outcome = ParseOrReport(flags, args);
   if (parse_outcome >= 0) return parse_outcome;
@@ -379,16 +411,12 @@ int RunDetect(const std::vector<std::string>& args) {
 
   if (WantsEnsemble(flags)) {
     // Checkpointing is a single-search feature: one shared checkpoint path
-    // would be clobbered by every member, and report/model artifacts are
-    // per-projection-report which an ensemble does not produce. `hido fit
-    // --ensemble` is the persistence path (snapshot v2).
-    for (const char* incompatible :
-         {"checkpoint", "resume", "output", "save-model"}) {
+    // would be clobbered by every member, and the report CSVs are a
+    // projection report, which an ensemble does not produce.
+    for (const char* incompatible : {"checkpoint", "resume", "output"}) {
       if (!flags.GetString(incompatible).empty()) {
         return Fail(Status::InvalidArgument(StrFormat(
-            "--%s does not apply to --ensemble runs (use `hido fit "
-            "--ensemble` to persist an ensemble snapshot)",
-            incompatible)));
+            "--%s does not apply to --ensemble runs", incompatible)));
       }
     }
     config.stop = &control.token();
@@ -404,18 +432,18 @@ int RunDetect(const std::vector<std::string>& args) {
     }();
     control.ReportIfStopped();
 
+    const serve::ModelSnapshot snapshot =
+        serve::MakeEnsembleSnapshot(result, data.value(), config.seed);
     std::printf("detected with phi=%zu, k=%zu (ensemble of %zu, %s "
                 "combiner) in %.3fs%s: %zu member projections\n\n",
                 result.phi, result.target_dim, result.members.size(),
                 ensemble::CombinerKindToString(result.combiner),
                 result.seconds, result.completed ? "" : " [incomplete]",
-                std::accumulate(
-                    result.members.begin(), result.members.end(), size_t{0},
-                    [](size_t total, const ensemble::EnsembleMemberResult& m) {
-                      return total + m.projections.size();
-                    }));
+                snapshot.model.num_projections());
     PrintEnsembleResult(result,
                         static_cast<size_t>(flags.GetInt("rank")));
+    const int saved = SaveSnapshotIfAsked(flags, snapshot);
+    if (saved != 0) return saved;
 
     obs::TelemetryRow telemetry_config{
         {"input", flags.GetString("input")},
@@ -515,13 +543,9 @@ int RunDetect(const std::vector<std::string>& args) {
                 flags.GetString("output").c_str(),
                 flags.GetString("output").c_str());
   }
-  if (!flags.GetString("save-model").empty()) {
-    const Status saved = SaveModel(MakeModel(result, data.value()),
-                                   flags.GetString("save-model"));
-    if (!saved.ok()) return Fail(saved);
-    std::printf("wrote model to %s\n",
-                flags.GetString("save-model").c_str());
-  }
+  const int saved = SaveSnapshotIfAsked(
+      flags, serve::MakeSnapshot(result, data.value(), config.seed));
+  if (saved != 0) return saved;
 
   obs::TelemetryRow telemetry_config{
       {"input", flags.GetString("input")},
@@ -575,92 +599,72 @@ int RunFit(const std::vector<std::string>& args) {
   if (!configured.ok()) return Fail(configured);
   config.stop = &control.token();
 
+  // The one fork: which detector runs. A stopped run still snapshots its
+  // best-so-far model (the members that finished, for an ensemble): an
+  // interrupted refit should degrade, not produce nothing to serve.
+  serve::ModelSnapshot snapshot;
+  bool completed = true;
+  StopCause stop_cause = StopCause::kNone;
   if (WantsEnsemble(flags)) {
     ensemble::EnsembleConfig ensemble_config;
     const Status layered =
         EnsembleConfigFromFlags(flags, config, &ensemble_config);
     if (!layered.ok()) return Fail(layered);
-
     const ensemble::EnsembleDetector detector(ensemble_config);
     const ensemble::EnsembleDetectionResult result = [&] {
       const obs::TraceSpan span("fit");
       return detector.Detect(data.value());
     }();
-    control.ReportIfStopped();
-
-    // Same degrade-not-fail contract as the single path: an interrupted
-    // ensemble snapshots the members that finished.
-    const serve::ModelSnapshot snapshot =
-        serve::MakeEnsembleSnapshot(result, data.value(), config.seed);
-    const Status saved =
-        serve::SaveSnapshot(snapshot, flags.GetString("out"));
-    if (!saved.ok()) return Fail(saved);
-    std::printf("wrote snapshot to %s (%zu members, %zu projections over "
-                "%zu dims, phi=%zu, ensemble/%s%s)\n",
-                flags.GetString("out").c_str(),
-                snapshot.ensemble->members.size(),
-                snapshot.num_projections(), snapshot.num_dims(), result.phi,
-                ensemble::CombinerKindToString(result.combiner),
-                result.completed ? "" : ", incomplete");
-
-    obs::TelemetryRow telemetry_config{
-        {"input", flags.GetString("input")},
-        {"out", flags.GetString("out")},
-        {"algorithm", "ensemble"},
-        {"phi", static_cast<uint64_t>(result.phi)},
-        {"target_dim", static_cast<uint64_t>(result.target_dim)},
-        {"ensemble", static_cast<uint64_t>(result.members.size())},
-        {"combiner", ensemble::CombinerKindToString(result.combiner)},
-        {"seed", static_cast<uint64_t>(config.seed)},
-        {"threads", static_cast<uint64_t>(config.num_threads)},
-    };
-    obs::TelemetryRow result_row{
-        {"completed", result.completed},
-        {"stop_cause", StopCauseToString(result.stop_cause)},
-        {"projections_reported",
-         static_cast<uint64_t>(snapshot.num_projections())},
-        {"rows", static_cast<uint64_t>(data.value().num_rows())},
-        {"dims", static_cast<uint64_t>(data.value().num_cols())},
-    };
-    return EmitTelemetry(flags, "hido fit", std::move(telemetry_config),
-                         {std::move(result_row)});
+    snapshot = serve::MakeEnsembleSnapshot(result, data.value(), config.seed);
+    completed = result.completed;
+    stop_cause = result.stop_cause;
+  } else {
+    const OutlierDetector detector(config);
+    const DetectionResult result = [&] {
+      const obs::TraceSpan span("fit");
+      return detector.Detect(data.value());
+    }();
+    snapshot = serve::MakeSnapshot(result, data.value(), config.seed);
+    completed = result.completed;
+    stop_cause = result.stop_cause;
   }
-
-  const OutlierDetector detector(config);
-  const DetectionResult result = [&] {
-    const obs::TraceSpan span("fit");
-    return detector.Detect(data.value());
-  }();
   control.ReportIfStopped();
 
-  // A stopped run still snapshots its best-so-far report: an interrupted
-  // refit should degrade, not produce nothing to serve.
-  const serve::ModelSnapshot snapshot =
-      serve::MakeSnapshot(result, data.value(), config.seed);
+  const ensemble::Model& model = snapshot.model;
   const Status saved = serve::SaveSnapshot(snapshot, flags.GetString("out"));
   if (!saved.ok()) return Fail(saved);
-  std::printf("wrote snapshot to %s (%zu projections over %zu dims, "
-              "phi=%zu, %s%s)\n",
-              flags.GetString("out").c_str(),
-              snapshot.model.projections.size(),
-              snapshot.model.quantizer.num_cols(), result.phi,
-              snapshot.info.algorithm.c_str(),
-              result.completed ? "" : ", incomplete");
-
   obs::TelemetryRow telemetry_config{
       {"input", flags.GetString("input")},
       {"out", flags.GetString("out")},
       {"algorithm", snapshot.info.algorithm},
-      {"phi", static_cast<uint64_t>(result.phi)},
-      {"target_dim", static_cast<uint64_t>(result.target_dim)},
-      {"seed", static_cast<uint64_t>(config.seed)},
-      {"threads", static_cast<uint64_t>(config.num_threads)},
+      {"phi", snapshot.info.phi},
+      {"target_dim", snapshot.info.target_dim},
   };
+  std::string members;
+  std::string kind = snapshot.info.algorithm;
+  if (model.is_ensemble()) {
+    const char* combiner = ensemble::CombinerKindToString(*model.combiner);
+    members = StrFormat("%zu members, ", model.members.size());
+    kind += StrFormat("/%s", combiner);
+    telemetry_config.emplace_back(
+        "ensemble", static_cast<uint64_t>(model.members.size()));
+    telemetry_config.emplace_back("combiner", combiner);
+  }
+  std::printf("wrote snapshot to %s (%s%zu projections over %zu dims, "
+              "phi=%zu, %s%s)\n",
+              flags.GetString("out").c_str(), members.c_str(),
+              model.num_projections(), model.num_dims(),
+              static_cast<size_t>(snapshot.info.phi), kind.c_str(),
+              completed ? "" : ", incomplete");
+
+  telemetry_config.emplace_back("seed", static_cast<uint64_t>(config.seed));
+  telemetry_config.emplace_back("threads",
+                                static_cast<uint64_t>(config.num_threads));
   obs::TelemetryRow result_row{
-      {"completed", result.completed},
-      {"stop_cause", StopCauseToString(result.stop_cause)},
+      {"completed", completed},
+      {"stop_cause", StopCauseToString(stop_cause)},
       {"projections_reported",
-       static_cast<uint64_t>(snapshot.model.projections.size())},
+       static_cast<uint64_t>(model.num_projections())},
       {"rows", static_cast<uint64_t>(data.value().num_rows())},
       {"dims", static_cast<uint64_t>(data.value().num_cols())},
   };
@@ -1248,36 +1252,45 @@ int RunLoadgen(const std::vector<std::string>& args) {
 
 int RunScore(const std::vector<std::string>& args) {
   FlagParser flags("hido score",
-                   "score new rows against a saved model (train once with "
-                   "`hido detect --save-model`)");
+                   "score new rows against a fitted model (a snapshot "
+                   "from `hido fit` or `hido detect --save-model`)");
   AddInputFlags(flags);
-  flags.AddString("model", "", "model file from detect --save-model",
+  flags.AddString("model", "",
+                  "snapshot from `hido fit` or `hido detect --save-model` "
+                  "(model files older builds wrote load too)",
                   /*required=*/true);
   flags.AddDouble("threshold", 0.0,
-                  "alert when score <= threshold (0: alert on any coverage)");
+                  "alert threshold (0: alert on any coverage); a single "
+                  "fit alerts when its sparsity score <= threshold, an "
+                  "ensemble when its combined score (higher = stronger) "
+                  ">= threshold");
   const int parse_outcome = ParseOrReport(flags, args);
   if (parse_outcome >= 0) return parse_outcome;
 
-  Result<SparseModel> model = LoadModel(flags.GetString("model"));
-  if (!model.ok()) return Fail(model.status());
+  Result<std::shared_ptr<serve::ModelSnapshot>> snapshot =
+      serve::LoadSnapshot(flags.GetString("model"));
+  if (!snapshot.ok()) return Fail(snapshot.status());
+  const ensemble::Model& model = snapshot.value()->model;
   Result<Dataset> data = LoadInput(flags);
   if (!data.ok()) return Fail(data.status());
-  if (data.value().num_cols() != model.value().quantizer.num_cols()) {
-    return Fail(Status::InvalidArgument(StrFormat(
-        "input has %zu columns, model expects %zu",
-        data.value().num_cols(), model.value().quantizer.num_cols())));
+  if (data.value().num_cols() != model.num_dims()) {
+    return Fail(Status::InvalidArgument(
+        StrFormat("input has %zu columns, model expects %zu",
+                  data.value().num_cols(), model.num_dims())));
   }
 
   const double threshold = flags.GetDouble("threshold");
   size_t alerts = 0;
   for (size_t row = 0; row < data.value().num_rows(); ++row) {
-    const PointScore score = model.value().Score(data.value().Row(row));
-    const bool alert = score.covering_projections > 0 &&
-                       score.sparsity_score <= threshold;
+    const ensemble::ModelScore score = model.Score(data.value().Row(row));
+    const bool alert =
+        score.covering_projections > 0 &&
+        (model.is_ensemble() ? score.score >= threshold
+                             : score.score <= threshold);
     if (alert) {
       ++alerts;
       std::printf("row %-6zu score %-8.3f covering projections %zu\n",
-                  row, score.sparsity_score, score.covering_projections);
+                  row, score.score, score.covering_projections);
     }
   }
   std::printf("%zu of %zu rows alerted\n", alerts,
@@ -1295,6 +1308,15 @@ int RunAdvise(const std::vector<std::string>& args) {
   flags.AddDouble("s", -3.0, "target sparsity level (negative)");
   const int parse_outcome = ParseOrReport(flags, args);
   if (parse_outcome >= 0) return parse_outcome;
+  for (const char* count : {"rows", "dims"}) {
+    if (flags.GetInt(count) < 1) {
+      return Fail(Status::InvalidArgument(
+          StrFormat("--%s must be at least 1, got %lld", count,
+                    static_cast<long long>(flags.GetInt(count)))));
+    }
+  }
+  const Status checked = CheckPhiAndS(flags);
+  if (!checked.ok()) return Fail(checked);
   const ParameterAdvice advice = AdviseParameters(
       static_cast<size_t>(flags.GetInt("rows")),
       static_cast<size_t>(flags.GetInt("dims")), flags.GetDouble("s"),
@@ -1445,7 +1467,8 @@ int Usage() {
       "  serve      answer score queries from a snapshot over TCP\n"
       "  loadgen    drive a running serve with scripted traffic and "
       "verify responses\n"
-      "  score      score new rows against a model saved by detect\n"
+      "  score      score new rows against a snapshot from fit or "
+      "detect\n"
       "  advise     print the paper's parameter recommendation\n"
       "  baselines  run the kNN / LOF / DB(k,lambda) comparators\n"
       "  describe   dataset summary\n"
