@@ -1,13 +1,29 @@
 #include "common/file_util.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace hido {
 
 namespace {
+
+// First buffer size for a read whose length is unknown up front.
+constexpr size_t kUnsizedReadBytes = size_t{64} << 10;
+
+// Closes a file descriptor when it goes out of scope.
+struct FdCloser {
+  explicit FdCloser(int descriptor) : fd(descriptor) {}
+  ~FdCloser() { ::close(fd); }
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+  const int fd;
+};
 
 std::atomic<int> g_write_failpoint{
     static_cast<int>(internal::WriteFailStep::kNone)};
@@ -32,16 +48,39 @@ void ArmWriteFailpointForTest(WriteFailStep step) {
 }  // namespace internal
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
+  const FdCloser closer(fd);
+  struct stat info = {};
+  if (::fstat(fd, &info) != 0) {
     return Status::IoError("read failure: " + path);
   }
-  return buffer.str();
+  if (S_ISDIR(info.st_mode)) {
+    return Status::IoError("is a directory: " + path);
+  }
+  // A regular file is read into a buffer sized from the file, with one
+  // spare byte so that end of file shows without growing it. A pipe or
+  // FIFO has no size up front: its buffer doubles until end of file.
+  std::string buffer(S_ISREG(info.st_mode)
+                         ? static_cast<size_t>(info.st_size) + 1
+                         : kUnsizedReadBytes,
+                     '\0');
+  size_t size = 0;
+  while (true) {
+    if (size == buffer.size()) buffer.resize(2 * buffer.size());
+    const ssize_t got =
+        ::read(fd, buffer.data() + size, buffer.size() - size);
+    if (got == 0) break;
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("read failure: " + path);
+    }
+    size += static_cast<size_t>(got);
+  }
+  buffer.resize(size);
+  return buffer;
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& content) {

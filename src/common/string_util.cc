@@ -147,12 +147,17 @@ Result<uint64_t> ParseUInt(std::string_view text) {
 bool IsMissingToken(std::string_view text) {
   const std::string_view t = Trim(text);
   if (t.empty() || t == "?") return true;
-  std::string lower;
-  lower.reserve(t.size());
-  for (char c : t) {
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return lower == "na" || lower == "nan" || lower == "null";
+  const auto equals_lowered = [t](std::string_view word) {
+    if (t.size() != word.size()) return false;
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (std::tolower(static_cast<unsigned char>(t[i])) != word[i]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  return equals_lowered("na") || equals_lowered("nan") ||
+         equals_lowered("null");
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/macros.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/parameter_advisor.h"
 #include "grid/cube_counter.h"
@@ -31,6 +32,14 @@ void PublishDetectMetrics(const DetectionResult& result) {
 }
 
 }  // namespace
+
+size_t SearchThreads(const DetectorConfig& config) {
+  if (config.num_threads != 0) return config.num_threads;
+  const size_t own = config.algorithm == SearchAlgorithm::kEvolutionary
+                         ? config.evolution.num_threads
+                         : config.brute_force.num_threads;
+  return own == 0 ? HardwareThreads() : own;
+}
 
 OutlierDetector::OutlierDetector() : config_() {}
 
@@ -65,7 +74,8 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
   // used to be the one uninterruptible phase of Detect). A cancel here
   // yields the searches' best-so-far shape with nothing found yet: an
   // empty report, completed = false, and the token's cause.
-  Result<GridModel> grid = GridModel::Build(data, gopts, config_.stop);
+  Result<GridModel> grid =
+      GridModel::Build(data, gopts, config_.stop, SearchThreads(config_));
   if (!grid.ok()) {
     result.completed = false;
     result.stop_cause = config_.stop->cause();

@@ -63,6 +63,11 @@ struct DetectorConfig {
   const StopToken* stop = nullptr;
 };
 
+/// Worker threads the search of `config` runs on: `num_threads` when set,
+/// else the chosen algorithm's own setting, 0 meaning all hardware
+/// threads. The grid build runs at the same width.
+size_t SearchThreads(const DetectorConfig& config);
+
 /// Everything produced by one detection run.
 struct DetectionResult {
   OutlierReport report;  ///< flagged points + their sparse projections

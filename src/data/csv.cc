@@ -1,176 +1,34 @@
 #include "data/csv.h"
 
-#include <cmath>
+#include <charconv>
 #include <fstream>
-#include <limits>
-#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "common/string_util.h"
+#include "common/file_util.h"
+#include "data/csv_parser.h"
 #include "obs/metrics.h"
 
 namespace hido {
 
-namespace {
-
-// Splits `text` into lines, tolerating both \n and \r\n endings.
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines = Split(text, '\n');
-  for (std::string& line : lines) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-  }
-  // A trailing newline produces one empty final element; drop it.
-  if (!lines.empty() && lines.back().empty()) {
-    lines.pop_back();
-  }
-  return lines;
-}
-
-}  // namespace
-
-// Structural sanity for one split line (header or data): no embedded NUL
-// bytes, no fields past the byte cap, no rows past the column cap. These
-// are the signatures of binary garbage or a wrong delimiter, and catching
-// them here keeps the error message pointed at the exact line and column
-// instead of surfacing as a confusing numeric-parse failure downstream.
-Status CheckCsvFields(const std::vector<std::string>& fields, size_t line_no,
-                      const CsvReadOptions& options) {
-  if (options.max_columns != 0 && fields.size() > options.max_columns) {
-    return Status::ParseError(
-        StrFormat("csv: line %zu has %zu fields, over the %zu-column limit",
-                  line_no, fields.size(), options.max_columns));
-  }
-  for (size_t c = 0; c < fields.size(); ++c) {
-    if (fields[c].find('\0') != std::string::npos) {
-      return Status::ParseError(StrFormat(
-          "csv: line %zu column %zu: embedded NUL byte (binary input?)",
-          line_no, c + 1));
-    }
-    if (options.max_field_bytes != 0 &&
-        fields[c].size() > options.max_field_bytes) {
-      return Status::ParseError(StrFormat(
-          "csv: line %zu column %zu: %zu-byte field is over the %zu-byte "
-          "limit (wrong delimiter?)",
-          line_no, c + 1, fields[c].size(), options.max_field_bytes));
-    }
-  }
-  return Status::Ok();
-}
-
-// Line stride between StopToken polls while parsing (kept coarse: a poll
-// is an atomic read or two, but the per-line work is only a few hundred
-// nanoseconds).
-constexpr size_t kCsvPollStride = 1024;
-
 Result<Dataset> ReadCsvString(const std::string& text,
                               const CsvReadOptions& options) {
-  const std::vector<std::string> lines = SplitLines(text);
-  size_t line_idx = 0;
+  Result<internal::CsvTable> parsed =
+      internal::ParseCsv(text, options, /*encode_categorical=*/false);
+  if (!parsed.ok()) return parsed.status();
+  internal::CsvTable& table = parsed.value();
 
-  if (options.stop != nullptr && options.stop->ShouldStop()) {
-    return StopStatus(*options.stop, "csv read");
-  }
-
-  std::vector<std::string> header;
-  if (options.has_header) {
-    while (line_idx < lines.size() && options.skip_blank_lines &&
-           Trim(lines[line_idx]).empty()) {
-      ++line_idx;
-    }
-    if (line_idx >= lines.size()) {
-      return Status::ParseError("csv: missing header line");
-    }
-    header = Split(lines[line_idx], options.delimiter);
-    const Status header_ok = CheckCsvFields(header, line_idx + 1, options);
-    if (!header_ok.ok()) return header_ok;
-    for (std::string& name : header) {
-      name = std::string(Trim(name));
-    }
-    ++line_idx;
-  }
-
-  size_t width = header.size();  // 0 when no header: inferred from row 1
-  int label_col = options.label_column;
-
-  std::vector<std::vector<double>> rows;
-  std::vector<int32_t> labels;
-  for (; line_idx < lines.size(); ++line_idx) {
-    if (options.stop != nullptr &&
-        line_idx % kCsvPollStride == kCsvPollStride - 1 &&
-        options.stop->ShouldStop()) {
-      return StopStatus(*options.stop, "csv read");
-    }
-    const std::string& line = lines[line_idx];
-    if (Trim(line).empty()) {
-      if (options.skip_blank_lines) continue;
-      return Status::ParseError(
-          StrFormat("csv: blank line %zu", line_idx + 1));
-    }
-    const std::vector<std::string> fields = Split(line, options.delimiter);
-    const Status fields_ok = CheckCsvFields(fields, line_idx + 1, options);
-    if (!fields_ok.ok()) return fields_ok;
-    if (width == 0) {
-      width = fields.size();
-      if (label_col >= 0 && static_cast<size_t>(label_col) >= width) {
-        return Status::InvalidArgument(
-            StrFormat("csv: label_column %d out of range (width %zu)",
-                      label_col, width));
-      }
-    }
-    if (fields.size() != width) {
-      return Status::ParseError(
-          StrFormat("csv: line %zu has %zu fields, expected %zu",
-                    line_idx + 1, fields.size(), width));
-    }
-    std::vector<double> row;
-    row.reserve(width - (label_col >= 0 ? 1 : 0));
-    for (size_t c = 0; c < fields.size(); ++c) {
-      if (label_col >= 0 && c == static_cast<size_t>(label_col)) {
-        Result<int64_t> lab = ParseInt(fields[c]);
-        if (!lab.ok()) {
-          return Status::ParseError(
-              StrFormat("csv: line %zu: bad label '%s'", line_idx + 1,
-                        fields[c].c_str()));
-        }
-        labels.push_back(static_cast<int32_t>(lab.value()));
-        continue;
-      }
-      if (options.allow_missing && IsMissingToken(fields[c])) {
-        row.push_back(std::numeric_limits<double>::quiet_NaN());
-        continue;
-      }
-      Result<double> value = ParseDouble(fields[c]);
-      if (!value.ok()) {
-        return Status::ParseError(
-            StrFormat("csv: line %zu column %zu: %s", line_idx + 1, c + 1,
-                      value.status().message().c_str()));
-      }
-      row.push_back(value.value());
-    }
-    rows.push_back(std::move(row));
-  }
-
-  if (label_col >= 0 && width > 0 &&
-      static_cast<size_t>(label_col) >= width) {
-    return Status::InvalidArgument("csv: label_column out of range");
-  }
-
-  // Assemble column names, dropping the label column's name.
+  // Column names are the header's, minus the label column's.
   std::vector<std::string> names;
-  if (!header.empty()) {
-    if (label_col >= 0 && static_cast<size_t>(label_col) >= header.size()) {
-      return Status::InvalidArgument("csv: label_column out of range");
-    }
-    for (size_t c = 0; c < header.size(); ++c) {
-      if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
-      names.push_back(header[c]);
-    }
+  for (size_t c = 0; c < table.header.size(); ++c) {
+    if (static_cast<int>(c) == options.label_column) continue;
+    names.push_back(std::move(table.header[c]));
   }
-
-  Dataset ds = Dataset::FromRows(rows, std::move(names));
-  if (label_col >= 0) {
-    ds.SetLabels(std::move(labels));
+  Dataset ds = Dataset::FromColumns(table.num_rows, std::move(table.columns),
+                                    std::move(names));
+  if (options.label_column >= 0) {
+    ds.SetLabels(std::move(table.labels));
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("data.csv_loads").Add(1);
@@ -180,16 +38,9 @@ Result<Dataset> ReadCsvString(const std::string& text,
 
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("read failure: " + path);
-  }
-  return ReadCsvString(buffer.str(), options);
+  const Result<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return ReadCsvString(text.value(), options);
 }
 
 std::string WriteCsvString(const Dataset& data,
@@ -207,18 +58,24 @@ std::string WriteCsvString(const Dataset& data,
     }
     out.push_back('\n');
   }
+  // to_chars(general, 17) writes the bytes of printf's "%.17g".
+  char number[32];
+  const auto append = [&](const std::to_chars_result written) {
+    out.append(number, written.ptr);
+  };
   for (size_t r = 0; r < data.num_rows(); ++r) {
     for (size_t c = 0; c < data.num_cols(); ++c) {
       if (c > 0) out.push_back(options.delimiter);
       if (data.IsMissing(r, c)) {
         out += options.missing_token;
       } else {
-        out += StrFormat("%.17g", data.Get(r, c));
+        append(std::to_chars(number, number + sizeof(number), data.Get(r, c),
+                             std::chars_format::general, 17));
       }
     }
     if (labels) {
       if (data.num_cols() > 0) out.push_back(options.delimiter);
-      out += StrFormat("%d", data.Label(r));
+      append(std::to_chars(number, number + sizeof(number), data.Label(r)));
     }
     out.push_back('\n');
   }

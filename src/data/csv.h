@@ -4,8 +4,8 @@
 // CSV input/output so real datasets (e.g. the UCI files the paper used) can
 // be dropped into the benchmarks in place of the bundled synthetic stand-ins.
 
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/run_control.h"
 #include "common/status.h"
@@ -48,23 +48,24 @@ struct CsvWriteOptions {
   bool write_labels = true;
 };
 
+/// Byte stride of the reader's parse chunks: chunk k of a file's data
+/// lines starts at the first line start at or after k * kCsvChunkBytes.
+/// Chunks are parsed in parallel; the result never depends on the split
+/// (tests use the stride to put damage on both sides of a boundary).
+inline constexpr size_t kCsvChunkBytes = size_t{1} << 18;
+
 /// Parses `path` into a Dataset. Fails (no partial result) on ragged rows,
-/// non-numeric fields (other than missing tokens), embedded NUL bytes,
-/// fields/rows beyond the size caps, or unreadable files; every parse error
-/// carries 1-based line (and where it applies, column) context.
+/// non-numeric fields (other than missing tokens), labels outside int32,
+/// embedded NUL bytes, fields/rows beyond the size caps, or unreadable
+/// files and directories; every parse error carries 1-based line (and
+/// where it applies, column) context, and of several errors the first in
+/// line order is reported. A pipe or FIFO is read to its end.
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvReadOptions& options = {});
 
 /// Parses CSV text directly (same semantics as ReadCsv).
 Result<Dataset> ReadCsvString(const std::string& text,
                               const CsvReadOptions& options = {});
-
-/// Validates one split line against the structural caps in `options`:
-/// embedded NUL bytes, over-long fields, and over-wide rows all fail with
-/// 1-based line/column context. Shared by every CSV ingest path (numeric
-/// and categorical-encoding) so they reject binary garbage identically.
-Status CheckCsvFields(const std::vector<std::string>& fields, size_t line_no,
-                      const CsvReadOptions& options);
 
 /// Writes `data` to `path`.
 Status WriteCsv(const Dataset& data, const std::string& path,

@@ -40,6 +40,36 @@ Dataset Dataset::FromRows(const std::vector<std::vector<double>>& rows,
   return ds;
 }
 
+Dataset Dataset::FromColumns(size_t num_rows,
+                             std::vector<std::vector<double>> columns,
+                             std::vector<std::string> column_names) {
+  if (!column_names.empty()) {
+    HIDO_CHECK_MSG(column_names.size() == columns.size(),
+                   "column_names.size()=%zu but %zu columns",
+                   column_names.size(), columns.size());
+  }
+  Dataset ds(columns.size());
+  if (!column_names.empty()) {
+    ds.column_names_ = std::move(column_names);
+  }
+  ds.num_rows_ = num_rows;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    HIDO_CHECK_MSG(columns[c].size() == num_rows,
+                   "column %zu has %zu values, expected %zu", c,
+                   columns[c].size(), num_rows);
+    ds.columns_[c] = std::move(columns[c]);
+    std::vector<double>& values = ds.columns_[c];
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (std::isnan(values[r])) {
+        ds.EnsureMissingMask(c);
+        ds.missing_[c][r] = 1;
+        values[r] = kNaN;
+      }
+    }
+  }
+  return ds;
+}
+
 void Dataset::Set(size_t row, size_t col, double value) {
   HIDO_CHECK(row < num_rows_ && col < columns_.size());
   HIDO_CHECK_MSG(std::isfinite(value), "use SetMissing for absent cells");

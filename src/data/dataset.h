@@ -40,6 +40,12 @@ class Dataset {
   static Dataset FromRows(const std::vector<std::vector<double>>& rows,
                           std::vector<std::string> column_names = {});
 
+  /// Builds a dataset from columns of `num_rows` values each, taken by
+  /// move. NaN cells are recorded as missing, as AppendRow records them.
+  static Dataset FromColumns(size_t num_rows,
+                             std::vector<std::vector<double>> columns,
+                             std::vector<std::string> column_names = {});
+
   size_t num_rows() const { return num_rows_; }       ///< rows n
   size_t num_cols() const { return columns_.size(); }  ///< attributes d
 

@@ -1,69 +1,13 @@
 #include "data/encoding.h"
 
-#include <algorithm>
-#include <fstream>
-#include <limits>
-#include <map>
-#include <set>
-#include <sstream>
+#include <utility>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
+#include "data/csv_parser.h"
 #include "obs/metrics.h"
 
 namespace hido {
-
-namespace {
-
-// Tokenized CSV: header (possibly empty) + rows of raw fields.
-struct RawCsv {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-};
-
-Result<RawCsv> Tokenize(const std::string& text,
-                        const CsvReadOptions& options) {
-  RawCsv raw;
-  std::vector<std::string> lines = Split(text, '\n');
-  for (std::string& line : lines) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-  }
-  if (!lines.empty() && lines.back().empty()) lines.pop_back();
-
-  // The tokenize loop dominates the read; the encoding passes below reuse
-  // its output row-by-row, so one poll stride here bounds cancel latency
-  // for the whole encoded ingest.
-  constexpr size_t kPollStride = 1024;
-
-  size_t width = 0;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (options.stop != nullptr && i % kPollStride == kPollStride - 1 &&
-        options.stop->ShouldStop()) {
-      return StopStatus(*options.stop, "csv read");
-    }
-    if (Trim(lines[i]).empty()) {
-      if (options.skip_blank_lines) continue;
-      return Status::ParseError(StrFormat("csv: blank line %zu", i + 1));
-    }
-    std::vector<std::string> fields = Split(lines[i], options.delimiter);
-    HIDO_RETURN_IF_ERROR(CheckCsvFields(fields, i + 1, options));
-    for (std::string& f : fields) f = std::string(Trim(f));
-    if (options.has_header && raw.header.empty() && raw.rows.empty()) {
-      raw.header = std::move(fields);
-      width = raw.header.size();
-      continue;
-    }
-    if (width == 0) width = fields.size();
-    if (fields.size() != width) {
-      return Status::ParseError(
-          StrFormat("csv: line %zu has %zu fields, expected %zu", i + 1,
-                    fields.size(), width));
-    }
-    raw.rows.push_back(std::move(fields));
-  }
-  return raw;
-}
-
-}  // namespace
 
 std::string EncodedDataset::Decode(size_t column, double code) const {
   for (const CategoricalMapping& mapping : categorical) {
@@ -77,109 +21,25 @@ std::string EncodedDataset::Decode(size_t column, double code) const {
 
 Result<EncodedDataset> ReadCsvEncodedString(const std::string& text,
                                             const CsvReadOptions& options) {
-  if (options.stop != nullptr && options.stop->ShouldStop()) {
-    return StopStatus(*options.stop, "csv read");
-  }
-  Result<RawCsv> raw = Tokenize(text, options);
-  if (!raw.ok()) return raw.status();
-  const RawCsv& csv = raw.value();
-  const size_t width =
-      csv.rows.empty() ? csv.header.size() : csv.rows.front().size();
-  const int label_col = options.label_column;
-  if (label_col >= 0 && static_cast<size_t>(label_col) >= width) {
-    return Status::InvalidArgument("csv: label_column out of range");
-  }
+  Result<internal::CsvTable> parsed =
+      internal::ParseCsv(text, options, /*encode_categorical=*/true);
+  if (!parsed.ok()) return parsed.status();
+  internal::CsvTable& table = parsed.value();
 
-  // Pass 1: classify each non-label column as numeric or categorical.
-  std::vector<bool> is_categorical(width, false);
-  for (size_t c = 0; c < width; ++c) {
-    if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
-    for (const auto& row : csv.rows) {
-      const std::string& field = row[c];
-      if (options.allow_missing && IsMissingToken(field)) continue;
-      if (!ParseDouble(field).ok()) {
-        is_categorical[c] = true;
-        break;
-      }
-    }
-  }
-
-  // Pass 2: build sorted value dictionaries for categorical columns.
-  std::vector<std::map<std::string, uint32_t>> dictionaries(width);
-  for (size_t c = 0; c < width; ++c) {
-    if (!is_categorical[c]) continue;
-    std::set<std::string> distinct;
-    for (const auto& row : csv.rows) {
-      if (options.allow_missing && IsMissingToken(row[c])) continue;
-      distinct.insert(row[c]);
-    }
-    uint32_t code = 0;
-    for (const std::string& value : distinct) {
-      dictionaries[c][value] = code++;
-    }
-  }
-
-  // Pass 3: materialize.
-  EncodedDataset out;
+  // Columns are named after the header, or "c<field index>" without one.
   std::vector<std::string> names;
-  for (size_t c = 0; c < width; ++c) {
-    if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
-    names.push_back(c < csv.header.size() ? csv.header[c]
-                                          : StrFormat("c%zu", c));
+  for (size_t c = 0; c < table.width; ++c) {
+    if (static_cast<int>(c) == options.label_column) continue;
+    names.push_back(c < table.header.size() ? std::move(table.header[c])
+                                            : StrFormat("c%zu", c));
   }
-  out.data = Dataset(std::move(names));
-
-  std::vector<int32_t> labels;
-  std::vector<double> values;
-  for (size_t r = 0; r < csv.rows.size(); ++r) {
-    values.clear();
-    for (size_t c = 0; c < width; ++c) {
-      const std::string& field = csv.rows[r][c];
-      if (label_col >= 0 && c == static_cast<size_t>(label_col)) {
-        const Result<int64_t> label = ParseInt(field);
-        if (!label.ok()) {
-          return Status::ParseError(
-              StrFormat("csv: row %zu: bad label '%s'", r + 1,
-                        field.c_str()));
-        }
-        labels.push_back(static_cast<int32_t>(label.value()));
-        continue;
-      }
-      if (options.allow_missing && IsMissingToken(field)) {
-        values.push_back(std::numeric_limits<double>::quiet_NaN());
-        continue;
-      }
-      if (is_categorical[c]) {
-        values.push_back(static_cast<double>(dictionaries[c].at(field)));
-      } else {
-        const Result<double> value = ParseDouble(field);
-        if (!value.ok()) {
-          return Status::ParseError(
-              StrFormat("csv: row %zu column %zu: %s", r + 1, c + 1,
-                        value.status().message().c_str()));
-        }
-        values.push_back(value.value());
-      }
-    }
-    out.data.AppendRow(values);
-  }
-  if (label_col >= 0) out.data.SetLabels(std::move(labels));
-
-  // Record mappings against the *output* column indexing (label removed).
-  size_t out_col = 0;
-  for (size_t c = 0; c < width; ++c) {
-    if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
-    if (is_categorical[c]) {
-      CategoricalMapping mapping;
-      mapping.column = out_col;
-      mapping.values.reserve(dictionaries[c].size());
-      for (const auto& [value, code] : dictionaries[c]) {
-        HIDO_UNUSED(code);
-        mapping.values.push_back(value);  // std::map iterates sorted
-      }
-      out.categorical.push_back(std::move(mapping));
-    }
-    ++out_col;
+  EncodedDataset out;
+  out.data = Dataset::FromColumns(table.num_rows, std::move(table.columns),
+                                  std::move(names));
+  if (options.label_column >= 0) out.data.SetLabels(std::move(table.labels));
+  for (size_t i = 0; i < table.categorical.size(); ++i) {
+    out.categorical.push_back(
+        {table.categorical[i], std::move(table.dictionaries[i])});
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("data.csv_loads").Add(1);
@@ -190,16 +50,9 @@ Result<EncodedDataset> ReadCsvEncodedString(const std::string& text,
 
 Result<EncodedDataset> ReadCsvEncoded(const std::string& path,
                                       const CsvReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("read failure: " + path);
-  }
-  return ReadCsvEncodedString(buffer.str(), options);
+  const Result<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return ReadCsvEncodedString(text.value(), options);
 }
 
 }  // namespace hido

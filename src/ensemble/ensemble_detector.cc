@@ -118,7 +118,8 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
   gopts.phi = result.phi;
   gopts.mode = base.binning;
   gopts.array_threshold = base.container_threshold;
-  Result<GridModel> grid = GridModel::Build(data, gopts, base.stop);
+  Result<GridModel> grid =
+      GridModel::Build(data, gopts, base.stop, SearchThreads(base));
   if (!grid.ok()) {
     result.completed = false;
     result.stop_cause =

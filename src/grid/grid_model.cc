@@ -1,23 +1,27 @@
 #include "grid/grid_model.h"
 
+#include <atomic>
 #include <string>
 #include <utility>
 
 #include "common/bitset_kernels.h"
 #include "common/macros.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace hido {
 
 GridModel GridModel::Build(const Dataset& data, const Options& options) {
-  Result<GridModel> built = Build(data, options, /*stop=*/nullptr);
+  Result<GridModel> built =
+      Build(data, options, /*stop=*/nullptr, /*num_threads=*/1);
   return std::move(built).value();  // cannot fail without a token
 }
 
 Result<GridModel> GridModel::Build(const Dataset& data,
                                    const Options& options,
-                                   const StopToken* stop) {
+                                   const StopToken* stop,
+                                   size_t num_threads) {
   // Indexing cost is rows * dims; poll every this many cells so a cancel
   // lands promptly even on one very long column.
   constexpr size_t kPollStride = 4096;
@@ -27,63 +31,82 @@ Result<GridModel> GridModel::Build(const Dataset& data,
   if (stop != nullptr && stop->ShouldStop()) {
     return StopStatus(*stop, "grid build");
   }
+  HIDO_CHECK(data.num_rows() >= 1);
 
   Quantizer::Options qopts;
   qopts.num_ranges = options.phi;
   qopts.mode = options.mode;
 
-  GridModel model;
-  model.num_points_ = data.num_rows();
-  model.quantizer_ = Quantizer::Fit(data, qopts);
-
+  const size_t n = data.num_rows();
   const size_t d = data.num_cols();
   const size_t phi = options.phi;
+  GridModel model;
+  model.num_points_ = n;
   model.array_threshold_ = options.array_threshold == kAutoArrayThreshold
-                               ? data.num_rows() / 32
+                               ? n / 32
                                : options.array_threshold;
-  model.cells_.assign(d, std::vector<uint32_t>(data.num_rows()));
-  model.containers_.assign(d * phi, PostingContainer());
+  model.cells_.resize(d);
+  model.containers_.resize(d * phi);
 
-  size_t array_containers = 0;
-  std::vector<std::vector<uint32_t>> range_ids(phi);
-  for (size_t dim = 0; dim < d; ++dim) {
-    if (stop != nullptr && stop->ShouldStop()) {
-      return StopStatus(*stop, "grid build");
+  std::vector<std::vector<double>> cuts(d);
+  std::vector<double> col_min(d);
+  std::vector<double> col_max(d);
+  std::vector<size_t> array_containers(d, 0);
+  std::atomic<bool> stopped{false};
+  const auto should_stop = [&] {
+    if (stop == nullptr) return false;
+    if (stopped.load(std::memory_order_relaxed) || stop->ShouldStop()) {
+      stopped.store(true, std::memory_order_relaxed);
+      return true;
     }
-    for (auto& ids : range_ids) ids.clear();
-    for (size_t row = 0; row < data.num_rows(); ++row) {
-      if (stop != nullptr && row % kPollStride == kPollStride - 1 &&
-          stop->ShouldStop()) {
-        return StopStatus(*stop, "grid build");
-      }
+    return false;
+  };
+  ParallelFor(d, num_threads, [&](size_t dim, size_t) {
+    if (should_stop()) return;
+    Quantizer::ColumnFit fit = Quantizer::FitColumn(data, dim, qopts);
+    std::vector<uint32_t>& cells = model.cells_[dim];
+    cells.resize(n);
+    std::vector<std::vector<uint32_t>> range_ids(phi);
+    const std::vector<double>& column = data.Column(dim);
+    for (size_t row = 0; row < n; ++row) {
+      if (row % kPollStride == kPollStride - 1 && should_stop()) return;
       if (data.IsMissing(row, dim)) {
-        model.cells_[dim][row] = kMissingCell;
+        cells[row] = kMissingCell;
         continue;
       }
-      const uint32_t cell = model.quantizer_.CellOf(dim, data.Get(row, dim));
-      model.cells_[dim][row] = cell;
+      const uint32_t cell = Quantizer::CountCutsAtMost(fit.cuts, column[row]);
+      cells[row] = cell;
       range_ids[cell].push_back(static_cast<uint32_t>(row));
     }
     // Rows were scanned ascending, so each range's ids arrive sorted and
     // the container choice is purely its cardinality vs. the threshold.
     for (uint32_t cell = 0; cell < phi; ++cell) {
       PostingContainer container = PostingContainer::FromIds(
-          std::move(range_ids[cell]), data.num_rows(),
-          model.array_threshold_);
-      range_ids[cell] = {};
+          std::move(range_ids[cell]), n, model.array_threshold_);
       if (container.kind() == PostingContainer::Kind::kArray) {
-        ++array_containers;
+        ++array_containers[dim];
       }
       model.containers_[dim * phi + cell] = std::move(container);
     }
+    cuts[dim] = std::move(fit.cuts);
+    col_min[dim] = fit.min;
+    col_max[dim] = fit.max;
+  });
+  if (stopped.load(std::memory_order_relaxed)) {
+    return StopStatus(*stop, "grid build");
   }
+  model.quantizer_ = Quantizer::FromCuts(qopts, std::move(cuts),
+                                         std::move(col_min),
+                                         std::move(col_max));
+
+  size_t arrays = 0;
+  for (const size_t count : array_containers) arrays += count;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("grid.builds").Add(1);
-  registry.GetCounter("grid.points_indexed").Add(data.num_rows());
-  registry.GetCounter("grid.cells_indexed").Add(data.num_rows() * d);
-  registry.GetCounter("grid.containers.array").Add(array_containers);
-  registry.GetCounter("grid.containers.bitmap")
-      .Add(d * phi - array_containers);
+  registry.GetCounter("grid.points_indexed").Add(n);
+  registry.GetCounter("grid.cells_indexed").Add(n * d);
+  registry.GetCounter("grid.containers.array").Add(arrays);
+  registry.GetCounter("grid.containers.bitmap").Add(d * phi - arrays);
   // Which counting kernel serves the bitmap legs of this grid's counts.
   // Published here (not in src/common, which cannot depend on obs) so the
   // gauge appears exactly when a counting workload exists.

@@ -67,13 +67,15 @@ class GridModel {
   /// Discretizes `data` and builds the indexes. The dataset is not retained.
   static GridModel Build(const Dataset& data, const Options& options);
 
-  /// Cancellable Build: polls `stop` (nullable) once per dimension and
-  /// every few thousand rows within a dimension. A fired token aborts with
-  /// kCancelled/kDeadlineExceeded — a partially indexed grid is useless, so
-  /// unlike the searches there is no best-so-far result. With stop == null
-  /// this is exactly Build(data, options).
+  /// Cancellable, parallel Build: each dimension is fitted and indexed in
+  /// its own task, on up to `num_threads` workers of the shared pool. The
+  /// model is the same at any `num_threads`. Polls `stop` (nullable) once
+  /// per dimension and every few thousand rows within a dimension. A fired
+  /// token aborts with kCancelled/kDeadlineExceeded — a partially indexed
+  /// grid is useless, so unlike the searches there is no best-so-far
+  /// result. With stop == null this is Build(data, options).
   static Result<GridModel> Build(const Dataset& data, const Options& options,
-                                 const StopToken* stop);
+                                 const StopToken* stop, size_t num_threads);
 
   size_t num_points() const { return num_points_; }  ///< indexed rows n
   size_t num_dims() const { return cells_.size(); }   ///< attributes d

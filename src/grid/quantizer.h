@@ -41,10 +41,29 @@ class Quantizer {
   /// Creates an empty (unfitted) quantizer; use Fit to obtain a usable one.
   Quantizer() = default;
 
+  /// The fitted range boundaries of one column.
+  struct ColumnFit {
+    std::vector<double> cuts;  ///< num_ranges - 1 non-decreasing breakpoints
+    double min = 0.0;          ///< smallest present value
+    double max = 0.0;          ///< largest present value
+  };
+
   /// Fits breakpoints on every column of `data` (missing cells ignored).
   /// Preconditions: num_ranges >= 2, data has at least one row, and every
   /// column has at least one present value.
   static Quantizer Fit(const Dataset& data, const Options& options);
+
+  /// Fits column `col` of `data` alone, as Fit does. Equi-depth cuts need
+  /// only the order statistics QuantileSorted reads, so they are found by
+  /// selection rather than a sort, under the total order that puts -0.0
+  /// before +0.0. Same preconditions as Fit, for that column.
+  static ColumnFit FitColumn(const Dataset& data, size_t col,
+                             const Options& options);
+
+  /// Number of `cuts` (ascending) that are <= `value`, which is the cell
+  /// of `value` on a column with those cuts.
+  static uint32_t CountCutsAtMost(const std::vector<double>& cuts,
+                                  double value);
 
   /// Reconstructs a quantizer from previously fitted state (snapshot
   /// loading; see serve/snapshot.h). Per column: num_ranges-1

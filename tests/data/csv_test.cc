@@ -1,12 +1,19 @@
 #include "data/csv.h"
 
+#include <sys/stat.h>
+
+#include <cfloat>
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/run_control.h"
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace hido {
 namespace {
@@ -89,6 +96,24 @@ TEST(CsvReadTest, BadLabelFails) {
   opts.label_column = 0;
   const Result<Dataset> r = ReadCsvString("class,x\nabc,1\n", opts);
   EXPECT_FALSE(r.ok());
+}
+
+TEST(CsvReadTest, LabelOutsideInt32Fails) {
+  CsvReadOptions opts;
+  opts.label_column = 1;
+  for (const std::string label : {"4294967297", "-4294967295", "2147483648"}) {
+    const Result<Dataset> r =
+        ReadCsvString("x,class\n1,0\n2," + label + "\n", opts);
+    ASSERT_FALSE(r.ok()) << label;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(r.status().message(),
+              "csv: line 3: label '" + label + "' out of range");
+  }
+  const Result<Dataset> edges =
+      ReadCsvString("x,class\n1,2147483647\n2,-2147483648\n", opts);
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges.value().Label(0), std::numeric_limits<int32_t>::max());
+  EXPECT_EQ(edges.value().Label(1), std::numeric_limits<int32_t>::min());
 }
 
 TEST(CsvReadTest, LabelColumnOutOfRangeFails) {
@@ -176,6 +201,40 @@ TEST(CsvReadTest, MissingFileFails) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
+TEST(CsvReadTest, DirectoryIsAnIoError) {
+  const Result<Dataset> r = ReadCsv(::testing::TempDir());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
+TEST(CsvReadTest, ReadsAFifoToItsEnd) {
+  // Longer than one read and than one parse chunk.
+  std::string text = "a,b,label\n";
+  for (int i = 0; text.size() < 2 * kCsvChunkBytes; ++i) {
+    text += StrFormat("%d.25,%d,%d\n", i, -i, i % 2);
+  }
+  const std::string path = ::testing::TempDir() + "/hido_csv_test.fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  });
+  CsvReadOptions opts;
+  opts.label_column = 2;
+  const Result<Dataset> r = ReadCsv(path, opts);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Result<Dataset> want = ReadCsvString(text, opts);
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(r.value().num_rows(), want.value().num_rows());
+  for (size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(r.value().Column(c), want.value().Column(c));
+  }
+  EXPECT_EQ(r.value().labels(), want.value().labels());
+}
+
 TEST(CsvRoundTripTest, WriteThenReadPreservesEverything) {
   Dataset ds = Dataset::FromRows({{1.5, 2.0}, {3.25, 4.0}}, {"p", "q"});
   ds.SetMissing(1, 0);
@@ -238,6 +297,30 @@ TEST(CsvReadTest, UnfiredStopTokenReadsNormally) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 2u);
   EXPECT_FALSE(token.stop_requested());
+}
+
+TEST(CsvWriteTest, NumbersAreWrittenAsPrintfG17) {
+  const Dataset ds = Dataset::FromRows(
+      {{0.0}, {-0.0}, {4.9406564584124654e-324}, {-4.9406564584124654e-324},
+       {2.2250738585072009e-308}, {2.2250738585072014e-308}, {DBL_MAX},
+       {-DBL_MAX}, {0.1}, {1e21}, {1e-7}, {123456789012345678.0}, {1e16},
+       {1e17}, {12345.678}, {-1.5}},
+      {"v"});
+  EXPECT_EQ(WriteCsvString(ds),
+            "v\n0\n-0\n4.9406564584124654e-324\n-4.9406564584124654e-324\n"
+            "2.2250738585072009e-308\n2.2250738585072014e-308\n"
+            "1.7976931348623157e+308\n-1.7976931348623157e+308\n"
+            "0.10000000000000001\n1e+21\n9.9999999999999995e-08\n"
+            "1.2345678901234568e+17\n10000000000000000\n1e+17\n"
+            "12345.678\n-1.5\n");
+
+  Dataset labeled = Dataset::FromRows({{1.0}, {2.0}, {3.0}});
+  labeled.SetLabels({std::numeric_limits<int32_t>::min(), 0,
+                     std::numeric_limits<int32_t>::max()});
+  CsvWriteOptions opts;
+  opts.write_header = false;
+  EXPECT_EQ(WriteCsvString(labeled, opts),
+            "1,-2147483648\n2,0\n3,2147483647\n");
 }
 
 TEST(CsvWriteTest, HeaderOptional) {

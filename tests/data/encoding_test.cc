@@ -1,11 +1,16 @@
 #include "data/encoding.h"
 
+#include <cmath>
+#include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/run_control.h"
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace hido {
 namespace {
@@ -90,6 +95,91 @@ TEST(EncodingTest, NonIntegerLabelFails) {
   const Result<EncodedDataset> r =
       ReadCsvEncodedString("class,x\nsick,1\n", opts);
   EXPECT_FALSE(r.ok());
+}
+
+TEST(EncodingTest, LabelErrorsNameTheLine) {
+  CsvReadOptions opts;
+  opts.label_column = 0;
+  const Result<EncodedDataset> bad =
+      ReadCsvEncodedString("class,x\n1,a\nsick,b\n", opts);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(), "csv: line 3: bad label 'sick'");
+  for (const std::string label : {"4294967297", "-4294967295"}) {
+    const Result<EncodedDataset> r =
+        ReadCsvEncodedString("class,x\n" + label + ",a\n", opts);
+    ASSERT_FALSE(r.ok()) << label;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(r.status().message(),
+              "csv: line 2: label '" + label + "' out of range");
+  }
+}
+
+TEST(EncodingTest, FirstErrorInLineOrderWins) {
+  // A bad label on line 2 and a ragged row on line 3: line 2 is reported.
+  CsvReadOptions opts;
+  opts.label_column = 1;
+  const Result<EncodedDataset> r =
+      ReadCsvEncodedString("x,class\nred,oops\nblue\n", opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "csv: line 2: bad label 'oops'");
+}
+
+TEST(EncodingTest, DirectoryIsAnIoError) {
+  const Result<EncodedDataset> r = ReadCsvEncoded(::testing::TempDir());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
+TEST(EncodingTest, CategoricalColumnsAcrossManyChunks) {
+  // Column 0 is categorical throughout, column 1 numeric with missing
+  // cells, and column 2 numeric until one word in the last rows.
+  static const char* const kColors[] = {"red", "green", "blue", "teal",
+                                        "?",   "ochre", " red "};
+  Rng rng(7);
+  std::string text = "color,v,w\n";
+  std::vector<std::string> colors;
+  std::vector<double> v;
+  while (text.size() < 3 * kCsvChunkBytes) {
+    const std::string color = kColors[rng.UniformIndex(7)];
+    const bool v_missing = rng.Bernoulli(0.05);
+    const double value = static_cast<double>(rng.UniformInt(-999, 999)) / 8;
+    text += color + "," + (v_missing ? "NA" : StrFormat("%.17g", value)) +
+            "," + std::to_string(colors.size() % 5) + "\n";
+    colors.push_back(std::string(Trim(color)));
+    v.push_back(v_missing ? std::nan("") : value);
+  }
+  text += "red,1,five\n";
+  colors.push_back("red");
+  v.push_back(1.0);
+
+  const Result<EncodedDataset> r = ReadCsvEncodedString(text);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const EncodedDataset& encoded = r.value();
+  const Dataset& data = encoded.data;
+  ASSERT_EQ(data.num_rows(), colors.size());
+  ASSERT_EQ(encoded.categorical.size(), 2u);
+  EXPECT_EQ(encoded.categorical[0].column, 0u);
+  EXPECT_EQ(encoded.categorical[0].values,
+            (std::vector<std::string>{"blue", "green", "ochre", "red",
+                                      "teal"}));
+  EXPECT_EQ(encoded.categorical[1].column, 2u);
+  EXPECT_EQ(encoded.categorical[1].values,
+            (std::vector<std::string>{"0", "1", "2", "3", "4", "five"}));
+  for (size_t row = 0; row < colors.size(); ++row) {
+    if (colors[row] == "?") {
+      EXPECT_TRUE(data.IsMissing(row, 0)) << row;
+    } else {
+      EXPECT_EQ(encoded.Decode(0, data.Get(row, 0)), colors[row]) << row;
+    }
+    if (std::isnan(v[row])) {
+      EXPECT_TRUE(data.IsMissing(row, 1)) << row;
+    } else {
+      EXPECT_EQ(data.Get(row, 1), v[row]) << row;
+    }
+    const std::string w =
+        row + 1 == colors.size() ? "five" : std::to_string(row % 5);
+    EXPECT_EQ(encoded.Decode(2, data.Get(row, 2)), w) << row;
+  }
 }
 
 TEST(EncodingTest, RaggedRowsFail) {

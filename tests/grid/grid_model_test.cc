@@ -155,7 +155,8 @@ TEST(GridModelTest, StopTokenFailpointAbortsBuild) {
   opts.phi = 5;
   StopToken token;
   token.ArmFailpoint(3);  // entry poll + per-dimension polls; fires early
-  const Result<GridModel> r = GridModel::Build(ds, opts, &token);
+  const Result<GridModel> r =
+      GridModel::Build(ds, opts, &token, /*num_threads=*/1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(token.cause(), StopCause::kFailpoint);
@@ -167,7 +168,8 @@ TEST(GridModelTest, PreCancelledTokenAbortsBeforeAnyWork) {
   opts.phi = 5;
   StopToken token;
   token.RequestCancel();
-  const Result<GridModel> r = GridModel::Build(ds, opts, &token);
+  const Result<GridModel> r =
+      GridModel::Build(ds, opts, &token, /*num_threads=*/1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
@@ -178,7 +180,8 @@ TEST(GridModelTest, UnfiredStopTokenBuildMatchesLegacyBuild) {
   opts.phi = 4;
   const GridModel legacy = GridModel::Build(ds, opts);
   StopToken token;
-  const Result<GridModel> r = GridModel::Build(ds, opts, &token);
+  const Result<GridModel> r =
+      GridModel::Build(ds, opts, &token, /*num_threads=*/1);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const GridModel& grid = r.value();
   ASSERT_EQ(grid.num_points(), legacy.num_points());

@@ -1,18 +1,53 @@
 // Round-trip property: for randomized datasets (shape, missing cells,
 // labels), Write -> Read reproduces the dataset exactly (values via %.17g,
-// masks, names, labels).
+// masks, names, labels). Differential property: on damaged input, small
+// or spanning many parse chunks, ReadCsvString returns exactly what the
+// sequential oracle returns.
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "data/csv.h"
 #include "data/generators/synthetic.h"
+#include "testing/csv_oracle.h"
 
 namespace hido {
 namespace {
+
+// Same Status (code and message), or the same Dataset: values bitwise,
+// missing masks, column names and labels.
+void ExpectSameRead(const Result<Dataset>& got, const Result<Dataset>& want) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << "got " << got.status().ToString() << ", oracle "
+      << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  const Dataset& a = got.value();
+  const Dataset& b = want.value();
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  ASSERT_EQ(a.num_cols(), b.num_cols());
+  for (size_t c = 0; c < a.num_cols(); ++c) {
+    EXPECT_EQ(a.ColumnName(c), b.ColumnName(c));
+    if (a.num_rows() > 0) {
+      ASSERT_EQ(std::memcmp(a.Column(c).data(), b.Column(c).data(),
+                            a.num_rows() * sizeof(double)),
+                0)
+          << "column " << c;
+    }
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      ASSERT_EQ(a.IsMissing(r, c), b.IsMissing(r, c)) << r << "," << c;
+    }
+  }
+  EXPECT_EQ(a.labels(), b.labels());
+}
 
 // (rows, cols, missing_permille, with_labels, seed)
 using CsvCase = std::tuple<size_t, size_t, size_t, bool, uint64_t>;
@@ -81,9 +116,11 @@ TEST_P(CsvRoundTripProperty, WriteReadIsIdentity) {
 // structural caps.
 class CsvMutationProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CsvMutationProperty, MutatedInputFailsCleanlyOrParses) {
-  Rng rng(GetParam());
-  // A valid starting point, regenerated per seed.
+// A valid CSV, regenerated from the seed, hit with random byte-level
+// damage: truncation, NUL injection, garbage bytes, delimiter insertion,
+// chunk duplication, giant fields.
+std::string MutatedCsv(uint64_t seed) {
+  Rng rng(seed);
   std::string text = "alpha,beta,gamma\n";
   const size_t rows = 3 + rng.UniformIndex(20);
   for (size_t r = 0; r < rows; ++r) {
@@ -121,7 +158,15 @@ TEST_P(CsvMutationProperty, MutatedInputFailsCleanlyOrParses) {
         break;
     }
   }
+  return text;
+}
 
+// Robustness property: the reader must either parse the damaged text —
+// ragged damage can cancel out — or return a structured "csv:" parse
+// error; it must never crash or hang. Successful parses must stay within
+// the structural caps.
+TEST_P(CsvMutationProperty, MutatedInputFailsCleanlyOrParses) {
+  const std::string text = MutatedCsv(GetParam());
   CsvReadOptions opts;
   const Result<Dataset> r = ReadCsvString(text, opts);
   if (!r.ok()) {
@@ -134,6 +179,114 @@ TEST_P(CsvMutationProperty, MutatedInputFailsCleanlyOrParses) {
     EXPECT_LE(r.value().num_cols(), opts.max_columns);
   }
 }
+
+TEST_P(CsvMutationProperty, ReaderMatchesSequentialOracle) {
+  const std::string text = MutatedCsv(GetParam());
+  for (const bool header : {true, false}) {
+    CsvReadOptions opts;
+    opts.has_header = header;
+    opts.label_column = GetParam() % 3 == 0 ? 1 : -1;
+    opts.skip_blank_lines = GetParam() % 2 == 0;
+    ExpectSameRead(ReadCsvString(text, opts), oracle::ReadCsvString(text, opts));
+  }
+}
+
+// Multi-chunk inputs: several MiB of rows in the formats the reader
+// meets (%.17g, integers, signs, padding, missing tokens, CRLF, blank
+// lines), with damage placed a few bytes before and after chunk
+// boundaries, so that chunk stitching and the first-error order are
+// what decides the result.
+class CsvChunkBoundaryProperty : public ::testing::TestWithParam<uint64_t> {};
+
+std::string RandomField(Rng& rng) {
+  switch (rng.UniformIndex(8)) {
+    case 0:
+      return std::to_string(rng.UniformInt(-100000, 100000));
+    case 1:
+      return " +" + std::to_string(rng.UniformInt(0, 999)) + " ";
+    case 2: {
+      static const char* const kMissing[] = {"?", "", "NA", " nan ", "Null"};
+      return kMissing[rng.UniformIndex(5)];
+    }
+    default:
+      return StrFormat("%.17g", (rng.UniformDouble() - 0.5) *
+                                    std::pow(10.0, rng.UniformInt(-30, 30)));
+  }
+}
+
+TEST_P(CsvChunkBoundaryProperty, ReaderMatchesSequentialOracle) {
+  Rng rng(GetParam());
+  CsvReadOptions opts;
+  opts.has_header = rng.Bernoulli(0.7);
+  opts.skip_blank_lines = rng.Bernoulli(0.7);
+  opts.delimiter = rng.Bernoulli(0.8) ? ',' : ';';
+  if (rng.Bernoulli(0.3)) opts.max_field_bytes = 64;
+  const size_t cols = 2 + rng.UniformIndex(10);
+  if (rng.Bernoulli(0.5)) {
+    opts.label_column = static_cast<int>(rng.UniformIndex(cols));
+  }
+  const char* eol = rng.Bernoulli(0.3) ? "\r\n" : "\n";
+
+  std::string text;
+  if (opts.has_header) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (c > 0) text.push_back(opts.delimiter);
+      text += " name" + std::to_string(c);
+    }
+    text += eol;
+  }
+  const size_t target =
+      8 * kCsvChunkBytes + rng.UniformIndex(4 * kCsvChunkBytes);
+  while (text.size() < target) {
+    // Blank lines, where they are allowed: elsewhere only damage adds one.
+    if (opts.skip_blank_lines && rng.Bernoulli(0.002)) text += eol;
+    for (size_t c = 0; c < cols; ++c) {
+      if (c > 0) text.push_back(opts.delimiter);
+      text += static_cast<int>(c) == opts.label_column
+                  ? std::to_string(rng.UniformInt(-3, 3))
+                  : RandomField(rng);
+    }
+    text += eol;
+  }
+
+  const size_t damages = rng.UniformIndex(5);
+  for (size_t m = 0; m < damages; ++m) {
+    const size_t boundary =
+        kCsvChunkBytes * (1 + rng.UniformIndex(text.size() / kCsvChunkBytes));
+    const size_t pos = std::min(text.size() - 1,
+                                boundary - 48 + rng.UniformIndex(96));
+    switch (rng.UniformIndex(7)) {
+      case 0:
+        text.insert(text.begin() + static_cast<ptrdiff_t>(pos), '\0');
+        break;
+      case 1:
+        text[pos] = "x,\n;9-"[rng.UniformIndex(6)];
+        break;
+      case 2:
+        text.insert(text.begin() + static_cast<ptrdiff_t>(pos),
+                    opts.delimiter);
+        break;
+      case 3:
+        text.erase(pos, 1);
+        break;
+      case 4:
+        text.insert(pos, "\n\n");
+        break;
+      case 5:
+        text.insert(pos, std::string(100, '7'));
+        break;
+      case 6:
+        text.insert(pos, "4294967297");
+        break;
+    }
+  }
+  if (rng.Bernoulli(0.2)) text.resize(text.size() - rng.UniformIndex(64));
+
+  ExpectSameRead(ReadCsvString(text, opts), oracle::ReadCsvString(text, opts));
+}
+
+INSTANTIATE_TEST_SUITE_P(DamagedAtBoundaries, CsvChunkBoundaryProperty,
+                         ::testing::Range<uint64_t>(1, 25));
 
 INSTANTIATE_TEST_SUITE_P(MutatedCsv, CsvMutationProperty,
                          ::testing::Range<uint64_t>(1, 81));

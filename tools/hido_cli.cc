@@ -116,6 +116,20 @@ Result<Dataset> LoadInput(const FlagParser& flags,
   return data;
 }
 
+// The grid fits ranges from each column's present values, so `detect` and
+// `fit` need at least one in every column.
+Status CheckEveryColumnHasValues(const FlagParser& flags,
+                                 const Dataset& data) {
+  for (size_t c = 0; c < data.num_cols(); ++c) {
+    if (data.PresentCount(c) == 0) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: column '%s' has no values (every cell is missing)",
+          flags.GetString("input").c_str(), data.ColumnName(c).c_str()));
+    }
+  }
+  return Status::Ok();
+}
+
 void AddInputFlags(FlagParser& flags) {
   flags.AddString("input", "", "input CSV path", /*required=*/true);
   flags.AddBool("header", true, "first CSV line is a header");
@@ -404,6 +418,8 @@ int RunDetect(const std::vector<std::string>& args) {
     return LoadInput(flags, &control.token());
   }();
   if (!data.ok()) return Fail(data.status());
+  const Status has_values = CheckEveryColumnHasValues(flags, data.value());
+  if (!has_values.ok()) return Fail(has_values);
 
   DetectorConfig config;
   const Status configured = SearchConfigFromFlags(flags, &config);
@@ -593,6 +609,8 @@ int RunFit(const std::vector<std::string>& args) {
     return LoadInput(flags, &control.token());
   }();
   if (!data.ok()) return Fail(data.status());
+  const Status has_values = CheckEveryColumnHasValues(flags, data.value());
+  if (!has_values.ok()) return Fail(has_values);
 
   DetectorConfig config;
   const Status configured = SearchConfigFromFlags(flags, &config);
@@ -1332,6 +1350,25 @@ int RunAdvise(const std::vector<std::string>& args) {
 
 // ------------------------------------------------------------- baselines --
 
+// kNN needs 1 <= k < rows, LOF 1 <= MinPts < rows, and both flag at
+// least one row.
+Status CheckBaselineCounts(const FlagParser& flags, size_t rows) {
+  if (flags.GetInt("top") < 1) {
+    return Status::InvalidArgument(
+        StrFormat("--top must be at least 1, got %lld",
+                  static_cast<long long>(flags.GetInt("top"))));
+  }
+  for (const char* count : {"knn-k", "lof-minpts"}) {
+    const int64_t value = flags.GetInt(count);
+    if (value < 1 || static_cast<uint64_t>(value) >= rows) {
+      return Status::InvalidArgument(StrFormat(
+          "--%s must be at least 1 and below the %zu input rows, got %lld",
+          count, rows, static_cast<long long>(value)));
+    }
+  }
+  return Status::Ok();
+}
+
 int RunBaselines(const std::vector<std::string>& args) {
   FlagParser flags("hido baselines",
                    "full-dimensional comparators: kNN [25], LOF [10], "
@@ -1358,7 +1395,19 @@ int RunBaselines(const std::vector<std::string>& args) {
     return LoadInput(flags, &control.token());
   }();
   if (!data.ok()) return Fail(data.status());
+  const Status counts_ok = CheckBaselineCounts(flags, data.value().num_rows());
+  if (!counts_ok.ok()) return Fail(counts_ok);
   const DistanceMetric metric(data.value());
+  double lambda = flags.GetDouble("db-lambda");
+  if (lambda <= 0.0) {
+    Rng rng(1);
+    lambda = EstimateLambda(metric, 0.05, 5000, rng);
+    if (!(lambda > 0.0)) {
+      return Fail(Status::InvalidArgument(
+          "DB(k,lambda): the estimated lambda is 0 (the sampled rows "
+          "coincide); pass --db-lambda"));
+    }
+  }
   const size_t top = static_cast<size_t>(flags.GetInt("top"));
   const size_t threads = static_cast<size_t>(flags.GetInt("threads"));
   const char* kPartialNote = "  (partial: stopped before every point)\n";
@@ -1392,11 +1441,6 @@ int RunBaselines(const std::vector<std::string>& args) {
   }
   if (!lof_status.completed) std::printf("%s", kPartialNote);
 
-  double lambda = flags.GetDouble("db-lambda");
-  if (lambda <= 0.0) {
-    Rng rng(1);
-    lambda = EstimateLambda(metric, 0.05, 5000, rng);
-  }
   std::printf("\n== DB(k=%lld, lambda=%.4f) outliers ==\n",
               static_cast<long long>(flags.GetInt("db-max-neighbors")),
               lambda);
