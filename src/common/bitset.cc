@@ -41,7 +41,8 @@ void DynamicBitset::MaskTail() {
 }
 
 size_t DynamicBitset::Count() const {
-  return ActiveKernels().count(words_.data(), words_.size());
+  const uint64_t* const srcs[] = {words_.data()};
+  return ActiveKernels().and_count_many(srcs, 1, words_.size());
 }
 
 void DynamicBitset::AndWith(const DynamicBitset& other) {
@@ -51,8 +52,8 @@ void DynamicBitset::AndWith(const DynamicBitset& other) {
 
 size_t DynamicBitset::AndCount(const DynamicBitset& other) const {
   HIDO_CHECK(size_ == other.size_);
-  return ActiveKernels().and_count(words_.data(), other.words_.data(),
-                                   words_.size());
+  const uint64_t* const srcs[] = {words_.data(), other.words_.data()};
+  return ActiveKernels().and_count_many(srcs, 2, words_.size());
 }
 
 size_t DynamicBitset::AndCountInto(const DynamicBitset& other) {

@@ -53,6 +53,13 @@ class DynamicBitset {
   /// the number of surviving bits. Precondition: equal sizes.
   size_t AndCountInto(const DynamicBitset& other);
 
+  /// The backing words: bit i is bit i % 64 of word i / 64, and the bits
+  /// past size() are clear. Lets callers hand several sets to one
+  /// BitsetKernels call.
+  const uint64_t* words() const { return words_.data(); }
+  /// Number of words backing size() bits.
+  size_t num_words() const { return words_.size(); }
+
   /// Appends the indices of all set bits to `out`, ascending.
   void AppendSetBits(std::vector<uint32_t>& out) const;
 

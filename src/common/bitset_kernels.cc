@@ -1,8 +1,10 @@
 #include "common/bitset_kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -32,35 +34,69 @@ namespace hido {
 namespace {
 
 // ---------------------------------------------------------------------------
+// The k-way count's shape, shared by every implementation. A loop template
+// Loop<K> with K > 0 fixes the source count at compile time, so the AND
+// chain over the K sources is straight-line code on registers; Loop<0>
+// reads k at run time and loops over the sources per word. AndCountByK
+// picks the instance: the unrolled range covers the 2..8 the k* rule
+// reaches, and k = 1, a plain popcount.
+
+template <template <size_t> class Loop>
+size_t AndCountByK(const uint64_t* const* srcs, size_t k, size_t n) {
+  HIDO_DCHECK(k >= 1);
+  switch (k) {
+    case 1: return Loop<1>::Run(srcs, k, n);
+    case 2: return Loop<2>::Run(srcs, k, n);
+    case 3: return Loop<3>::Run(srcs, k, n);
+    case 4: return Loop<4>::Run(srcs, k, n);
+    case 5: return Loop<5>::Run(srcs, k, n);
+    case 6: return Loop<6>::Run(srcs, k, n);
+    case 7: return Loop<7>::Run(srcs, k, n);
+    case 8: return Loop<8>::Run(srcs, k, n);
+    default: return Loop<0>::Run(srcs, k, n);
+  }
+}
+
+// Word i of srcs[0] & ... & srcs[k-1]; K > 0 unrolls the chain for k = K.
+template <size_t... J>
+inline uint64_t AndWordFold(const uint64_t* const* srcs, size_t i,
+                            std::index_sequence<J...>) {
+  return (srcs[J][i] & ...);
+}
+
+template <size_t K>
+inline uint64_t AndWord(const uint64_t* const* srcs, size_t k, size_t i) {
+  if constexpr (K > 0) {
+    return AndWordFold(srcs, i, std::make_index_sequence<K>{});
+  } else {
+    uint64_t w = srcs[0][i];
+    for (size_t j = 1; j < k; ++j) w &= srcs[j][i];
+    return w;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Scalar kernel: portable 4x64-bit unrolled loops. Four independent
 // accumulators keep the popcount chains out of each other's dependency
 // shadow; the compiler needs no target features beyond baseline.
 
-size_t ScalarCount(const uint64_t* a, size_t n) {
-  size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    c0 += static_cast<size_t>(std::popcount(a[i]));
-    c1 += static_cast<size_t>(std::popcount(a[i + 1]));
-    c2 += static_cast<size_t>(std::popcount(a[i + 2]));
-    c3 += static_cast<size_t>(std::popcount(a[i + 3]));
+template <size_t K>
+struct ScalarAndCount {
+  static size_t Run(const uint64_t* const* srcs, size_t k, size_t n) {
+    size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      c0 += static_cast<size_t>(std::popcount(AndWord<K>(srcs, k, i)));
+      c1 += static_cast<size_t>(std::popcount(AndWord<K>(srcs, k, i + 1)));
+      c2 += static_cast<size_t>(std::popcount(AndWord<K>(srcs, k, i + 2)));
+      c3 += static_cast<size_t>(std::popcount(AndWord<K>(srcs, k, i + 3)));
+    }
+    for (; i < n; ++i) {
+      c0 += static_cast<size_t>(std::popcount(AndWord<K>(srcs, k, i)));
+    }
+    return c0 + c1 + c2 + c3;
   }
-  for (; i < n; ++i) c0 += static_cast<size_t>(std::popcount(a[i]));
-  return c0 + c1 + c2 + c3;
-}
-
-size_t ScalarAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    c0 += static_cast<size_t>(std::popcount(a[i] & b[i]));
-    c1 += static_cast<size_t>(std::popcount(a[i + 1] & b[i + 1]));
-    c2 += static_cast<size_t>(std::popcount(a[i + 2] & b[i + 2]));
-    c3 += static_cast<size_t>(std::popcount(a[i + 3] & b[i + 3]));
-  }
-  for (; i < n; ++i) c0 += static_cast<size_t>(std::popcount(a[i] & b[i]));
-  return c0 + c1 + c2 + c3;
-}
+};
 
 void ScalarAndWith(uint64_t* dst, const uint64_t* src, size_t n) {
   size_t i = 0;
@@ -99,9 +135,11 @@ size_t ScalarAndCountInto(uint64_t* dst, const uint64_t* src, size_t n) {
 }
 
 const BitsetKernels kScalarKernels = {
-    KernelKind::kScalar, "scalar",
-    ScalarCount,         ScalarAndCount,
-    ScalarAndWith,       ScalarAndCountInto,
+    KernelKind::kScalar,
+    "scalar",
+    AndCountByK<ScalarAndCount>,
+    ScalarAndWith,
+    ScalarAndCountInto,
 };
 
 // ---------------------------------------------------------------------------
@@ -114,6 +152,10 @@ const BitsetKernels kScalarKernels = {
 #if HIDO_KERNELS_HAVE_AVX2
 
 #define HIDO_TARGET_AVX2 __attribute__((target("avx2")))
+
+HIDO_TARGET_AVX2 inline __m256i Load256(const uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
 
 HIDO_TARGET_AVX2 inline __m256i PopcountBytes256(__m256i v) {
   const __m256i lookup = _mm256_setr_epi8(
@@ -135,50 +177,63 @@ HIDO_TARGET_AVX2 inline size_t HorizontalSum256(__m256i acc) {
              _mm_cvtsi128_si64(_mm_unpackhi_epi64(sum, sum)));
 }
 
-HIDO_TARGET_AVX2 size_t Avx2Count(const uint64_t* a, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(PopcountBytes256(v), _mm256_setzero_si256()));
-  }
-  size_t total = HorizontalSum256(acc);
-  for (; i < n; ++i) total += static_cast<size_t>(std::popcount(a[i]));
-  return total;
+// Words [i, i + 4) of srcs[0] & ... & srcs[k-1]; K > 0 unrolls the chain.
+template <size_t... J>
+HIDO_TARGET_AVX2 inline __m256i Avx2AndFold(const uint64_t* const* srcs,
+                                            size_t i,
+                                            std::index_sequence<J...>) {
+  __m256i v = Load256(srcs[0] + i);
+  ((v = _mm256_and_si256(v, Load256(srcs[J + 1] + i))), ...);
+  return v;
 }
 
-HIDO_TARGET_AVX2 size_t Avx2AndCount(const uint64_t* a, const uint64_t* b,
-                                     size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i v = _mm256_and_si256(va, vb);
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(PopcountBytes256(v), _mm256_setzero_si256()));
+template <size_t K>
+HIDO_TARGET_AVX2 inline __m256i Avx2AndVector(const uint64_t* const* srcs,
+                                              size_t k, size_t i) {
+  if constexpr (K > 0) {
+    return Avx2AndFold(srcs, i, std::make_index_sequence<K - 1>{});
+  } else {
+    __m256i v = Load256(srcs[0] + i);
+    for (size_t j = 1; j < k; ++j) {
+      v = _mm256_and_si256(v, Load256(srcs[j] + i));
+    }
+    return v;
   }
-  size_t total = HorizontalSum256(acc);
-  for (; i < n; ++i) {
-    total += static_cast<size_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
 }
+
+template <size_t K>
+struct Avx2AndCount {
+  HIDO_TARGET_AVX2 static size_t Run(const uint64_t* const* srcs, size_t k,
+                                     size_t n) {
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i acc = zero;
+    size_t i = 0;
+    const size_t vector_end = n - n % 4;
+    while (i < vector_end) {
+      // A byte holds the counts of up to 31 vectors (31 * 8 < 256), so
+      // they are summed bytewise and widened once per block.
+      const size_t block_end = std::min(vector_end, i + 4 * 31);
+      __m256i bytes = zero;
+      for (; i < block_end; i += 4) {
+        bytes = _mm256_add_epi8(
+            bytes, PopcountBytes256(Avx2AndVector<K>(srcs, k, i)));
+      }
+      acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
+    }
+    size_t total = HorizontalSum256(acc);
+    for (; i < n; ++i) {
+      total += static_cast<size_t>(std::popcount(AndWord<K>(srcs, k, i)));
+    }
+    return total;
+  }
+};
 
 HIDO_TARGET_AVX2 void Avx2AndWith(uint64_t* dst, const uint64_t* src,
                                   size_t n) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(vd, vs));
+                        _mm256_and_si256(Load256(dst + i), Load256(src + i)));
   }
   for (; i < n; ++i) dst[i] &= src[i];
 }
@@ -188,11 +243,7 @@ HIDO_TARGET_AVX2 size_t Avx2AndCountInto(uint64_t* dst, const uint64_t* src,
   __m256i acc = _mm256_setzero_si256();
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i v = _mm256_and_si256(vd, vs);
+    const __m256i v = _mm256_and_si256(Load256(dst + i), Load256(src + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
     acc = _mm256_add_epi64(
         acc, _mm256_sad_epu8(PopcountBytes256(v), _mm256_setzero_si256()));
@@ -207,8 +258,11 @@ HIDO_TARGET_AVX2 size_t Avx2AndCountInto(uint64_t* dst, const uint64_t* src,
 }
 
 const BitsetKernels kAvx2Kernels = {
-    KernelKind::kAvx2, "avx2",       Avx2Count,
-    Avx2AndCount,      Avx2AndWith,  Avx2AndCountInto,
+    KernelKind::kAvx2,
+    "avx2",
+    AndCountByK<Avx2AndCount>,
+    Avx2AndWith,
+    Avx2AndCountInto,
 };
 
 bool Avx2Supported() { return __builtin_cpu_supports("avx2") != 0; }
@@ -225,34 +279,44 @@ inline uint64x2_t NeonPopcountWiden(uint8x16_t v) {
   return vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(v))));
 }
 
-size_t NeonCount(const uint64_t* a, size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t v = vreinterpretq_u8_u64(vld1q_u64(a + i));
-    acc = vaddq_u64(acc, NeonPopcountWiden(v));
-  }
-  size_t total = static_cast<size_t>(vgetq_lane_u64(acc, 0)) +
-                 static_cast<size_t>(vgetq_lane_u64(acc, 1));
-  for (; i < n; ++i) total += static_cast<size_t>(std::popcount(a[i]));
-  return total;
+// Words [i, i + 2) of srcs[0] & ... & srcs[k-1]; K > 0 unrolls the chain.
+template <size_t... J>
+inline uint64x2_t NeonAndFold(const uint64_t* const* srcs, size_t i,
+                              std::index_sequence<J...>) {
+  uint64x2_t v = vld1q_u64(srcs[0] + i);
+  ((v = vandq_u64(v, vld1q_u64(srcs[J + 1] + i))), ...);
+  return v;
 }
 
-size_t NeonAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t va = vreinterpretq_u8_u64(vld1q_u64(a + i));
-    const uint8x16_t vb = vreinterpretq_u8_u64(vld1q_u64(b + i));
-    acc = vaddq_u64(acc, NeonPopcountWiden(vandq_u8(va, vb)));
+template <size_t K>
+inline uint64x2_t NeonAndVector(const uint64_t* const* srcs, size_t k,
+                                size_t i) {
+  if constexpr (K > 0) {
+    return NeonAndFold(srcs, i, std::make_index_sequence<K - 1>{});
+  } else {
+    uint64x2_t v = vld1q_u64(srcs[0] + i);
+    for (size_t j = 1; j < k; ++j) v = vandq_u64(v, vld1q_u64(srcs[j] + i));
+    return v;
   }
-  size_t total = static_cast<size_t>(vgetq_lane_u64(acc, 0)) +
-                 static_cast<size_t>(vgetq_lane_u64(acc, 1));
-  for (; i < n; ++i) {
-    total += static_cast<size_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
 }
+
+template <size_t K>
+struct NeonAndCount {
+  static size_t Run(const uint64_t* const* srcs, size_t k, size_t n) {
+    uint64x2_t acc = vdupq_n_u64(0);
+    size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      acc = vaddq_u64(acc, NeonPopcountWiden(vreinterpretq_u8_u64(
+                               NeonAndVector<K>(srcs, k, i))));
+    }
+    size_t total = static_cast<size_t>(vgetq_lane_u64(acc, 0)) +
+                   static_cast<size_t>(vgetq_lane_u64(acc, 1));
+    for (; i < n; ++i) {
+      total += static_cast<size_t>(std::popcount(AndWord<K>(srcs, k, i)));
+    }
+    return total;
+  }
+};
 
 void NeonAndWith(uint64_t* dst, const uint64_t* src, size_t n) {
   size_t i = 0;
@@ -285,8 +349,11 @@ size_t NeonAndCountInto(uint64_t* dst, const uint64_t* src, size_t n) {
 }
 
 const BitsetKernels kNeonKernels = {
-    KernelKind::kNeon, "neon",       NeonCount,
-    NeonAndCount,      NeonAndWith,  NeonAndCountInto,
+    KernelKind::kNeon,
+    "neon",
+    AndCountByK<NeonAndCount>,
+    NeonAndWith,
+    NeonAndCountInto,
 };
 
 #endif  // HIDO_KERNELS_HAVE_NEON

@@ -2,9 +2,8 @@
 #define HIDO_COMMON_BITSET_KERNELS_H_
 
 // Counting kernels for the DynamicBitset hot loops — the AND+popcount at
-// the bottom of every cube count (grid/cube_counter.cc), which prefix
-// memoization and the ensemble fan-out concentrated into the single
-// hottest loop in the repo.
+// the bottom of every cube count (grid/cube_counter.cc), which the search
+// and the ensemble fan-out make the hottest loop in the repo.
 //
 // Three implementations share one function-pointer table layout:
 //
@@ -16,6 +15,12 @@
 //           per-function target attribute on x86-64 and selected only
 //           when the CPU reports AVX2.
 //   neon    128-bit vand + vcnt on AArch64.
+//
+// A k-cube count is one and_count_many call: each source word is read
+// once, the AND chain stays in registers and one popcount runs per word.
+// Each implementation instantiates that loop per k over the range the k*
+// rule reaches, so the chain is straight-line code; larger k take a
+// runtime-k loop (DESIGN.md "Counting kernels").
 //
 // The active table is resolved once, at first use, by CPUID-style runtime
 // detection, overridable with HIDO_KERNEL=scalar|avx2|neon|auto so CI can
@@ -46,11 +51,11 @@ enum class KernelKind {
 /// `n` is a word count; word arrays may overlap only when identical.
 struct BitsetKernels {
   KernelKind kind;   ///< which implementation this table is
-  const char* name;  ///< canonical lowercase kernel name
-  /// Population count of a[0..n).
-  size_t (*count)(const uint64_t* a, size_t n);
-  /// Population count of a & b without materializing the AND.
-  size_t (*and_count)(const uint64_t* a, const uint64_t* b, size_t n);
+  const char* name;  ///< canonical lowercase name
+  /// Population count of srcs[0] & srcs[1] & ... & srcs[k-1] over words
+  /// [0, n), in one pass that materializes nothing. k >= 1; k = 1 is a
+  /// plain popcount, k = 2 the two-way AND count.
+  size_t (*and_count_many)(const uint64_t* const* srcs, size_t k, size_t n);
   /// dst &= src.
   void (*and_with)(uint64_t* dst, const uint64_t* src, size_t n);
   /// Fused dst &= src returning the population count of the result —

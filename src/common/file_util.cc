@@ -4,10 +4,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <utility>
+#include <vector>
+
+#include "common/parallel.h"
 
 namespace hido {
 
@@ -24,6 +30,50 @@ struct FdCloser {
   FdCloser& operator=(const FdCloser&) = delete;
   const int fd;
 };
+
+// Fills buffer[0, length) from the file at `offset`. A file that ends
+// first shrank after its size was taken: that is an error, never a buffer
+// with a hole in it.
+Status ReadSlice(int fd, const std::string& path, char* buffer,
+                 size_t offset, size_t length) {
+  size_t done = 0;
+  while (done < length) {
+    const ssize_t got = ::pread(fd, buffer + done, length - done,
+                                static_cast<off_t>(offset + done));
+    if (got == 0) {
+      return Status::IoError("file shrank while being read: " + path);
+    }
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("read failure: " + path);
+    }
+    done += static_cast<size_t>(got);
+  }
+  return Status::Ok();
+}
+
+// Reads from the descriptor's offset to end of file into `*buffer`, which
+// holds `*size` bytes and has room for `*capacity`; it doubles when full.
+Status ReadToEnd(int fd, const std::string& path,
+                 std::unique_ptr<char[]>* buffer, size_t* capacity,
+                 size_t* size) {
+  while (true) {
+    if (*size == *capacity) {
+      std::unique_ptr<char[]> grown =
+          std::make_unique_for_overwrite<char[]>(2 * *capacity);
+      std::memcpy(grown.get(), buffer->get(), *size);
+      *buffer = std::move(grown);
+      *capacity *= 2;
+    }
+    const ssize_t got = ::read(fd, buffer->get() + *size, *capacity - *size);
+    if (got == 0) return Status::Ok();
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("read failure: " + path);
+    }
+    *size += static_cast<size_t>(got);
+  }
+}
 
 std::atomic<int> g_write_failpoint{
     static_cast<int>(internal::WriteFailStep::kNone)};
@@ -47,7 +97,7 @@ void ArmWriteFailpointForTest(WriteFailStep step) {
 
 }  // namespace internal
 
-Result<std::string> ReadFileToString(const std::string& path) {
+Result<FileBytes> ReadFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IoError("cannot open for reading: " + path);
@@ -60,27 +110,35 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (S_ISDIR(info.st_mode)) {
     return Status::IoError("is a directory: " + path);
   }
-  // A regular file is read into a buffer sized from the file, with one
-  // spare byte so that end of file shows without growing it. A pipe or
-  // FIFO has no size up front: its buffer doubles until end of file.
-  std::string buffer(S_ISREG(info.st_mode)
-                         ? static_cast<size_t>(info.st_size) + 1
-                         : kUnsizedReadBytes,
-                     '\0');
-  size_t size = 0;
-  while (true) {
-    if (size == buffer.size()) buffer.resize(2 * buffer.size());
-    const ssize_t got =
-        ::read(fd, buffer.data() + size, buffer.size() - size);
-    if (got == 0) break;
-    if (got < 0) {
-      if (errno == EINTR) continue;
+  FileBytes bytes;
+  size_t capacity = kUnsizedReadBytes;
+  if (S_ISREG(info.st_mode)) {
+    // Sized from the file, with one spare byte so that end of file shows
+    // without growing the buffer. The slices are read in parallel.
+    const size_t size = static_cast<size_t>(info.st_size);
+    capacity = size + 1;
+    bytes.data_ = std::make_unique_for_overwrite<char[]>(capacity);
+    const size_t slices = (size + kReadSliceBytes - 1) / kReadSliceBytes;
+    std::vector<Status> slice_status(slices, Status::Ok());
+    ParallelFor(slices, HardwareThreads(), [&](size_t slice, size_t) {
+      const size_t offset = slice * kReadSliceBytes;
+      slice_status[slice] =
+          ReadSlice(fd, path, bytes.data_.get() + offset, offset,
+                    std::min(kReadSliceBytes, size - offset));
+    });
+    for (const Status& status : slice_status) HIDO_RETURN_IF_ERROR(status);
+    bytes.size_ = size;
+    // Bytes appended since the fstat are read on to end of file.
+    if (::lseek(fd, static_cast<off_t>(size), SEEK_SET) < 0) {
       return Status::IoError("read failure: " + path);
     }
-    size += static_cast<size_t>(got);
+  } else {
+    // A pipe or FIFO has no size up front.
+    bytes.data_ = std::make_unique_for_overwrite<char[]>(capacity);
   }
-  buffer.resize(size);
-  return buffer;
+  HIDO_RETURN_IF_ERROR(
+      ReadToEnd(fd, path, &bytes.data_, &capacity, &bytes.size_));
+  return bytes;
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& content) {

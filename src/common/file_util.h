@@ -1,18 +1,46 @@
 #ifndef HIDO_COMMON_FILE_UTIL_H_
 #define HIDO_COMMON_FILE_UTIL_H_
 
-// Small file helpers shared by the persistence layers (models,
-// checkpoints, snapshots): whole-file reads and crash-tolerant atomic
-// writes.
+// Small file helpers shared by the input and persistence layers (CSV,
+// models, checkpoints, snapshots): whole-file reads and crash-tolerant
+// atomic writes.
 
+#include <cstddef>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
 namespace hido {
 
-/// Reads the entire file into a string (binary, no translation).
-Result<std::string> ReadFileToString(const std::string& path);
+/// A whole file's bytes in one heap buffer. The buffer is not zero-filled
+/// before the read overwrites it, which a std::string cannot offer.
+class FileBytes {
+ public:
+  FileBytes() = default;  ///< no bytes
+
+  /// The bytes read; valid while this object lives.
+  std::string_view view() const { return {data_.get(), size_}; }
+
+ private:
+  friend Result<FileBytes> ReadFile(const std::string& path);
+  std::unique_ptr<char[]> data_;
+  size_t size_ = 0;
+};
+
+/// ReadFile reads a regular file in slices of this many bytes, one task
+/// each on the shared pool: large enough that each pread's fixed cost
+/// vanishes, small enough that an 80 MB file keeps every worker busy.
+inline constexpr size_t kReadSliceBytes = size_t{4} << 20;
+
+/// Reads the entire file (binary, no translation). A regular file is read
+/// straight into a buffer of its `fstat` size, in kReadSliceBytes slices
+/// in parallel, then on to end of file should it have grown; a slice that
+/// comes up short (the file shrank meanwhile) is an IoError. A pipe or
+/// FIFO is read to its end into a doubling buffer. A directory is an
+/// IoError.
+Result<FileBytes> ReadFile(const std::string& path);
 
 /// Writes `content` to `path` via a temporary sibling file followed by a
 /// rename, so a crash mid-write can never leave a truncated or interleaved

@@ -6,6 +6,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/parameter_advisor.h"
+#include "core/search_checkpoint.h"
 #include "grid/cube_counter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,6 +30,33 @@ void PublishDetectMetrics(const DetectionResult& result) {
                     StopCauseToString(result.stop_cause))
         .Add(1);
   }
+}
+
+// φ and k for `data`: the configured values, or §2.4's when left at 0.
+struct ResolvedParameters {
+  size_t phi = 0;
+  size_t target_dim = 0;
+};
+
+ResolvedParameters Resolve(const DetectorConfig& config,
+                           const Dataset& data) {
+  const ParameterAdvice advice = AdviseParameters(
+      data.num_rows(), data.num_cols(), config.sparsity_target, config.phi);
+  return {advice.phi, config.target_dim != 0
+                          ? std::min(config.target_dim, data.num_cols())
+                          : advice.k};
+}
+
+// The options the evolutionary search runs with.
+EvolutionaryOptions EvolutionOptions(const DetectorConfig& config,
+                                     size_t target_dim) {
+  EvolutionaryOptions options = config.evolution;
+  options.target_dim = target_dim;
+  options.num_projections = config.num_projections;
+  options.seed = config.seed;
+  if (config.num_threads != 0) options.num_threads = config.num_threads;
+  if (config.stop != nullptr) options.stop = config.stop;
+  return options;
 }
 
 }  // namespace
@@ -57,14 +85,9 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
   DetectionResult result;
   result.algorithm = config_.algorithm;
 
-  // Resolve phi and k per §2.4 when left automatic.
-  const ParameterAdvice advice = AdviseParameters(
-      data.num_rows(), data.num_cols(), config_.sparsity_target,
-      config_.phi);
-  result.phi = advice.phi;
-  result.target_dim = config_.target_dim != 0
-                          ? std::min(config_.target_dim, data.num_cols())
-                          : advice.k;
+  const ResolvedParameters resolved = Resolve(config_, data);
+  result.phi = resolved.phi;
+  result.target_dim = resolved.target_dim;
 
   GridModel::Options gopts;
   gopts.phi = result.phi;
@@ -90,13 +113,8 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
 
   std::vector<ScoredProjection> best;
   if (config_.algorithm == SearchAlgorithm::kEvolutionary) {
-    EvolutionaryOptions eopts = config_.evolution;
-    eopts.target_dim = result.target_dim;
-    eopts.num_projections = config_.num_projections;
-    eopts.seed = config_.seed;
-    if (config_.num_threads != 0) eopts.num_threads = config_.num_threads;
-    if (config_.stop != nullptr) eopts.stop = config_.stop;
-    EvolutionResult search = EvolutionarySearch(objective, eopts);
+    EvolutionResult search = EvolutionarySearch(
+        objective, EvolutionOptions(config_, result.target_dim));
     result.evolution_stats = search.stats;
     result.completed = search.stats.completed;
     result.stop_cause = search.stats.stop_cause;
@@ -121,6 +139,18 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
   result.seconds = watch.ElapsedSeconds();
   PublishDetectMetrics(result);
   return result;
+}
+
+Status OutlierDetector::CheckResume(const Dataset& data) const {
+  const EvolutionCheckpoint* resume = config_.evolution.resume;
+  if (resume == nullptr ||
+      config_.algorithm != SearchAlgorithm::kEvolutionary) {
+    return Status::Ok();
+  }
+  const ResolvedParameters resolved = Resolve(config_, data);
+  return ValidateCheckpoint(
+      *resume, EvolutionOptions(config_, resolved.target_dim),
+      {data.num_rows(), data.num_cols(), resolved.phi}, config_.expectation);
 }
 
 }  // namespace hido

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "common/status.h"
 #include "core/brute_force.h"
 #include "core/evolutionary_search.h"
 #include "core/postprocess.h"
@@ -99,6 +100,13 @@ class OutlierDetector {
 
   /// Runs detection on `data` (num_rows >= 1, num_cols >= 1).
   DetectionResult Detect(const Dataset& data) const;
+
+  /// Checks the checkpoint in `config().evolution.resume`, when an
+  /// evolutionary run has one, against `data` before any grid is built:
+  /// the FailedPrecondition ValidateCheckpoint gives for a checkpoint of
+  /// another seed, input or configuration. Detect treats such a mismatch
+  /// as a broken invariant, so callers resuming outside input check here.
+  Status CheckResume(const Dataset& data) const;
 
   const DetectorConfig& config() const { return config_; }  ///< as constructed
 

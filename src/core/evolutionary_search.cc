@@ -414,7 +414,8 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
   const EvolutionCheckpoint* resume = options.resume;
   if (resume != nullptr) {
     const Status valid =
-        ValidateCheckpoint(*resume, options, grid, objective.expectation());
+        ValidateCheckpoint(*resume, options, GridShape::Of(grid),
+                           objective.expectation());
     HIDO_CHECK_MSG(valid.ok(), "resume checkpoint rejected: %s",
                    valid.ToString().c_str());
   }

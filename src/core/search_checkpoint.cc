@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/file_util.h"
 #include "common/string_util.h"
@@ -56,12 +57,20 @@ void AppendBest(std::string& out,
   }
 }
 
+// Projections are dense, one cell per dimension, so the memory a
+// checkpoint's entries take is their count times num_dims — and both come
+// from the file. The parser grows its containers only as entries parse and
+// builds at most this many projection cells in all (128 MiB), so a
+// num_dims the text cannot back fails instead of exhausting memory.
+constexpr size_t kMaxProjectionCells = size_t{1} << 26;
+
 // Token-stream parser state shared by the Parse* helpers below.
 struct Parser {
   std::istringstream in;
   std::string token;
+  size_t projection_cells = 0;  ///< cells of the projections built so far
 
-  explicit Parser(const std::string& text) : in(text) {}
+  explicit Parser(std::string_view text) : in(std::string(text)) {}
 
   Status Fail(const std::string& what) {
     return Status::ParseError("checkpoint: " + what);
@@ -80,6 +89,10 @@ Status ParseProjection(Parser& p, size_t num_dims, size_t phi,
   if (!(p.in >> num_conditions) || num_conditions > num_dims) {
     return p.Fail("bad condition count");
   }
+  if (num_dims > kMaxProjectionCells - p.projection_cells) {
+    return p.Fail("projections exceed the cell budget for num_dims");
+  }
+  p.projection_cells += num_dims;
   out = Projection(num_dims);
   for (size_t c = 0; c < num_conditions; ++c) {
     if (!(p.in >> p.token)) return p.Fail("missing condition");
@@ -114,12 +127,14 @@ Status ParseStats(Parser& p, CubeCounter::Stats& stats) {
 }
 
 Status ParseBest(Parser& p, size_t num_dims, size_t phi,
+                 size_t num_projections,
                  std::vector<ScoredProjection>& best) {
   HIDO_RETURN_IF_ERROR(p.ExpectKey("num_best"));
   size_t num_best = 0;
-  if (!(p.in >> num_best)) return p.Fail("bad num_best");
+  if (!(p.in >> num_best) || num_best > num_projections) {
+    return p.Fail("bad num_best");
+  }
   best.clear();
-  best.reserve(num_best);
   for (size_t b = 0; b < num_best; ++b) {
     HIDO_RETURN_IF_ERROR(p.ExpectKey("best"));
     ScoredProjection scored;
@@ -136,11 +151,11 @@ Status ParseBest(Parser& p, size_t num_dims, size_t phi,
   return Status::Ok();
 }
 
-}  // namespace
-
-EvolutionCheckpoint MakeCheckpointShell(const EvolutionaryOptions& options,
-                                        const GridModel& grid,
-                                        ExpectationModel expectation) {
+// The fingerprint fields of a checkpoint for `options` over `shape`, with
+// no runs.
+EvolutionCheckpoint Fingerprint(const EvolutionaryOptions& options,
+                                const GridShape& shape,
+                                ExpectationModel expectation) {
   EvolutionCheckpoint checkpoint;
   checkpoint.seed = options.seed;
   checkpoint.restarts = std::max<size_t>(1, options.restarts);
@@ -156,9 +171,23 @@ EvolutionCheckpoint MakeCheckpointShell(const EvolutionaryOptions& options,
   checkpoint.num_projections = options.num_projections;
   checkpoint.require_non_empty = options.require_non_empty;
   checkpoint.expectation = static_cast<int>(expectation);
-  checkpoint.num_dims = grid.num_dims();
-  checkpoint.phi = grid.phi();
-  checkpoint.num_points = grid.num_points();
+  checkpoint.num_dims = shape.num_dims;
+  checkpoint.phi = shape.phi;
+  checkpoint.num_points = shape.num_points;
+  return checkpoint;
+}
+
+}  // namespace
+
+GridShape GridShape::Of(const GridModel& grid) {
+  return {grid.num_points(), grid.num_dims(), grid.phi()};
+}
+
+EvolutionCheckpoint MakeCheckpointShell(const EvolutionaryOptions& options,
+                                        const GridModel& grid,
+                                        ExpectationModel expectation) {
+  EvolutionCheckpoint checkpoint =
+      Fingerprint(options, GridShape::Of(grid), expectation);
   checkpoint.runs.resize(checkpoint.restarts);
   return checkpoint;
 }
@@ -230,7 +259,7 @@ std::string SerializeCheckpoint(const EvolutionCheckpoint& checkpoint) {
   return out;
 }
 
-Result<EvolutionCheckpoint> ParseCheckpoint(const std::string& text) {
+Result<EvolutionCheckpoint> ParseCheckpoint(std::string_view text) {
   Parser p(text);
   if (!(p.in >> p.token) || p.token != kMagic) return p.Fail("bad magic");
   if (!(p.in >> p.token) || p.token != kVersion) {
@@ -291,19 +320,21 @@ Result<EvolutionCheckpoint> ParseCheckpoint(const std::string& text) {
     return p.Fail("bad num_dims");
   }
   HIDO_RETURN_IF_ERROR(p.ExpectKey("phi"));
-  if (!(p.in >> checkpoint.phi) || checkpoint.phi < 2) {
+  // The range `--phi` accepts; a cell must fit a Projection condition.
+  if (!(p.in >> checkpoint.phi) || checkpoint.phi < 2 ||
+      checkpoint.phi >= Projection::kDontCare) {
     return p.Fail("bad phi");
   }
   HIDO_RETURN_IF_ERROR(p.ExpectKey("num_points"));
   if (!(p.in >> checkpoint.num_points)) return p.Fail("bad num_points");
 
-  checkpoint.runs.resize(checkpoint.restarts);
+  // One entry per `run` line the text holds, never sized from `restarts`.
   for (size_t r = 0; r < checkpoint.restarts; ++r) {
     HIDO_RETURN_IF_ERROR(p.ExpectKey("run"));
     size_t index = 0;
     if (!(p.in >> index) || index != r) return p.Fail("bad run index");
     if (!(p.in >> p.token)) return p.Fail("bad run state");
-    RestartCheckpoint& run = checkpoint.runs[r];
+    RestartCheckpoint& run = checkpoint.runs.emplace_back();
     if (p.token == "unstarted") {
       run.state = RestartCheckpoint::State::kUnstarted;
       continue;
@@ -350,11 +381,8 @@ Result<EvolutionCheckpoint> ParseCheckpoint(const std::string& text) {
       run.rng.has_spare_normal = has_spare == 1;
     }
 
-    HIDO_RETURN_IF_ERROR(
-        ParseBest(p, checkpoint.num_dims, checkpoint.phi, run.best));
-    if (run.best.size() > checkpoint.num_projections) {
-      return p.Fail("best set exceeds num_projections");
-    }
+    HIDO_RETURN_IF_ERROR(ParseBest(p, checkpoint.num_dims, checkpoint.phi,
+                                   checkpoint.num_projections, run.best));
 
     if (run.state == RestartCheckpoint::State::kPartial) {
       HIDO_RETURN_IF_ERROR(p.ExpectKey("population"));
@@ -363,9 +391,9 @@ Result<EvolutionCheckpoint> ParseCheckpoint(const std::string& text) {
           population_size != checkpoint.population_size) {
         return p.Fail("population size mismatch");
       }
-      run.population.resize(population_size);
-      for (Individual& individual : run.population) {
+      for (size_t i = 0; i < population_size; ++i) {
         HIDO_RETURN_IF_ERROR(p.ExpectKey("indiv"));
+        Individual& individual = run.population.emplace_back();
         int feasible = 0;
         if (!(p.in >> feasible >> individual.count >>
               individual.sparsity) ||
@@ -387,10 +415,10 @@ Result<EvolutionCheckpoint> ParseCheckpoint(const std::string& text) {
 
 Status ValidateCheckpoint(const EvolutionCheckpoint& checkpoint,
                           const EvolutionaryOptions& options,
-                          const GridModel& grid,
+                          const GridShape& shape,
                           ExpectationModel expectation) {
   const EvolutionCheckpoint expected =
-      MakeCheckpointShell(options, grid, expectation);
+      Fingerprint(options, shape, expectation);
   auto mismatch = [](const char* what) {
     return Status::FailedPrecondition(
         StrFormat("checkpoint does not match this run: %s differs", what));
@@ -444,6 +472,23 @@ Status ValidateCheckpoint(const EvolutionCheckpoint& checkpoint,
     return Status::FailedPrecondition(
         "checkpoint target_dim exceeds dimensionality");
   }
+  // The search only ever keeps target_dim-cubes as best entries and as
+  // feasible individuals; the genetic operators rely on it.
+  for (const RestartCheckpoint& run : checkpoint.runs) {
+    for (const ScoredProjection& scored : run.best) {
+      if (scored.projection.Dimensionality() != checkpoint.target_dim) {
+        return Status::FailedPrecondition(
+            "checkpoint best entry is not a target_dim cube");
+      }
+    }
+    for (const Individual& individual : run.population) {
+      if (individual.feasible &&
+          individual.projection.Dimensionality() != checkpoint.target_dim) {
+        return Status::FailedPrecondition(
+            "checkpoint individual marked feasible is not a target_dim cube");
+      }
+    }
+  }
   return Status::Ok();
 }
 
@@ -453,9 +498,9 @@ Status SaveCheckpointAtomic(const EvolutionCheckpoint& checkpoint,
 }
 
 Result<EvolutionCheckpoint> LoadCheckpoint(const std::string& path) {
-  Result<std::string> text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return ParseCheckpoint(text.value());
+  const Result<FileBytes> bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return ParseCheckpoint(bytes.value().view());
 }
 
 }  // namespace hido

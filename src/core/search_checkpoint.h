@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -95,6 +96,18 @@ struct EvolutionCheckpoint {
   std::vector<RestartCheckpoint> runs;  ///< one entry per restart
 };
 
+/// The grid facts a checkpoint is fingerprinted with. All three are known
+/// before the grid is built: the data's rows and columns, and the φ the
+/// detector resolves from them.
+struct GridShape {
+  size_t num_points = 0;  ///< dataset rows n
+  size_t num_dims = 0;    ///< dataset dimensionality d
+  size_t phi = 0;         ///< grid ranges per dimension
+
+  /// The shape of a built grid.
+  static GridShape Of(const GridModel& grid);
+};
+
 /// An all-unstarted checkpoint fingerprinting `options` over `grid`.
 EvolutionCheckpoint MakeCheckpointShell(const EvolutionaryOptions& options,
                                         const GridModel& grid,
@@ -103,14 +116,17 @@ EvolutionCheckpoint MakeCheckpointShell(const EvolutionaryOptions& options,
 /// Serializes to the versioned text format.
 std::string SerializeCheckpoint(const EvolutionCheckpoint& checkpoint);
 
-/// Parses the text format (ParseError on any malformed content).
-Result<EvolutionCheckpoint> ParseCheckpoint(const std::string& text);
+/// Parses the text format (ParseError on any malformed content). Memory
+/// grows with the entries the text holds, never with a count it claims.
+Result<EvolutionCheckpoint> ParseCheckpoint(std::string_view text);
 
 /// Rejects a checkpoint whose fingerprint or structure does not match
-/// `options` + `grid` (so --resume cannot silently mix experiments).
+/// `options` + a grid of `shape` (so --resume cannot silently mix
+/// experiments): FailedPrecondition naming the first field that differs,
+/// or the entry the search could not have written.
 Status ValidateCheckpoint(const EvolutionCheckpoint& checkpoint,
                           const EvolutionaryOptions& options,
-                          const GridModel& grid,
+                          const GridShape& shape,
                           ExpectationModel expectation);
 
 /// File wrappers. Saving uses an atomic write-rename.

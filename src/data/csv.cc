@@ -12,7 +12,7 @@
 
 namespace hido {
 
-Result<Dataset> ReadCsvString(const std::string& text,
+Result<Dataset> ReadCsvString(std::string_view text,
                               const CsvReadOptions& options) {
   Result<internal::CsvTable> parsed =
       internal::ParseCsv(text, options, /*encode_categorical=*/false);
@@ -38,9 +38,9 @@ Result<Dataset> ReadCsvString(const std::string& text,
 
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvReadOptions& options) {
-  const Result<std::string> text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return ReadCsvString(text.value(), options);
+  const Result<FileBytes> bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return ReadCsvString(bytes.value().view(), options);
 }
 
 std::string WriteCsvString(const Dataset& data,

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "common/run_control.h"
 #include "common/status.h"
@@ -64,7 +65,7 @@ Result<Dataset> ReadCsv(const std::string& path,
                         const CsvReadOptions& options = {});
 
 /// Parses CSV text directly (same semantics as ReadCsv).
-Result<Dataset> ReadCsvString(const std::string& text,
+Result<Dataset> ReadCsvString(std::string_view text,
                               const CsvReadOptions& options = {});
 
 /// Writes `data` to `path`.

@@ -19,7 +19,7 @@ std::string EncodedDataset::Decode(size_t column, double code) const {
   return "";
 }
 
-Result<EncodedDataset> ReadCsvEncodedString(const std::string& text,
+Result<EncodedDataset> ReadCsvEncodedString(std::string_view text,
                                             const CsvReadOptions& options) {
   Result<internal::CsvTable> parsed =
       internal::ParseCsv(text, options, /*encode_categorical=*/true);
@@ -50,9 +50,9 @@ Result<EncodedDataset> ReadCsvEncodedString(const std::string& text,
 
 Result<EncodedDataset> ReadCsvEncoded(const std::string& path,
                                       const CsvReadOptions& options) {
-  const Result<std::string> text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return ReadCsvEncodedString(text.value(), options);
+  const Result<FileBytes> bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return ReadCsvEncodedString(bytes.value().view(), options);
 }
 
 }  // namespace hido

@@ -15,6 +15,7 @@
 // sizes — prefer it on strongly categorical data.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -48,7 +49,7 @@ Result<EncodedDataset> ReadCsvEncoded(const std::string& path,
                                       const CsvReadOptions& options = {});
 
 /// Same, parsing from a string.
-Result<EncodedDataset> ReadCsvEncodedString(const std::string& text,
+Result<EncodedDataset> ReadCsvEncodedString(std::string_view text,
                                             const CsvReadOptions& options = {});
 
 }  // namespace hido

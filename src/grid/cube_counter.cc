@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitset_kernels.h"
 #include "common/macros.h"
 
 namespace hido {
@@ -39,7 +40,7 @@ CubeCounter::CubeCounter(const GridModel& grid)
     : CubeCounter(grid, Options()) {}
 
 CubeCounter::CubeCounter(const GridModel& grid, const Options& options)
-    : grid_(&grid), options_(options), scratch_(grid.num_points()) {}
+    : grid_(&grid), options_(options) {}
 
 size_t CubeCounter::Count(const std::vector<DimRange>& conditions) {
   ValidateConditions(*grid_, conditions);
@@ -86,24 +87,32 @@ CountingStrategy CubeCounter::Choose(
 }
 
 size_t CubeCounter::CountBitset(const std::vector<DimRange>& conditions) {
-  // Forced-bitset counting must handle array containers too (kAuto only
-  // sends all-bitmap cubes here): the container intersections below cover
-  // every representation pairing.
   if (conditions.size() == 1) {
     return grid_->RangeCardinality(conditions[0].dim, conditions[0].cell);
   }
-  if (conditions.size() == 2) {
-    return grid_->Container(conditions[0].dim, conditions[0].cell)
-        .AndCount(grid_->Container(conditions[1].dim, conditions[1].cell));
+  // kAuto sends only all-bitmap cubes here, and those are counted straight
+  // from the containers' words. A forced kBitset must handle array
+  // containers too: each is materialized into a scratch bitmap first.
+  sources_.clear();
+  size_t materialized = 0;
+  size_t num_words = 0;  // the same for every bitmap over the grid's points
+  for (const DimRange& c : conditions) {
+    const PostingContainer& container = grid_->Container(c.dim, c.cell);
+    const DynamicBitset* bits = nullptr;
+    if (container.kind() == PostingContainer::Kind::kBitmap) {
+      bits = &container.bitmap();
+    } else {
+      if (materialized == scratch_.size()) {
+        scratch_.emplace_back(grid_->num_points());
+      }
+      container.MaterializeInto(scratch_[materialized]);
+      bits = &scratch_[materialized++];
+    }
+    sources_.push_back(bits->words());
+    num_words = bits->num_words();
   }
-  grid_->Container(conditions[0].dim, conditions[0].cell)
-      .MaterializeInto(scratch_);
-  for (size_t i = 1; i + 1 < conditions.size(); ++i) {
-    grid_->Container(conditions[i].dim, conditions[i].cell)
-        .AndInto(scratch_);
-  }
-  const DimRange& last = conditions.back();
-  return grid_->Container(last.dim, last.cell).AndCountWith(scratch_);
+  return ActiveKernels().and_count_many(sources_.data(), sources_.size(),
+                                        num_words);
 }
 
 std::vector<uint32_t> CubeCounter::IntersectIds(

@@ -8,6 +8,7 @@
 // counts are not memoized" for the end-to-end measurement.
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/bitset.h"
@@ -25,7 +26,7 @@ enum class CountingStrategy {
 /// Counts points covered by conjunctions of grid conditions.
 ///
 /// Threading contract: one CubeCounter instance serves one thread (its
-/// statistics and scratch bitset are unsynchronized mutable state).
+/// statistics and scratch buffers are unsynchronized mutable state).
 /// Concurrent searches use one counter per worker over the shared
 /// read-only grid.
 ///
@@ -82,6 +83,7 @@ class CubeCounter {
 
  private:
   CountingStrategy Choose(const std::vector<DimRange>& conditions) const;
+  /// The bitset path: one fused AND+popcount over the cube's bitmaps.
   size_t CountBitset(const std::vector<DimRange>& conditions);
   /// The posting-list path: ids of the smallest container, filtered by
   /// probing every other container.
@@ -91,7 +93,10 @@ class CubeCounter {
   const GridModel* grid_;
   Options options_;
   Stats stats_;
-  DynamicBitset scratch_;
+  std::vector<const uint64_t*> sources_;  ///< the count's word arrays
+  /// Bitmap copies of array containers, used only under a forced kBitset.
+  /// A deque: growing it never moves a bitmap `sources_` points into.
+  std::deque<DynamicBitset> scratch_;
 };
 
 }  // namespace hido

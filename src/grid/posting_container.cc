@@ -29,39 +29,6 @@ bool PostingContainer::Contains(uint32_t id) const {
   return std::binary_search(ids_.begin(), ids_.end(), id);
 }
 
-size_t PostingContainer::AndCount(const PostingContainer& other) const {
-  HIDO_CHECK(universe_ == other.universe_);
-  if (kind_ == Kind::kBitmap && other.kind_ == Kind::kBitmap) {
-    return bits_.AndCount(other.bits_);
-  }
-  if (kind_ == Kind::kArray && other.kind_ == Kind::kArray) {
-    // Sorted two-pointer merge count.
-    size_t count = 0;
-    auto a = ids_.begin();
-    auto b = other.ids_.begin();
-    while (a != ids_.end() && b != other.ids_.end()) {
-      if (*a < *b) {
-        ++a;
-      } else if (*b < *a) {
-        ++b;
-      } else {
-        ++count;
-        ++a;
-        ++b;
-      }
-    }
-    return count;
-  }
-  // Mixed: probe the bitmap with the (small) array's ids.
-  const PostingContainer& array = kind_ == Kind::kArray ? *this : other;
-  const PostingContainer& bitmap = kind_ == Kind::kArray ? other : *this;
-  size_t count = 0;
-  for (uint32_t id : array.ids_) {
-    count += bitmap.bits_.Test(id) ? 1 : 0;
-  }
-  return count;
-}
-
 size_t PostingContainer::AndCountWith(const DynamicBitset& bits) const {
   HIDO_CHECK(universe_ == bits.size());
   if (kind_ == Kind::kBitmap) return bits_.AndCount(bits);

@@ -12,9 +12,8 @@
 // The representation is an encoding choice, never a semantic one: every
 // operation computes the same pure set function in either form, so cube
 // counts — and therefore reports — are byte-identical across container
-// thresholds. Intersections cover all pairings (bitmap ∧ bitmap through
-// the kernel table, bitmap ∧ array by probing the bitmap, array ∧ array
-// by sorted merge).
+// thresholds. Intersections with a materialized bitmap cover both forms
+// (a bitmap through the kernel table, an array by probing the bitmap).
 
 #include <cstddef>
 #include <cstdint>
@@ -48,10 +47,6 @@ class PostingContainer {
 
   /// True when `id` is a member. Precondition: id < universe().
   bool Contains(uint32_t id) const;
-
-  /// |this ∩ other| across any representation pairing.
-  /// Precondition: equal universes.
-  size_t AndCount(const PostingContainer& other) const;
 
   /// |this ∩ bits| where `bits` is an already-materialized intersection.
   /// Precondition: bits.size() == universe().

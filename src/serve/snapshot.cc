@@ -380,7 +380,7 @@ std::string SerializeSnapshot(const ModelSnapshot& snapshot) {
   return out;
 }
 
-Result<ModelSnapshot> ParseSnapshot(const std::string& text) {
+Result<ModelSnapshot> ParseSnapshot(std::string_view text) {
   ModelSnapshot snapshot;
   LineReader in(text);
   if (in.AtEnd()) return SnapshotError("empty input");
@@ -485,9 +485,9 @@ Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path) {
 
 Result<std::shared_ptr<ModelSnapshot>> LoadSnapshot(
     const std::string& path) {
-  Result<std::string> text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  Result<ModelSnapshot> parsed = ParseSnapshot(text.value());
+  const Result<FileBytes> bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  Result<ModelSnapshot> parsed = ParseSnapshot(bytes.value().view());
   if (!parsed.ok()) return parsed.status();
   return std::make_shared<ModelSnapshot>(std::move(parsed.value()));
 }

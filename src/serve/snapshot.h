@@ -64,6 +64,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "ensemble/model.h"
@@ -119,7 +120,7 @@ std::string SerializeSnapshot(const ModelSnapshot& snapshot);
 /// keeps the SnapshotInfo defaults). Unknown versions and malformed content
 /// are ParseErrors; unknown *header keys* are ignored so readers tolerate
 /// additive extensions.
-Result<ModelSnapshot> ParseSnapshot(const std::string& text);
+Result<ModelSnapshot> ParseSnapshot(std::string_view text);
 
 /// Serializes and writes atomically (write-rename). A model with no fitted
 /// quantizer or no members — what a fit stopped before its grid was built,

@@ -1,7 +1,9 @@
 #include "common/bitset_kernels.h"
 
+#include <bit>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,8 +40,7 @@ TEST(BitsetKernelsTest, ScalarAlwaysAvailable) {
     const BitsetKernels* table = KernelTableFor(kind);
     ASSERT_NE(table, nullptr);
     EXPECT_EQ(table->kind, kind);
-    EXPECT_NE(table->count, nullptr);
-    EXPECT_NE(table->and_count, nullptr);
+    EXPECT_NE(table->and_count_many, nullptr);
     EXPECT_NE(table->and_with, nullptr);
     EXPECT_NE(table->and_count_into, nullptr);
   }
@@ -65,38 +66,72 @@ TEST(BitsetKernelsTest, OverridesNest) {
   EXPECT_EQ(ActiveKernelKind(), KernelKind::kScalar);
 }
 
+// Population count of srcs[0] & ... & srcs[k-1] over n words, one word
+// at a time: the reference the scalar kernel is checked against.
+size_t AndCountByWord(const std::vector<const uint64_t*>& srcs, size_t n) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t w = ~uint64_t{0};
+    for (const uint64_t* src : srcs) w &= src[i];
+    count += static_cast<size_t>(std::popcount(w));
+  }
+  return count;
+}
+
+// The fused k-way count is tested for k = 1..10: k = 1 is the popcount,
+// k = 2 the two-way AND count, 2..8 are unrolled, 9 and 10 take the
+// runtime-k loop.
+constexpr size_t kMaxTestedSources = 10;
+
 // Every kernel computes the same pure functions: compare each available
 // kernel's raw word primitives against the scalar reference on random
 // word arrays (including n = 0 and odd tails that miss the unroll width).
 TEST(BitsetKernelsTest, KernelsAgreeWithScalarOnRandomWords) {
   const BitsetKernels& scalar = *KernelTableFor(KernelKind::kScalar);
   Rng rng(17);
-  for (KernelKind kind : AvailableKernels()) {
-    const BitsetKernels& kernels = *KernelTableFor(kind);
-    for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 31u, 64u, 65u}) {
-      std::vector<uint64_t> a(n), b(n);
-      for (size_t i = 0; i < n; ++i) {
-        a[i] = rng.Next64();
-        b[i] = rng.Next64();
+  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 31u, 63u, 64u, 65u, 313u,
+                   1563u}) {
+    std::vector<uint64_t> buffer(kMaxTestedSources * (n + kMaxTestedSources));
+    for (uint64_t& w : buffer) {
+      // Dense words, so a 10-way AND still leaves bits to count.
+      w = rng.Next64() | rng.Next64() | rng.Next64();
+    }
+    // Source j starts j words into its own slice of the buffer, so the k
+    // sources sit at different alignments.
+    std::vector<const uint64_t*> srcs;
+    for (size_t j = 0; j < kMaxTestedSources; ++j) {
+      srcs.push_back(buffer.data() + j * (n + kMaxTestedSources) + j);
+    }
+    for (size_t k = 1; k <= kMaxTestedSources; ++k) {
+      const std::vector<const uint64_t*> first_k(srcs.begin(),
+                                                 srcs.begin() + k);
+      const size_t expected = AndCountByWord(first_k, n);
+      EXPECT_EQ(scalar.and_count_many(first_k.data(), k, n), expected)
+          << "scalar and_count_many k=" << k << " n=" << n;
+      for (KernelKind kind : AvailableKernels()) {
+        EXPECT_EQ(KernelTableFor(kind)->and_count_many(first_k.data(), k, n),
+                  expected)
+            << KernelKindName(kind) << " and_count_many k=" << k
+            << " n=" << n;
       }
-      EXPECT_EQ(kernels.count(a.data(), n), scalar.count(a.data(), n))
-          << KernelKindName(kind) << " count n=" << n;
-      EXPECT_EQ(kernels.and_count(a.data(), b.data(), n),
-                scalar.and_count(a.data(), b.data(), n))
-          << KernelKindName(kind) << " and_count n=" << n;
+    }
 
-      std::vector<uint64_t> kernel_dst = a;
-      std::vector<uint64_t> scalar_dst = a;
-      kernels.and_with(kernel_dst.data(), b.data(), n);
-      scalar.and_with(scalar_dst.data(), b.data(), n);
+    const uint64_t* a = srcs[0];
+    const uint64_t* b = srcs[1];
+    for (KernelKind kind : AvailableKernels()) {
+      const BitsetKernels& kernels = *KernelTableFor(kind);
+      std::vector<uint64_t> kernel_dst(a, a + n);
+      std::vector<uint64_t> scalar_dst(a, a + n);
+      kernels.and_with(kernel_dst.data(), b, n);
+      scalar.and_with(scalar_dst.data(), b, n);
       EXPECT_EQ(kernel_dst, scalar_dst)
           << KernelKindName(kind) << " and_with n=" << n;
 
-      std::vector<uint64_t> fused_dst = a;
-      const size_t fused = kernels.and_count_into(fused_dst.data(), b.data(), n);
+      std::vector<uint64_t> fused_dst(a, a + n);
+      const size_t fused = kernels.and_count_into(fused_dst.data(), b, n);
       EXPECT_EQ(fused_dst, scalar_dst)
           << KernelKindName(kind) << " and_count_into words n=" << n;
-      EXPECT_EQ(fused, scalar.count(scalar_dst.data(), n))
+      EXPECT_EQ(fused, AndCountByWord({scalar_dst.data()}, n))
           << KernelKindName(kind) << " and_count_into count n=" << n;
     }
   }
@@ -148,6 +183,40 @@ TEST_P(BitsetKernelBoundary, AndCountWithMismatchedTailWords) {
   EXPECT_EQ(evens.AndCount(odds), 0u);
   EXPECT_EQ(evens.AndCount(a), evens.Count());
   EXPECT_EQ(evens.Count() + odds.Count(), size);
+}
+
+// The k-way count over k = 1..10 bitsets whose tail words disagree: set j
+// holds every bit but the j-th from the top, so each source's ragged tail
+// word changes the count; one set is random, so the count is not a
+// function of the size alone.
+TEST_P(BitsetKernelBoundary, AndCountManyOverRaggedTails) {
+  if (!KernelAvailable()) GTEST_SKIP() << "kernel unavailable on this host";
+  const BitsetKernels& kernels = *KernelTableFor(std::get<0>(GetParam()));
+  const size_t size = std::get<1>(GetParam());
+  Rng rng(7 + size);
+  std::vector<DynamicBitset> sets;
+  for (size_t j = 0; j < kMaxTestedSources; ++j) {
+    DynamicBitset bits(size);
+    bits.SetAll();
+    if (j < size) bits.Clear(size - 1 - j);
+    sets.push_back(std::move(bits));
+  }
+  for (size_t i = 0; i < size; ++i) {
+    if (rng.Bernoulli(0.4)) sets[kMaxTestedSources / 2].Clear(i);
+  }
+  std::vector<const uint64_t*> srcs;
+  for (const DynamicBitset& bits : sets) srcs.push_back(bits.words());
+  for (size_t k = 1; k <= kMaxTestedSources; ++k) {
+    size_t expected = 0;
+    for (size_t i = 0; i < size; ++i) {
+      bool all = true;
+      for (size_t j = 0; j < k; ++j) all = all && sets[j].Test(i);
+      expected += all ? 1 : 0;
+    }
+    EXPECT_EQ(kernels.and_count_many(srcs.data(), k, sets[0].num_words()),
+              expected)
+        << "k=" << k;
+  }
 }
 
 TEST_P(BitsetKernelBoundary, FusedAndCountIntoMatchesTwoPass) {

@@ -33,14 +33,35 @@ class FileUtilTest : public ::testing::Test {
 
 TEST_F(FileUtilTest, RoundTrip) {
   ASSERT_TRUE(WriteFileAtomic(path_, "hello\nworld\n").ok());
-  const Result<std::string> read = ReadFileToString(path_);
+  const Result<FileBytes> read = ReadFile(path_);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value(), "hello\nworld\n");
+  EXPECT_EQ(read.value().view(), "hello\nworld\n");
   EXPECT_FALSE(FileExists(tmp_)) << "temporary left after a clean write";
 }
 
+// A file spanning more than two read slices, with a tail that is neither
+// slice- nor word-aligned, comes back byte for byte.
+TEST_F(FileUtilTest, ReadsFileSpanningSeveralSlices) {
+  std::string content(2 * kReadSliceBytes + 4099, '\0');
+  for (size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<char>((i * 2654435761u) >> 13);
+  }
+  ASSERT_TRUE(WriteFileAtomic(path_, content).ok());
+  const Result<FileBytes> read = ReadFile(path_);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().view().size(), content.size());
+  EXPECT_TRUE(read.value().view() == content);
+}
+
+TEST_F(FileUtilTest, ReadEmptyFile) {
+  ASSERT_TRUE(WriteFileAtomic(path_, "").ok());
+  const Result<FileBytes> read = ReadFile(path_);
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read.value().view().empty());
+}
+
 TEST_F(FileUtilTest, ReadMissingFileFails) {
-  EXPECT_FALSE(ReadFileToString(path_ + ".does-not-exist").ok());
+  EXPECT_FALSE(ReadFile(path_ + ".does-not-exist").ok());
 }
 
 TEST_F(FileUtilTest, OpenFailureToBadDirectory) {
@@ -61,9 +82,9 @@ TEST_F(FileUtilTest, FailpointsLeaveNoStaleTmpAndPreserveOldContent) {
     EXPECT_FALSE(written.ok()) << static_cast<int>(step);
     EXPECT_FALSE(FileExists(tmp_))
         << "stale .tmp after failure step " << static_cast<int>(step);
-    const Result<std::string> read = ReadFileToString(path_);
+    const Result<FileBytes> read = ReadFile(path_);
     ASSERT_TRUE(read.ok());
-    EXPECT_EQ(read.value(), "old content")
+    EXPECT_EQ(read.value().view(), "old content")
         << "target clobbered by failed write, step "
         << static_cast<int>(step);
   }
@@ -73,7 +94,7 @@ TEST_F(FileUtilTest, FailpointIsOneShot) {
   ArmWriteFailpointForTest(WriteFailStep::kWrite);
   EXPECT_FALSE(WriteFileAtomic(path_, "first").ok());
   ASSERT_TRUE(WriteFileAtomic(path_, "second").ok());
-  EXPECT_EQ(ReadFileToString(path_).value(), "second");
+  EXPECT_EQ(ReadFile(path_).value().view(), "second");
 }
 
 TEST_F(FileUtilTest, FirstWriteFailureLeavesNoTargetFile) {

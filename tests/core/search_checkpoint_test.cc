@@ -71,7 +71,7 @@ TEST(SearchCheckpointTest, ShellFingerprintsOptionsAndGrid) {
   for (const RestartCheckpoint& run : shell.runs) {
     EXPECT_EQ(run.state, RestartCheckpoint::State::kUnstarted);
   }
-  EXPECT_TRUE(ValidateCheckpoint(shell, opts, f.grid,
+  EXPECT_TRUE(ValidateCheckpoint(shell, opts, GridShape::Of(f.grid),
                                  f.objective.expectation())
                   .ok());
 }
@@ -84,20 +84,20 @@ TEST(SearchCheckpointTest, ValidateRejectsMismatchedFingerprint) {
 
   EvolutionaryOptions changed = opts;
   changed.seed = opts.seed + 1;
-  const Status bad_seed = ValidateCheckpoint(shell, changed, f.grid,
-                                             f.objective.expectation());
+  const Status bad_seed = ValidateCheckpoint(
+      shell, changed, GridShape::Of(f.grid), f.objective.expectation());
   EXPECT_EQ(bad_seed.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(bad_seed.message().find("seed"), std::string::npos)
       << bad_seed.ToString();
 
   changed = opts;
   changed.population_size += 1;
-  EXPECT_FALSE(ValidateCheckpoint(shell, changed, f.grid,
+  EXPECT_FALSE(ValidateCheckpoint(shell, changed, GridShape::Of(f.grid),
                                   f.objective.expectation())
                    .ok());
 
   Fixture other(GenerateUniform(200, 7, 3), 4);  // different num_dims
-  EXPECT_FALSE(ValidateCheckpoint(shell, opts, other.grid,
+  EXPECT_FALSE(ValidateCheckpoint(shell, opts, GridShape::Of(other.grid),
                                   other.objective.expectation())
                    .ok());
 }

@@ -167,6 +167,38 @@ TEST(CubeCounterTest, ForcedBitsetCorrectOnArrayContainers) {
   }
 }
 
+// The fused bitset count for every k its kernel unrolls (2..8) and for the
+// runtime-k loop beyond (9, 10), against the row-scan oracle: on all
+// bitmaps, on the auto threshold, and on all arrays, where a forced
+// kBitset materializes every container first. 3000 rows leave a ragged
+// last word; phi = 2 keeps 10-cubes non-empty.
+TEST(CubeCounterTest, CountsMatchOracleUpToTenConditions) {
+  const Dataset data = GenerateUniform(3000, 12, 33);
+  for (const size_t threshold :
+       {size_t{0}, GridModel::kAutoArrayThreshold, size_t{3001}}) {
+    GridModel::Options opts;
+    opts.phi = 2;
+    opts.array_threshold = threshold;
+    const GridModel grid = GridModel::Build(data, opts);
+    CubeCounter auto_counter(grid);
+    CubeCounter bitset_counter(grid, {CountingStrategy::kBitset});
+    Rng rng(35);
+    for (size_t k = 1; k <= 10; ++k) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const std::vector<DimRange> conditions =
+            RandomConditions(grid, k, rng);
+        const size_t expected = CountByScan(grid, conditions);
+        EXPECT_EQ(auto_counter.Count(conditions), expected)
+            << "threshold=" << threshold << " k=" << k;
+        EXPECT_EQ(bitset_counter.Count(conditions), expected)
+            << "threshold=" << threshold << " k=" << k;
+      }
+    }
+    EXPECT_EQ(bitset_counter.stats().bitset_counts,
+              bitset_counter.stats().queries);
+  }
+}
+
 TEST(CubeCounterDeathTest, EmptyConditionsAbort) {
   const GridModel grid = MakeGrid(10, 2, 2, 15);
   CubeCounter counter(grid);

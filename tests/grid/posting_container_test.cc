@@ -56,7 +56,8 @@ TEST(PostingContainerTest, EmptyContainer) {
 }
 
 // All four representation pairings compute the same intersection as the
-// sorted-merge reference.
+// sorted-merge reference: either form of one set against the other set
+// materialized from either form, both ways round.
 TEST(PostingContainerTest, AndCountAgreesAcrossAllPairings) {
   Rng rng(23);
   for (int trial = 0; trial < 20; ++trial) {
@@ -72,13 +73,15 @@ TEST(PostingContainerTest, AndCountAgreesAcrossAllPairings) {
         PostingContainer::FromIds(b, universe, universe + 1);
     const PostingContainer b_bmp = PostingContainer::FromIds(b, universe, 0);
 
-    EXPECT_EQ(a_arr.AndCount(b_arr), expected);
-    EXPECT_EQ(a_arr.AndCount(b_bmp), expected);
-    EXPECT_EQ(a_bmp.AndCount(b_arr), expected);
-    EXPECT_EQ(a_bmp.AndCount(b_bmp), expected);
-    // Symmetric.
-    EXPECT_EQ(b_arr.AndCount(a_bmp), expected);
-    EXPECT_EQ(b_bmp.AndCount(a_arr), expected);
+    for (const PostingContainer* left : {&a_arr, &a_bmp}) {
+      for (const PostingContainer* right : {&b_arr, &b_bmp}) {
+        DynamicBitset left_bits(universe), right_bits(universe);
+        left->MaterializeInto(left_bits);
+        right->MaterializeInto(right_bits);
+        EXPECT_EQ(left->AndCountWith(right_bits), expected);
+        EXPECT_EQ(right->AndCountWith(left_bits), expected);  // symmetric
+      }
+    }
   }
 }
 

@@ -78,9 +78,9 @@ TEST(TelemetryTest, SerializesValuesFaithfully) {
 TEST(TelemetryTest, WriteRunTelemetryJsonRoundTripsThroughDisk) {
   const std::string path = ::testing::TempDir() + "/hido_telemetry.json";
   ASSERT_TRUE(WriteRunTelemetryJson(MakeSample(), path).ok());
-  const Result<std::string> read = ReadFileToString(path);
+  const Result<FileBytes> read = ReadFile(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value(), SerializeRunTelemetry(MakeSample()));
+  EXPECT_EQ(read.value().view(), SerializeRunTelemetry(MakeSample()));
   std::remove(path.c_str());
 }
 

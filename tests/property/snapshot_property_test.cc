@@ -29,9 +29,10 @@ const std::vector<std::string>& Fixtures() {
   static const std::vector<std::string> fixtures = [] {
     std::vector<std::string> texts;
     for (const char* name : {"v1.snapshot", "v2.snapshot", "bare.hido"}) {
-      const Result<std::string> text =
-          ReadFileToString(std::string(HIDO_SERVE_TESTDATA) + "/" + name);
-      texts.push_back(text.ok() ? text.value() : std::string());
+      const Result<FileBytes> bytes =
+          ReadFile(std::string(HIDO_SERVE_TESTDATA) + "/" + name);
+      texts.push_back(bytes.ok() ? std::string(bytes.value().view())
+                                 : std::string());
     }
     return texts;
   }();

@@ -200,29 +200,30 @@ TEST(ScoreServiceTest, SwapFaultsLeaveServedGenerationUntouched) {
 
   const std::string good_path = ::testing::TempDir() + "/swap_good.hido";
   ASSERT_TRUE(SaveSnapshot(*FitSnapshot(g, /*seed=*/7), good_path).ok());
-  Result<std::string> bytes = ReadFileToString(good_path);
-  ASSERT_TRUE(bytes.ok());
+  const Result<FileBytes> read = ReadFile(good_path);
+  ASSERT_TRUE(read.ok());
+  const std::string bytes(read.value().view());
 
   const std::string truncated_path =
       ::testing::TempDir() + "/swap_truncated.hido";
   ASSERT_TRUE(WriteFileAtomic(truncated_path,
-                              bytes.value().substr(0, bytes.value().size() / 2))
+                              bytes.substr(0, bytes.size() / 2))
                   .ok());
   const std::string corrupt_path =
       ::testing::TempDir() + "/swap_corrupt.hido";
-  std::string corrupt = bytes.value();
+  std::string corrupt = bytes;
   for (size_t i = 0; i < corrupt.size(); i += 3) corrupt[i] ^= 0x5a;
   ASSERT_TRUE(WriteFileAtomic(corrupt_path, corrupt).ok());
 
   // Counts a crafted file could use to size an allocation: the model's
   // num_dims and phi, and a v2's member count.
   const std::string ensemble_bytes = SerializeSnapshot(*FitEnsembleSnapshot(g));
-  const size_t model_text = bytes.value().find("hido-model");
+  const size_t model_text = bytes.find("hido-model");
   ASSERT_NE(model_text, std::string::npos);
   std::vector<std::string> crafted_paths;
   for (const auto& [text, key, from] :
-       {std::tuple(bytes.value(), "\nnum_dims ", model_text),
-        std::tuple(bytes.value(), "\nphi ", model_text),
+       {std::tuple(bytes, "\nnum_dims ", model_text),
+        std::tuple(bytes, "\nphi ", model_text),
         std::tuple(ensemble_bytes, "\nmembers ", size_t{0})}) {
     std::string crafted = text;
     const size_t start = crafted.find(key, from) + std::strlen(key);

@@ -422,10 +422,10 @@ TEST(ModelIoDeathTest, WrongWidthScoreAborts) {
 // is v1's model text exactly, so it answers v1's replies.
 
 std::string ReadFixture(const std::string& name) {
-  const Result<std::string> text =
-      ReadFileToString(std::string(HIDO_SERVE_TESTDATA) + "/" + name);
-  EXPECT_TRUE(text.ok()) << name << ": " << text.status().ToString();
-  return text.ok() ? text.value() : std::string();
+  const Result<FileBytes> bytes =
+      ReadFile(std::string(HIDO_SERVE_TESTDATA) + "/" + name);
+  EXPECT_TRUE(bytes.ok()) << name << ": " << bytes.status().ToString();
+  return bytes.ok() ? std::string(bytes.value().view()) : std::string();
 }
 
 std::vector<std::string> FixtureLines(const std::string& name) {
@@ -565,7 +565,7 @@ TEST(SnapshotTest, FitStoppedBeforeItsGridIsNotSaved) {
       << saved.ToString();
   EXPECT_NE(saved.message().find("stopped"), std::string::npos)
       << saved.ToString();
-  EXPECT_FALSE(ReadFileToString(path).ok());
+  EXPECT_FALSE(ReadFile(path).ok());
 }
 
 TEST(SnapshotTest, EnsembleStoppedBeforeItsFirstMemberIsNotSaved) {
@@ -595,7 +595,7 @@ TEST(SnapshotTest, EnsembleStoppedBeforeItsFirstMemberIsNotSaved) {
         SaveSnapshot(MakeEnsembleSnapshot(result, g.data, 3), path);
     EXPECT_EQ(saved.code(), StatusCode::kFailedPrecondition)
         << saved.ToString();
-    EXPECT_FALSE(ReadFileToString(path).ok()) << failpoint;
+    EXPECT_FALSE(ReadFile(path).ok()) << failpoint;
   }
 }
 

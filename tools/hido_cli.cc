@@ -503,6 +503,8 @@ int RunDetect(const std::vector<std::string>& args) {
   config.stop = &control.token();
 
   const OutlierDetector detector(config);
+  const Status resumable = detector.CheckResume(data.value());
+  if (!resumable.ok()) return Fail(resumable);
   const DetectionResult result = [&] {
     const obs::TraceSpan span("detect");
     return detector.Detect(data.value());
