@@ -1,7 +1,6 @@
 // Micro-benchmarks for the cube-counting substrate (google-benchmark):
-// the AND+popcount kernels, bitset vs posting-list intersection, and grid
-// construction cost. This is the design-choice ablation behind
-// CubeCounter's kAuto strategy.
+// the AND+popcount kernels, the fused k-way cube count, and grid
+// construction cost.
 //
 // Besides the console table, the run writes BENCH_counting.json
 // (HIDO_BENCH_JSON overrides the path): one telemetry result row per
@@ -120,11 +119,10 @@ BENCHMARK_CAPTURE(BM_AndCountAuto, dense, BitDensity::kDense);
 BENCHMARK_CAPTURE(BM_AndCountAuto, sparse, BitDensity::kSparse);
 BENCHMARK_CAPTURE(BM_AndCountAuto, mixed, BitDensity::kMixed);
 
-void BM_CountStrategy(benchmark::State& state, CountingStrategy strategy,
-                      size_t n) {
+void BM_Count(benchmark::State& state, size_t n) {
   const size_t k = static_cast<size_t>(state.range(0));
   BenchFixture fixture(n, 32, 10);
-  CubeCounter counter(fixture.grid, {strategy});
+  CubeCounter counter(fixture.grid);
   const auto queries = MakeQueries(fixture.grid, k, 256);
   size_t i = 0;
   for (auto _ : state) {
@@ -133,26 +131,10 @@ void BM_CountStrategy(benchmark::State& state, CountingStrategy strategy,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
-void BM_CountBitset1k(benchmark::State& state) {
-  BM_CountStrategy(state, CountingStrategy::kBitset, 1000);
-}
-void BM_CountPostings1k(benchmark::State& state) {
-  BM_CountStrategy(state, CountingStrategy::kPostingList, 1000);
-}
-void BM_CountBitset100k(benchmark::State& state) {
-  BM_CountStrategy(state, CountingStrategy::kBitset, 100000);
-}
-void BM_CountPostings100k(benchmark::State& state) {
-  BM_CountStrategy(state, CountingStrategy::kPostingList, 100000);
-}
-void BM_CountAuto100k(benchmark::State& state) {
-  BM_CountStrategy(state, CountingStrategy::kAuto, 100000);
-}
+void BM_CountBitset1k(benchmark::State& state) { BM_Count(state, 1000); }
+void BM_CountBitset100k(benchmark::State& state) { BM_Count(state, 100000); }
 BENCHMARK(BM_CountBitset1k)->Arg(2)->Arg(4);
-BENCHMARK(BM_CountPostings1k)->Arg(2)->Arg(4);
 BENCHMARK(BM_CountBitset100k)->Arg(2)->Arg(4);
-BENCHMARK(BM_CountPostings100k)->Arg(2)->Arg(4);
-BENCHMARK(BM_CountAuto100k)->Arg(2)->Arg(4);
 
 void BM_GridBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -10,7 +10,6 @@
 #include "common/parallel.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "grid/posting_container.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -34,7 +33,8 @@ struct Shared {
 // in increasing order so every k-combination is visited exactly once,
 // mirroring the paper's R_i = R_{i-1} (+) Q_1 candidate sets without
 // materializing them. One Worker per thread; each owns its scratch bitsets,
-// BestSet, and statistics (merged by the caller).
+// BestSet, and statistics (merged by the caller). A 1-condition prefix is
+// the root range's own bitmap; only deeper prefixes need scratch.
 class Worker {
  public:
   Worker(SparsityObjective& objective, Shared& shared)
@@ -43,8 +43,8 @@ class Worker {
         shared_(shared),
         best_(shared.options.num_projections,
               shared.options.require_non_empty),
-        level_bits_(shared.options.target_dim >= 2
-                        ? shared.options.target_dim - 1
+        level_bits_(shared.options.target_dim >= 3
+                        ? shared.options.target_dim - 2
                         : 0,
                     DynamicBitset(grid_.num_points())) {
     conditions_.reserve(shared.options.target_dim);
@@ -65,10 +65,8 @@ class Worker {
     if (k == 1) {
       ScoreLeaf(grid_.RangeCardinality(dim, cell), probability);
     } else {
-      const PostingContainer& root = grid_.Container(dim, cell);
-      DynamicBitset& root_bits = level_bits_[0];
-      root.MaterializeInto(root_bits);
-      const size_t count = root.cardinality();
+      root_bits_ = &grid_.RangeBits(dim, cell);
+      const size_t count = grid_.RangeCardinality(dim, cell);
       if (count == 0 && shared_.options.prune_empty_subtrees &&
           shared_.options.require_non_empty) {
         ++stats_.subtrees_pruned;
@@ -140,7 +138,7 @@ class Worker {
 
   // The bitset of the current partial cube at `depth` conditions.
   const DynamicBitset& CurrentBits(size_t depth) const {
-    return level_bits_[depth - 1];
+    return depth == 1 ? *root_bits_ : level_bits_[depth - 2];
   }
 
   // Extends the partial cube (depth >= 1 conditions chosen) with all valid
@@ -154,19 +152,19 @@ class Worker {
       for (uint32_t cell = 0; cell < grid_.phi(); ++cell) {
         ++stats_.nodes_visited;
         if (ShouldStop()) return false;
-        const PostingContainer& members = grid_.Container(dim, cell);
+        const DynamicBitset& members = grid_.RangeBits(dim, cell);
         const DynamicBitset& current = CurrentBits(depth);
         const double next_probability =
             probability * grid_.RangeFraction(dim, cell);
         conditions_.push_back({static_cast<uint32_t>(dim), cell});
         if (leaf_level) {
-          ScoreLeaf(members.AndCountWith(current), next_probability);
+          ScoreLeaf(members.AndCount(current), next_probability);
         } else {
-          // Fused intersect+count: AndInto hands back the new cardinality,
-          // so the empty-subtree prune needs no second pass.
-          DynamicBitset& next = level_bits_[depth];
+          // Fused intersect+count: AndCountInto hands back the new
+          // cardinality, so the empty-subtree prune needs no second pass.
+          DynamicBitset& next = level_bits_[depth - 1];
           next = current;
-          const size_t next_count = members.AndInto(next);
+          const size_t next_count = next.AndCountInto(members);
           if (next_count == 0 && shared_.options.prune_empty_subtrees &&
               shared_.options.require_non_empty) {
             // Every extension of an empty cube is empty and unreportable.
@@ -188,7 +186,8 @@ class Worker {
   BruteForceStats stats_;
   BestSet best_;
   std::vector<DimRange> conditions_;
-  std::vector<DynamicBitset> level_bits_;
+  const DynamicBitset* root_bits_ = nullptr;  ///< the root range's bitmap
+  std::vector<DynamicBitset> level_bits_;     ///< prefixes of 2..k-1 conditions
   uint64_t published_cubes_ = 0;
 };
 

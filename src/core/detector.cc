@@ -92,7 +92,6 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
   GridModel::Options gopts;
   gopts.phi = result.phi;
   gopts.mode = config_.binning;
-  gopts.array_threshold = config_.container_threshold;
   // Grid construction honours the caller's stop token too (ROADMAP: it
   // used to be the one uninterruptible phase of Detect). A cancel here
   // yields the searches' best-so-far shape with nothing found yet: an

@@ -28,7 +28,8 @@ enum class SearchAlgorithm {
 
 /// Detector configuration. Zeros mean "choose automatically per §2.4".
 struct DetectorConfig {
-  /// Ranges per attribute; 0 = heuristic from N (<= 10).
+  /// Ranges per attribute; 0 = heuristic from N (<= 10). At most
+  /// GridModel::kMaxPhi.
   size_t phi = 0;
   /// Projection dimensionality k; 0 = k* from the sparsity target.
   size_t target_dim = 0;
@@ -45,12 +46,6 @@ struct DetectorConfig {
   /// Brute-force knobs; target_dim/num_projections are overridden.
   BruteForceOptions brute_force;
   uint64_t seed = 42;  ///< master RNG seed for the whole run
-  /// Grid ranges with fewer members than this become sorted-array
-  /// containers instead of bitmaps (GridModel::Options::array_threshold).
-  /// 0 forces all bitmaps; GridModel::kAutoArrayThreshold (the default)
-  /// resolves to num_rows / 32. An encoding knob only: reports are
-  /// byte-identical at every value.
-  size_t container_threshold = GridModel::kAutoArrayThreshold;
   /// Worker threads for whichever search runs. 0 keeps the per-algorithm
   /// settings in `evolution` / `brute_force` untouched; any other value
   /// overrides both. The evolutionary determinism contract (same seed ⇒

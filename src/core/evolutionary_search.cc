@@ -48,18 +48,15 @@ bool OfferPopulation(const std::vector<Individual>& population,
 }
 
 // Per-worker fitness-evaluation scratch for one restart: a CubeCounter
-// (stats + bitset scratch are single-threaded state) and objective per
+// (stats + source scratch are single-threaded state) and objective per
 // worker, all over the shared read-only grid. Worker 0 is the restart's
-// own base objective. The counters are built from the base counter's
-// Options (so a forced strategy reaches every worker); their Stats stay
-// private scratch and are absorbed at the end.
+// own base objective. The private counters' Stats are absorbed at the end.
 class EvalScratch {
  public:
   EvalScratch(SparsityObjective& base, size_t workers) {
     objectives_.push_back(&base);
     for (size_t w = 1; w < workers; ++w) {
-      counters_.push_back(std::make_unique<CubeCounter>(
-          base.grid(), base.counter().options()));
+      counters_.push_back(std::make_unique<CubeCounter>(base.grid()));
       owned_.push_back(std::make_unique<SparsityObjective>(
           *counters_.back(), base.expectation()));
       objectives_.push_back(owned_.back().get());
@@ -171,7 +168,6 @@ struct RestartOutcome {
 struct SearchContext {
   const GridModel* grid;
   const EvolutionaryOptions* options;
-  CubeCounter::Options counter_options;
   ExpectationModel expectation;
   size_t eval_threads;
   const StopPoller* poller;
@@ -214,7 +210,7 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
   // Private evaluation state: restarts may run concurrently, so none of
   // them may touch the caller's counter. Results are unaffected — fitness
   // evaluation is pure.
-  CubeCounter counter(*ctx.grid, ctx.counter_options);
+  CubeCounter counter(*ctx.grid);
   SparsityObjective objective(counter, ctx.expectation);
   EvalScratch scratch(objective, ctx.eval_threads);
   const std::vector<SparsityObjective*>& evals = scratch.objectives();
@@ -432,7 +428,6 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
   SearchContext ctx;
   ctx.grid = &grid;
   ctx.options = &options;
-  ctx.counter_options = objective.counter().options();
   ctx.expectation = objective.expectation();
   // Scratch allocation must not exceed what ParallelFor can actually
   // deploy — otherwise an oversized num_threads (e.g. a stray -1 cast to
@@ -505,8 +500,7 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
 
   // Publish this run's totals to the process-wide registry once, at
   // aggregation — never from the hot loops. All search.* and counter.*
-  // counters are deterministic for a fixed seed at any thread count; the
-  // counter.* strategy split also follows the container threshold.
+  // counters are deterministic for a fixed seed at any thread count.
   {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     registry.GetCounter("search.runs").Add(1);
@@ -528,10 +522,6 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
           static_cast<double>(outcome.generations));
     }
     registry.GetCounter("counter.queries").Add(counter_totals.queries);
-    registry.GetCounter("counter.bitset_counts")
-        .Add(counter_totals.bitset_counts);
-    registry.GetCounter("counter.posting_counts")
-        .Add(counter_totals.posting_counts);
   }
   result.stats.completed = !poller.stopped();
   result.stats.stop_cause = poller.cause();

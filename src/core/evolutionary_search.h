@@ -25,6 +25,18 @@ struct EvolutionCheckpoint;  // core/search_checkpoint.h
 
 /// Options for EvolutionarySearch.
 struct EvolutionaryOptions {
+  /// Largest population_size to accept from outside input. An individual
+  /// is a 56-byte record plus a heap array of 2 bytes per dimension, about
+  /// 150 bytes over 40 dimensions, so one copy of a population at this cap
+  /// is about 10 MB. A running restart holds a few copies (parents,
+  /// selected offspring, a checkpoint snapshot).
+  static constexpr size_t kMaxPopulation = size_t{1} << 16;
+  /// Largest restarts to accept from outside input. Every restart keeps
+  /// its outcome (best set of m projections) until the merge, and a
+  /// checkpoint one snapshot per restart: about 3 KB each at m = 20 over
+  /// 40 dimensions, so about 50 MB at this cap.
+  static constexpr size_t kMaxRestarts = size_t{1} << 14;
+
   size_t target_dim = 3;        ///< k
   size_t num_projections = 20;  ///< m
   size_t population_size = 100; ///< p

@@ -14,11 +14,12 @@ namespace {
 constexpr char kMagic[] = "hido-checkpoint";
 // v2 added the per-restart `ops` line (genetic-operator totals), so a
 // resumed run's telemetry counters match the uninterrupted run's. v3 widened
-// `counter_stats` to the cube-cache breakdown; v4 shrinks it back to the
+// `counter_stats` to the cube-cache breakdown; v4 shrank it back to the
 // queries and the two counting strategies once counts were no longer
-// memoized. Older versions are rejected; checkpoints are short-lived
-// scratch state, not archives.
-constexpr char kVersion[] = "v4";
+// memoized; v5 keeps only the queries, since every cube is counted one way.
+// Older versions are rejected; checkpoints are short-lived scratch state,
+// not archives.
+constexpr char kVersion[] = "v5";
 
 const char* StateName(RestartCheckpoint::State state) {
   switch (state) {
@@ -41,10 +42,8 @@ void AppendConditions(std::string& out, const Projection& projection) {
 }
 
 void AppendStats(std::string& out, const CubeCounter::Stats& stats) {
-  out += StrFormat("counter_stats %llu %llu %llu\n",
-                   static_cast<unsigned long long>(stats.queries),
-                   static_cast<unsigned long long>(stats.bitset_counts),
-                   static_cast<unsigned long long>(stats.posting_counts));
+  out += StrFormat("counter_stats %llu\n",
+                   static_cast<unsigned long long>(stats.queries));
 }
 
 void AppendBest(std::string& out,
@@ -116,13 +115,7 @@ Status ParseProjection(Parser& p, size_t num_dims, size_t phi,
 
 Status ParseStats(Parser& p, CubeCounter::Stats& stats) {
   HIDO_RETURN_IF_ERROR(p.ExpectKey("counter_stats"));
-  if (!(p.in >> stats.queries >> stats.bitset_counts >>
-        stats.posting_counts)) {
-    return p.Fail("bad counter_stats");
-  }
-  if (stats.queries != stats.bitset_counts + stats.posting_counts) {
-    return p.Fail("counter_stats violate the dispatch invariant");
-  }
+  if (!(p.in >> stats.queries)) return p.Fail("bad counter_stats");
   return Status::Ok();
 }
 

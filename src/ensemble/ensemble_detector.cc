@@ -117,7 +117,6 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
   GridModel::Options gopts;
   gopts.phi = result.phi;
   gopts.mode = base.binning;
-  gopts.array_threshold = base.container_threshold;
   Result<GridModel> grid =
       GridModel::Build(data, gopts, base.stop, SearchThreads(base));
   if (!grid.ok()) {

@@ -32,6 +32,8 @@ Result<GridModel> GridModel::Build(const Dataset& data,
     return StopStatus(*stop, "grid build");
   }
   HIDO_CHECK(data.num_rows() >= 1);
+  HIDO_CHECK_MSG(options.phi <= kMaxPhi, "phi %zu exceeds the cap of %zu",
+                 options.phi, kMaxPhi);
 
   Quantizer::Options qopts;
   qopts.num_ranges = options.phi;
@@ -42,16 +44,13 @@ Result<GridModel> GridModel::Build(const Dataset& data,
   const size_t phi = options.phi;
   GridModel model;
   model.num_points_ = n;
-  model.array_threshold_ = options.array_threshold == kAutoArrayThreshold
-                               ? n / 32
-                               : options.array_threshold;
   model.cells_.resize(d);
-  model.containers_.resize(d * phi);
+  model.range_bits_.resize(d * phi);
+  model.range_cardinality_.resize(d * phi);
 
   std::vector<std::vector<double>> cuts(d);
   std::vector<double> col_min(d);
   std::vector<double> col_max(d);
-  std::vector<size_t> array_containers(d, 0);
   std::atomic<bool> stopped{false};
   const auto should_stop = [&] {
     if (stop == nullptr) return false;
@@ -66,7 +65,8 @@ Result<GridModel> GridModel::Build(const Dataset& data,
     Quantizer::ColumnFit fit = Quantizer::FitColumn(data, dim, qopts);
     std::vector<uint32_t>& cells = model.cells_[dim];
     cells.resize(n);
-    std::vector<std::vector<uint32_t>> range_ids(phi);
+    DynamicBitset* const bits = &model.range_bits_[dim * phi];
+    for (size_t cell = 0; cell < phi; ++cell) bits[cell] = DynamicBitset(n);
     const std::vector<double>& column = data.Column(dim);
     for (size_t row = 0; row < n; ++row) {
       if (row % kPollStride == kPollStride - 1 && should_stop()) return;
@@ -76,17 +76,10 @@ Result<GridModel> GridModel::Build(const Dataset& data,
       }
       const uint32_t cell = Quantizer::CountCutsAtMost(fit.cuts, column[row]);
       cells[row] = cell;
-      range_ids[cell].push_back(static_cast<uint32_t>(row));
+      bits[cell].Set(row);
     }
-    // Rows were scanned ascending, so each range's ids arrive sorted and
-    // the container choice is purely its cardinality vs. the threshold.
-    for (uint32_t cell = 0; cell < phi; ++cell) {
-      PostingContainer container = PostingContainer::FromIds(
-          std::move(range_ids[cell]), n, model.array_threshold_);
-      if (container.kind() == PostingContainer::Kind::kArray) {
-        ++array_containers[dim];
-      }
-      model.containers_[dim * phi + cell] = std::move(container);
+    for (size_t cell = 0; cell < phi; ++cell) {
+      model.range_cardinality_[dim * phi + cell] = bits[cell].Count();
     }
     cuts[dim] = std::move(fit.cuts);
     col_min[dim] = fit.min;
@@ -99,15 +92,11 @@ Result<GridModel> GridModel::Build(const Dataset& data,
                                          std::move(col_min),
                                          std::move(col_max));
 
-  size_t arrays = 0;
-  for (const size_t count : array_containers) arrays += count;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("grid.builds").Add(1);
   registry.GetCounter("grid.points_indexed").Add(n);
   registry.GetCounter("grid.cells_indexed").Add(n * d);
-  registry.GetCounter("grid.containers.array").Add(arrays);
-  registry.GetCounter("grid.containers.bitmap").Add(d * phi - arrays);
-  // Which counting kernel serves the bitmap legs of this grid's counts.
+  // Which counting kernel serves this grid's counts.
   // Published here (not in src/common, which cannot depend on obs) so the
   // gauge appears exactly when a counting workload exists.
   registry
@@ -123,18 +112,17 @@ size_t GridModel::IndexOf(size_t dim, uint32_t cell) const {
   return dim * phi() + cell;
 }
 
-const PostingContainer& GridModel::Container(size_t dim,
-                                             uint32_t cell) const {
-  return containers_[IndexOf(dim, cell)];
+const DynamicBitset& GridModel::RangeBits(size_t dim, uint32_t cell) const {
+  return range_bits_[IndexOf(dim, cell)];
 }
 
 size_t GridModel::RangeCardinality(size_t dim, uint32_t cell) const {
-  return containers_[IndexOf(dim, cell)].cardinality();
+  return range_cardinality_[IndexOf(dim, cell)];
 }
 
 double GridModel::RangeFraction(size_t dim, uint32_t cell) const {
   if (num_points_ == 0) return 0.0;
-  return static_cast<double>(containers_[IndexOf(dim, cell)].cardinality()) /
+  return static_cast<double>(range_cardinality_[IndexOf(dim, cell)]) /
          static_cast<double>(num_points_);
 }
 

@@ -4,13 +4,12 @@
 // The discretized view of a dataset plus the per-range membership indexes
 // that make cube counting fast.
 //
-// For every (dimension, range) pair the model stores one hybrid
-// PostingContainer: dense ranges keep a bitmap over the points, sparse
-// ranges (cardinality below the array threshold, Roaring-style) a sorted
-// id array. Counting the points inside a k-dimensional cube is then a
-// chain of container intersections — the single hot operation of both the
-// brute-force and the evolutionary search — with the bitmap legs routed
-// through the SIMD counting kernels (common/bitset_kernels.h).
+// For every (dimension, range) pair the model stores one bitmap over the
+// points, with the range's cardinality beside it. Counting the points
+// inside a k-dimensional cube — the single hot operation of both the
+// brute-force and the evolutionary search — is then one fused AND+popcount
+// over k bitmaps through the SIMD counting kernels
+// (common/bitset_kernels.h).
 
 #include <cstdint>
 #include <limits>
@@ -20,7 +19,6 @@
 #include "common/run_control.h"
 #include "common/status.h"
 #include "data/dataset.h"
-#include "grid/posting_container.h"
 #include "grid/quantizer.h"
 
 namespace hido {
@@ -45,26 +43,22 @@ class GridModel {
   static constexpr uint32_t kMissingCell =
       std::numeric_limits<uint32_t>::max();
 
-  /// Sentinel for Options::array_threshold: resolve to num_points / 32,
-  /// the memory break-even of a 4-byte id array vs. one bit per point.
-  static constexpr size_t kAutoArrayThreshold =
-      std::numeric_limits<size_t>::max();
+  /// Largest phi Build accepts. The bitmaps take d * phi * ceil(N/64) * 8
+  /// bytes, so at this cap they are at most 4x the input's 8-byte columns.
+  static constexpr size_t kMaxPhi = 256;
 
   /// Discretization parameters.
   struct Options {
-    size_t phi = 10;                           ///< ranges per attribute
+    size_t phi = 10;  ///< ranges per attribute, in [2, kMaxPhi]
     BinningMode mode = BinningMode::kEquiDepth;  ///< equi-depth/equi-width
-    /// Ranges with cardinality below this become sorted-array containers;
-    /// denser ranges keep the bitmap. 0 forces all bitmaps;
-    /// kAutoArrayThreshold resolves to num_points / 32 at build time.
-    /// A pure encoding knob: counts and reports are identical at any value.
-    size_t array_threshold = kAutoArrayThreshold;
   };
 
   /// Creates an empty model; use Build to obtain a usable one.
   GridModel() = default;
 
   /// Discretizes `data` and builds the indexes. The dataset is not retained.
+  /// Precondition: options.phi <= kMaxPhi (checked; callers range-check
+  /// user input first).
   static GridModel Build(const Dataset& data, const Options& options);
 
   /// Cancellable, parallel Build: each dimension is fitted and indexed in
@@ -87,15 +81,11 @@ class GridModel {
     return cells_[dim][row];
   }
 
-  /// Membership container of the points whose `dim` coordinate lies in
-  /// `cell` (bitmap or sorted array, per the array threshold).
-  const PostingContainer& Container(size_t dim, uint32_t cell) const;
+  /// Bitmap over the points whose `dim` coordinate lies in `cell`.
+  const DynamicBitset& RangeBits(size_t dim, uint32_t cell) const;
 
   /// Number of points whose `dim` coordinate lies in `cell`.
   size_t RangeCardinality(size_t dim, uint32_t cell) const;
-
-  /// The resolved array threshold containers were built with.
-  size_t array_threshold() const { return array_threshold_; }
 
   /// Empirical fraction of points in (dim, cell) — ~1/phi under equi-depth,
   /// skewed under ties. Used by the empirical expectation model.
@@ -108,12 +98,13 @@ class GridModel {
 
  private:
   size_t num_points_ = 0;
-  size_t array_threshold_ = 0;
   Quantizer quantizer_;
   // cells_[dim][row]: discretized coordinate (kMissingCell when missing).
   std::vector<std::vector<uint32_t>> cells_;
-  // containers_[dim * phi + cell]: hybrid membership set of the range.
-  std::vector<PostingContainer> containers_;
+  // range_bits_[dim * phi + cell]: membership bitmap of the range, and
+  // range_cardinality_ at the same index its number of set bits.
+  std::vector<DynamicBitset> range_bits_;
+  std::vector<size_t> range_cardinality_;
 
   size_t IndexOf(size_t dim, uint32_t cell) const;
 };

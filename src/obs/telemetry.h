@@ -10,13 +10,10 @@
 //
 // Determinism contract: for a fixed seed and complete run, the `config`,
 // `counters`, `histograms`, and `results` sections are byte-identical at
-// any thread count, *except* instruments declared `variant` in the
-// machine-readable contract block below — scheduling-dependent breakdowns
-// (the kNN scored/pruned split, pool.* gauges), configuration-dependent
-// ones (the grid's container mix and the cube-counter strategy split both
-// follow the container threshold, so they are invariant across threads
-// only at a fixed threshold) and the client-dependent serve.* family.
-// counter.queries itself is invariant under every configuration — every
+// any thread count and counting kernel, *except* instruments declared
+// `variant` in the machine-readable contract block below — scheduling-
+// dependent breakdowns (the kNN scored/pruned split, pool.* gauges) and the
+// client-dependent serve.* family. counter.queries is invariant — every
 // query increments it exactly once. The serve.* family is client-dependent
 // rather than thread-dependent: deterministic for a scripted client
 // schedule (the CI chaos job asserts exact values) but dependent on kernel
@@ -47,8 +44,6 @@
 //   counter checkpoint.resumes invariant
 //   counter checkpoint.save_failures invariant
 //   counter checkpoint.saves invariant
-//   counter counter.bitset_counts variant strategy follows the container threshold
-//   counter counter.posting_counts variant strategy follows the container threshold
 //   counter counter.queries invariant one increment per query
 //   counter data.columns_encoded invariant
 //   counter data.csv_loads invariant
@@ -62,8 +57,6 @@
 //   counter ensemble.runs invariant
 //   counter grid.builds invariant
 //   counter grid.cells_indexed invariant
-//   counter grid.containers.array variant representation mix follows the container threshold
-//   counter grid.containers.bitmap variant representation mix follows the container threshold
 //   counter grid.points_indexed invariant
 //   counter run.stops.<cause> invariant omitted for clean completion
 //   counter search.crossovers invariant

@@ -194,28 +194,19 @@ TEST(BruteForceTest, OversizedThreadCountIsClampedNotAllocated) {
 }
 
 TEST(BruteForceTest, CounterStatsInvariantSurvivesCountUncached) {
-  // Every query through CubeCounter must be dispatched to exactly one
-  // strategy: queries == bitset_counts + posting_counts. The public
-  // CountUncached once forgot to bump `queries`, breaking the identity; a
-  // forced strategy now goes through Count on a counter built with
-  // Options::strategy, and per-thread counters merge with AbsorbStats, so
-  // the identity must survive both.
+  // Every query through CubeCounter bumps `queries` exactly once (the
+  // public CountUncached once forgot to), recounts rather than memoizes,
+  // and per-thread counters merge with AbsorbStats.
   Fixture f(300, 6, 4, 24);
   const std::vector<DimRange> cube = {{0, 1}, {2, 0}};
   const size_t expected = CountByScan(f.grid, cube);
-  CubeCounter bitset_counter(f.grid, {CountingStrategy::kBitset});
-  CubeCounter posting_counter(f.grid, {CountingStrategy::kPostingList});
+  CubeCounter worker_counter(f.grid);
   EXPECT_EQ(f.counter.Count(cube), expected);
   EXPECT_EQ(f.counter.Count(cube), expected);  // recounted: no memo
-  EXPECT_EQ(bitset_counter.Count(cube), expected);
-  EXPECT_EQ(posting_counter.Count(cube), expected);
-  f.counter.AbsorbStats(bitset_counter.stats());
-  f.counter.AbsorbStats(posting_counter.stats());
-  const CubeCounter::Stats stats = f.counter.stats();
-  EXPECT_EQ(stats.queries, 4u);
-  EXPECT_GE(stats.bitset_counts, 1u);
-  EXPECT_GE(stats.posting_counts, 1u);
-  EXPECT_EQ(stats.queries, stats.bitset_counts + stats.posting_counts);
+  EXPECT_EQ(f.counter.Count({{0, 1}}), f.grid.RangeCardinality(0, 1));
+  EXPECT_EQ(worker_counter.Count(cube), expected);
+  f.counter.AbsorbStats(worker_counter.stats());
+  EXPECT_EQ(f.counter.stats().queries, 4u);
 }
 
 TEST(BruteForceTest, KEqualsOneScansSingleRanges) {

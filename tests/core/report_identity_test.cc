@@ -1,8 +1,7 @@
 // The determinism contract, end to end: the detection report is a pure
-// function of (data, seed, logical configuration). Counting kernels,
-// container thresholds, and thread counts change which code computes each
-// count — never the count — so the serialized report must be
-// byte-identical across all of them.
+// function of (data, seed, logical configuration). Counting kernels and
+// thread counts change which code computes each count — never the count —
+// so the serialized report must be byte-identical across all of them.
 
 #include <string>
 #include <vector>
@@ -13,7 +12,7 @@
 #include "core/detector.h"
 #include "core/report_io.h"
 #include "data/generators/synthetic.h"
-#include "grid/grid_model.h"
+#include "testing/heavy_tail.h"
 
 namespace hido {
 namespace {
@@ -35,9 +34,10 @@ std::string RunAndSerialize(const Dataset& data, const DetectorConfig& config) {
   return ProjectionsToCsv(result.report) + OutliersToCsv(result.report);
 }
 
-// Every (kernel, container threshold, threads) variant must reproduce the
-// baseline report byte for byte.
-TEST(ReportIdentityTest, InvariantAcrossKernelsContainersAndThreads) {
+// Every (kernel, threads) variant must reproduce the baseline report byte
+// for byte, on the generated input and on its heavy-tailed copy under
+// equi-width ranges, where most ranges hold a handful of rows.
+TEST(ReportIdentityTest, InvariantAcrossKernelsAndThreads) {
   SubspaceOutlierConfig gen;
   gen.num_points = 250;
   gen.num_dims = 8;
@@ -45,55 +45,34 @@ TEST(ReportIdentityTest, InvariantAcrossKernelsContainersAndThreads) {
   gen.num_outliers = 4;
   gen.seed = 3;
   const GeneratedDataset g = GenerateSubspaceOutliers(gen);
+  DetectorConfig equi_width = BaseConfig();
+  equi_width.binning = BinningMode::kEquiWidth;
+  const struct {
+    const char* name;
+    Dataset data;
+    DetectorConfig config;
+  } inputs[] = {{"generated", g.data, BaseConfig()},
+                {"heavy-tailed equi-width", HeavyTailed(g.data), equi_width}};
 
-  const std::string baseline = RunAndSerialize(g.data, BaseConfig());
-  ASSERT_FALSE(baseline.empty());
-
-  // Kernel axis: force every kernel this host can run.
-  for (KernelKind kind : AvailableKernels()) {
-    ScopedKernelOverride forced(kind);
-    EXPECT_EQ(RunAndSerialize(g.data, BaseConfig()), baseline)
-        << "kernel " << KernelKindName(kind);
-  }
-
-  // Container-threshold axis: all bitmaps, all arrays, and the auto mix.
-  for (size_t threshold :
-       {size_t{0}, size_t{gen.num_points + 1}, GridModel::kAutoArrayThreshold}) {
-    DetectorConfig config = BaseConfig();
-    config.container_threshold = threshold;
-    EXPECT_EQ(RunAndSerialize(g.data, config), baseline)
-        << "container_threshold " << threshold;
-  }
-
-  // Thread axis.
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    DetectorConfig config = BaseConfig();
-    config.num_threads = threads;
-    EXPECT_EQ(RunAndSerialize(g.data, config), baseline)
-        << "threads " << threads;
-  }
-
-  // Cross terms: the axes compose — a scalar-kernel, all-array,
-  // multi-threaded run still reproduces the baseline.
-  {
-    ScopedKernelOverride forced(KernelKind::kScalar);
-    DetectorConfig config = BaseConfig();
-    config.container_threshold = gen.num_points + 1;
-    config.num_threads = 8;
-    EXPECT_EQ(RunAndSerialize(g.data, config), baseline);
-  }
-  {
-    ScopedKernelOverride forced(BestAvailableKernel());
-    DetectorConfig config = BaseConfig();
-    config.container_threshold = 0;
-    config.num_threads = 2;
-    EXPECT_EQ(RunAndSerialize(g.data, config), baseline);
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const std::string baseline = RunAndSerialize(input.data, input.config);
+    ASSERT_FALSE(baseline.empty());
+    for (const KernelKind kind : AvailableKernels()) {
+      const ScopedKernelOverride forced(kind);
+      for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        DetectorConfig config = input.config;
+        config.num_threads = threads;
+        EXPECT_EQ(RunAndSerialize(input.data, config), baseline)
+            << "kernel " << KernelKindName(kind) << " threads " << threads;
+      }
+    }
   }
 }
 
-// Same contract for the brute-force search, which drives the container
-// AndInto/MaterializeInto descent directly.
-TEST(ReportIdentityTest, BruteForceInvariantAcrossKernelsAndContainers) {
+// Same contract for the brute-force search, which ANDs the range bitmaps
+// down its prefix tree directly.
+TEST(ReportIdentityTest, BruteForceInvariantAcrossKernels) {
   SubspaceOutlierConfig gen;
   gen.num_points = 150;
   gen.num_dims = 5;
@@ -104,17 +83,17 @@ TEST(ReportIdentityTest, BruteForceInvariantAcrossKernelsAndContainers) {
 
   DetectorConfig base = BaseConfig();
   base.algorithm = SearchAlgorithm::kBruteForce;
-  base.target_dim = 2;
+  base.target_dim = 3;
   const std::string baseline = RunAndSerialize(g.data, base);
   ASSERT_FALSE(baseline.empty());
 
-  for (KernelKind kind : AvailableKernels()) {
-    for (size_t threshold : {size_t{0}, size_t{gen.num_points + 1}}) {
-      ScopedKernelOverride forced(kind);
+  for (const KernelKind kind : AvailableKernels()) {
+    const ScopedKernelOverride forced(kind);
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
       DetectorConfig config = base;
-      config.container_threshold = threshold;
+      config.num_threads = threads;
       EXPECT_EQ(RunAndSerialize(g.data, config), baseline)
-          << KernelKindName(kind) << " threshold " << threshold;
+          << KernelKindName(kind) << " threads " << threads;
     }
   }
 }

@@ -36,7 +36,7 @@ uint64_t PointsScored() {
 }
 
 // The independent oracle for a single fit is the in-sample bulk scorer,
-// which walks the grid's posting lists instead of quantizing a point:
+// which walks the grid's range bitmaps instead of quantizing a point:
 // Model::Score of every training row must equal that row of
 // ScoreAllPoints, bit for bit.
 TEST(ModelTest, SingleFitScoresEveryTrainingRowLikeScoreAllPoints) {

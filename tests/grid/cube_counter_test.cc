@@ -1,10 +1,14 @@
 #include "grid/cube_counter.h"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "data/generators/synthetic.h"
 #include "testing/count_oracle.h"
+#include "testing/heavy_tail.h"
 
 namespace hido {
 namespace {
@@ -27,32 +31,16 @@ std::vector<DimRange> RandomConditions(const GridModel& grid, size_t k,
   return conditions;
 }
 
+// A 1-cube's count is its range's cardinality and its points are the
+// range's members.
 TEST(CubeCounterTest, SingleConditionMatchesPostingList) {
   const GridModel grid = MakeGrid(500, 3, 5, 1);
   CubeCounter counter(grid);
   for (uint32_t cell = 0; cell < 5; ++cell) {
     EXPECT_EQ(counter.Count({{0, cell}}), grid.RangeCardinality(0, cell));
+    EXPECT_EQ(counter.CoveredPoints({{0, cell}}),
+              grid.RangeBits(0, cell).ToIndices());
   }
-}
-
-// Forced strategies agree with each other and with the row-scan oracle,
-// and each forced counter serves every query by its own strategy.
-TEST(CubeCounterTest, AllStrategiesAgree) {
-  const GridModel grid = MakeGrid(700, 6, 4, 2);
-  CubeCounter bitset_counter(grid, {CountingStrategy::kBitset});
-  CubeCounter posting_counter(grid, {CountingStrategy::kPostingList});
-  Rng rng(3);
-  for (int trial = 0; trial < 50; ++trial) {
-    const size_t k = 1 + rng.UniformIndex(4);
-    const std::vector<DimRange> conditions = RandomConditions(grid, k, rng);
-    const size_t expected = CountByScan(grid, conditions);
-    EXPECT_EQ(bitset_counter.Count(conditions), expected);
-    EXPECT_EQ(posting_counter.Count(conditions), expected);
-  }
-  EXPECT_EQ(bitset_counter.stats().queries, 50u);
-  EXPECT_EQ(bitset_counter.stats().bitset_counts, 50u);
-  EXPECT_EQ(posting_counter.stats().queries, 50u);
-  EXPECT_EQ(posting_counter.stats().posting_counts, 50u);
 }
 
 TEST(CubeCounterTest, ConditionOrderDoesNotMatter) {
@@ -91,111 +79,108 @@ TEST(CubeCounterTest, FullConjunctionOfOnePointCell) {
   EXPECT_NE(std::find(covered.begin(), covered.end(), 42u), covered.end());
 }
 
-// Counts are identical at any container threshold: forcing every range to
-// a bitmap, every range to a sorted array, or the auto mix changes only
-// the representation each query intersects, never the result. Each
-// counter's serving-path stats still reconcile with its query total.
-TEST(CubeCounterTest, CountsAgreeAcrossContainerThresholds) {
-  const Dataset data = GenerateUniform(500, 5, 21);
-  GridModel::Options all_bitmaps;
-  all_bitmaps.phi = 4;
-  all_bitmaps.array_threshold = 0;
-  GridModel::Options all_arrays;
-  all_arrays.phi = 4;
-  all_arrays.array_threshold = 501;  // every range is sparser than this
-  GridModel::Options mixed;
-  mixed.phi = 4;  // auto threshold: rows/32
-  const GridModel bitmap_grid = GridModel::Build(data, all_bitmaps);
-  const GridModel array_grid = GridModel::Build(data, all_arrays);
-  const GridModel mixed_grid = GridModel::Build(data, mixed);
-
-  CubeCounter bitmap_counter(bitmap_grid);
-  CubeCounter array_counter(array_grid);
-  CubeCounter mixed_counter(mixed_grid);
-  Rng rng(23);
-  for (int trial = 0; trial < 60; ++trial) {
-    const size_t k = 1 + rng.UniformIndex(4);
-    const std::vector<DimRange> conditions =
-        RandomConditions(bitmap_grid, k, rng);
-    const size_t expected = bitmap_counter.Count(conditions);
-    EXPECT_EQ(array_counter.Count(conditions), expected);
-    EXPECT_EQ(mixed_counter.Count(conditions), expected);
+// Conditions through one row's cells on k random dimensions: the cube
+// holds at least that row, so high-k cubes are not all empty.
+std::vector<DimRange> ConditionsThroughRow(const GridModel& grid, size_t k,
+                                           Rng& rng) {
+  const size_t row = rng.UniformIndex(grid.num_points());
+  std::vector<DimRange> conditions;
+  for (size_t d : rng.SampleWithoutReplacement(grid.num_dims(), k)) {
+    conditions.push_back({static_cast<uint32_t>(d), grid.Cell(row, d)});
   }
-  for (const CubeCounter* counter :
-       {&bitmap_counter, &array_counter, &mixed_counter}) {
-    const CubeCounter::Stats& s = counter->stats();
-    EXPECT_EQ(s.queries, s.bitset_counts + s.posting_counts);
-  }
+  return conditions;
 }
 
-// The strategy fold: when every container in the cube is an array, auto
-// mode routes the query to the posting-list path (probing a handful of
-// sorted ids beats streaming bitmap words).
-TEST(CubeCounterTest, ChooseRoutesAllArrayCubesToPostings) {
-  const Dataset data = GenerateUniform(400, 4, 25);
-  GridModel::Options opts;
-  opts.phi = 3;
-  opts.array_threshold = 401;  // force every range to array form
-  const GridModel grid = GridModel::Build(data, opts);
-  CubeCounter counter(grid);
-  Rng rng(27);
-  for (int trial = 0; trial < 20; ++trial) {
-    counter.Count(RandomConditions(grid, 2 + rng.UniformIndex(3), rng));
+// Column 0 is heavily tied (90% of its values equal). Column 1 leaves the
+// gap (0.05, 0.95), which equi-width ranges 1..8 see as empty. The rest are
+// uniform.
+Dataset TiedAndGappedColumns(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Dataset data(d);
+  std::vector<double> row(d);
+  for (size_t r = 0; r < n; ++r) {
+    row[0] = rng.Bernoulli(0.9) ? 1.0
+                                : static_cast<double>(rng.UniformInt(0, 4));
+    row[1] = rng.Bernoulli(0.5) ? rng.UniformDouble(0.0, 0.05)
+                                : rng.UniformDouble(0.95, 1.0);
+    for (size_t c = 2; c < d; ++c) row[c] = rng.UniformDouble();
+    data.AppendRow(row);
   }
-  const CubeCounter::Stats& s = counter.stats();
-  EXPECT_EQ(s.posting_counts, s.queries);
-  EXPECT_EQ(s.bitset_counts, 0u);
+  return data;
 }
 
-// A forced bitset strategy stays correct even when the grid holds array
-// containers (the bitset path materializes them on the fly).
-TEST(CubeCounterTest, ForcedBitsetCorrectOnArrayContainers) {
-  const Dataset data = GenerateUniform(400, 4, 29);
-  GridModel::Options opts;
-  opts.phi = 3;
-  opts.array_threshold = 401;
-  const GridModel forced = GridModel::Build(data, opts);
-  CubeCounter bitset_counter(forced, {CountingStrategy::kBitset});
-  CubeCounter posting_counter(forced, {CountingStrategy::kPostingList});
-  Rng rng(31);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::vector<DimRange> conditions =
-        RandomConditions(forced, 1 + rng.UniformIndex(4), rng);
-    const size_t expected = CountByScan(forced, conditions);
-    EXPECT_EQ(bitset_counter.Count(conditions), expected);
-    EXPECT_EQ(posting_counter.Count(conditions), expected);
-  }
-}
-
-// The fused bitset count for every k its kernel unrolls (2..8) and for the
-// runtime-k loop beyond (9, 10), against the row-scan oracle: on all
-// bitmaps, on the auto threshold, and on all arrays, where a forced
-// kBitset materializes every container first. 3000 rows leave a ragged
-// last word; phi = 2 keeps 10-cubes non-empty.
+// Count and CoveredPoints against the row-scan oracle for the stored 1-cube
+// cardinality, every k the fused kernel unrolls (2..8) and the runtime-k
+// loop beyond (9, 10). The grids are the shapes with the sparsest ranges:
+// heavy-tailed equi-width ranges (most under N/256 rows), phi = 64, a
+// heavily tied column and empty ranges; phi = 2 keeps 10-cubes dense.
+// 3000 rows leave a ragged last word.
 TEST(CubeCounterTest, CountsMatchOracleUpToTenConditions) {
-  const Dataset data = GenerateUniform(3000, 12, 33);
-  for (const size_t threshold :
-       {size_t{0}, GridModel::kAutoArrayThreshold, size_t{3001}}) {
+  constexpr size_t kRows = 3000;
+  const Dataset uniform = GenerateUniform(kRows, 12, 33);
+  const Dataset tied_and_gapped = TiedAndGappedColumns(kRows, 12, 37);
+  struct Shape {
+    const char* name;
+    const Dataset* data;
+    size_t phi;
+    BinningMode mode;
+  };
+  const Dataset heavy_tailed = HeavyTailed(uniform);
+  const Shape shapes[] = {
+      {"phi=2", &uniform, 2, BinningMode::kEquiDepth},
+      {"phi=64", &uniform, 64, BinningMode::kEquiDepth},
+      {"heavy-tailed equi-width", &heavy_tailed, 10, BinningMode::kEquiWidth},
+      {"tied equi-depth", &tied_and_gapped, 10, BinningMode::kEquiDepth},
+      {"tied equi-width", &tied_and_gapped, 10, BinningMode::kEquiWidth},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
     GridModel::Options opts;
-    opts.phi = 2;
-    opts.array_threshold = threshold;
-    const GridModel grid = GridModel::Build(data, opts);
-    CubeCounter auto_counter(grid);
-    CubeCounter bitset_counter(grid, {CountingStrategy::kBitset});
+    opts.phi = shape.phi;
+    opts.mode = shape.mode;
+    const GridModel grid = GridModel::Build(*shape.data, opts);
+    CubeCounter counter(grid);
     Rng rng(35);
+    uint64_t counted = 0;
     for (size_t k = 1; k <= 10; ++k) {
-      for (int trial = 0; trial < 8; ++trial) {
+      for (int trial = 0; trial < 16; ++trial) {
         const std::vector<DimRange> conditions =
-            RandomConditions(grid, k, rng);
+            trial % 2 == 0 ? RandomConditions(grid, k, rng)
+                           : ConditionsThroughRow(grid, k, rng);
         const size_t expected = CountByScan(grid, conditions);
-        EXPECT_EQ(auto_counter.Count(conditions), expected)
-            << "threshold=" << threshold << " k=" << k;
-        EXPECT_EQ(bitset_counter.Count(conditions), expected)
-            << "threshold=" << threshold << " k=" << k;
+        EXPECT_EQ(counter.Count(conditions), expected) << "k=" << k;
+        ++counted;
+        const std::vector<uint32_t> covered =
+            counter.CoveredPoints(conditions);
+        ASSERT_EQ(covered.size(), expected) << "k=" << k;
+        EXPECT_TRUE(std::is_sorted(covered.begin(), covered.end()));
+        for (const uint32_t row : covered) {
+          EXPECT_TRUE(grid.Covers(row, conditions)) << "k=" << k;
+        }
       }
     }
-    EXPECT_EQ(bitset_counter.stats().bitset_counts,
-              bitset_counter.stats().queries);
+    // Every Count is one query; CoveredPoints is not counted.
+    EXPECT_EQ(counter.stats().queries, counted);
+  }
+
+  // The shapes are what they claim to be.
+  GridModel::Options opts;
+  opts.phi = 10;
+  opts.mode = BinningMode::kEquiWidth;
+  const GridModel heavy_grid = GridModel::Build(heavy_tailed, opts);
+  size_t tiny_ranges = 0;
+  for (size_t dim = 0; dim < heavy_grid.num_dims(); ++dim) {
+    for (uint32_t cell = 0; cell < heavy_grid.phi(); ++cell) {
+      tiny_ranges += heavy_grid.RangeCardinality(dim, cell) < kRows / 256;
+    }
+  }
+  EXPECT_GT(2 * tiny_ranges, heavy_grid.num_dims() * heavy_grid.phi());
+  const GridModel gapped_grid = GridModel::Build(tied_and_gapped, opts);
+  CubeCounter counter(gapped_grid);
+  for (uint32_t cell = 1; cell < 9; ++cell) {
+    EXPECT_EQ(gapped_grid.RangeCardinality(1, cell), 0u) << "cell " << cell;
+    EXPECT_EQ(counter.Count({{1, cell}, {2, 0}}), 0u);
+    EXPECT_TRUE(counter.CoveredPoints({{1, cell}, {2, 0}}).empty());
   }
 }
 

@@ -42,13 +42,12 @@ TEST(GridModelTest, MembershipsPartitionThePoints) {
   for (size_t d = 0; d < 3; ++d) {
     size_t total = 0;
     for (uint32_t cell = 0; cell < 6; ++cell) {
-      const PostingContainer& members = grid.Container(d, cell);
-      EXPECT_EQ(members.cardinality(), grid.RangeCardinality(d, cell));
-      EXPECT_EQ(members.ToIds().size(), members.cardinality());
-      total += members.cardinality();
-      // Id view agrees with membership tests and the cell assignment.
-      for (uint32_t row : members.ToIds()) {
-        EXPECT_TRUE(members.Contains(row));
+      const DynamicBitset& members = grid.RangeBits(d, cell);
+      EXPECT_EQ(members.size(), 333u);
+      EXPECT_EQ(members.Count(), grid.RangeCardinality(d, cell));
+      total += members.Count();
+      // The bitmap agrees with the cell assignment.
+      for (uint32_t row : members.ToIndices()) {
         EXPECT_EQ(grid.Cell(row, d), cell);
       }
     }
@@ -56,39 +55,18 @@ TEST(GridModelTest, MembershipsPartitionThePoints) {
   }
 }
 
-TEST(GridModelTest, ContainerRepresentationFollowsThreshold) {
-  const Dataset ds = GenerateUniform(256, 2, 17);
-  // All-bitmap grid (threshold 0 means no range is "sparse enough").
-  GridModel::Options dense_opts;
-  dense_opts.phi = 4;
-  dense_opts.array_threshold = 0;
-  const GridModel dense = GridModel::Build(ds, dense_opts);
-  // All-array grid: every range is below rows + 1.
-  GridModel::Options sparse_opts;
-  sparse_opts.phi = 4;
-  sparse_opts.array_threshold = 257;
-  const GridModel sparse = GridModel::Build(ds, sparse_opts);
-  for (size_t d = 0; d < 2; ++d) {
-    for (uint32_t cell = 0; cell < 4; ++cell) {
-      EXPECT_EQ(dense.Container(d, cell).kind(),
-                PostingContainer::Kind::kBitmap);
-      EXPECT_EQ(sparse.Container(d, cell).kind(),
-                PostingContainer::Kind::kArray);
-      // Representation is an encoding choice: identical member sets.
-      EXPECT_EQ(dense.Container(d, cell).ToIds(),
-                sparse.Container(d, cell).ToIds());
-    }
-  }
-  EXPECT_EQ(dense.array_threshold(), 0u);
-  EXPECT_EQ(sparse.array_threshold(), 257u);
-}
-
-TEST(GridModelTest, AutoThresholdResolvesToRowsOver32) {
-  const Dataset ds = GenerateUniform(320, 1, 19);
+// A grid at the phi cap builds, and its ranges partition the rows.
+TEST(GridModelTest, BuildsAtThePhiCap) {
+  const Dataset ds = GenerateUniform(600, 2, 17);
   GridModel::Options opts;
-  opts.phi = 4;
+  opts.phi = GridModel::kMaxPhi;
   const GridModel grid = GridModel::Build(ds, opts);
-  EXPECT_EQ(grid.array_threshold(), 10u);
+  EXPECT_EQ(grid.phi(), GridModel::kMaxPhi);
+  size_t total = 0;
+  for (uint32_t cell = 0; cell < GridModel::kMaxPhi; ++cell) {
+    total += grid.RangeCardinality(1, cell);
+  }
+  EXPECT_EQ(total, 600u);
 }
 
 TEST(GridModelTest, RangeFractionsSumToOne) {
@@ -200,7 +178,14 @@ TEST(GridModelDeathTest, BadCellAborts) {
   GridModel::Options opts;
   opts.phi = 2;
   const GridModel grid = GridModel::Build(ds, opts);
-  EXPECT_DEATH(grid.Container(0, 5), "cell");
+  EXPECT_DEATH(grid.RangeBits(0, 5), "cell");
+}
+
+TEST(GridModelDeathTest, PhiAboveTheCapAborts) {
+  const Dataset ds = GenerateUniform(10, 1, 13);
+  GridModel::Options opts;
+  opts.phi = GridModel::kMaxPhi + 1;
+  EXPECT_DEATH(GridModel::Build(ds, opts), "cap");
 }
 
 }  // namespace

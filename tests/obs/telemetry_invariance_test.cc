@@ -22,17 +22,6 @@ namespace hido {
 namespace obs {
 namespace {
 
-// Counters documented as configuration-dependent (see obs/telemetry.h):
-// the grid's array/bitmap split follows the container threshold, and the
-// cube-counter strategy split follows the containers. At a fixed threshold
-// they are as invariant as every other counter, so only a sweep that
-// varies the threshold leaves them out of the compared bytes.
-bool FollowsContainerThreshold(const std::string& name) {
-  return name == "counter.bitset_counts" ||
-         name == "counter.posting_counts" ||
-         name.rfind("grid.containers.", 0) == 0;
-}
-
 // Histograms documented as wall-clock (`variant` in the contract): span
 // durations (trace.<span>.seconds), member/combine durations, and the
 // serve-side latency family. Their *presence* is thread-invariant; their
@@ -59,13 +48,9 @@ std::string SerializeReport(const OutlierReport& report) {
 }
 
 // Runs one full detection at `threads` workers against a clean registry
-// and returns the serialized invariant counter + histogram sections. With
-// `threshold_varies`, the counters that follow the container threshold are
-// left out.
+// and returns the serialized counter + invariant histogram sections.
 std::string DetectAndSerializeInvariantSections(
-    const Dataset& data, size_t threads, std::string* report_bytes = nullptr,
-    size_t container_threshold = GridModel::kAutoArrayThreshold,
-    bool threshold_varies = false) {
+    const Dataset& data, size_t threads, std::string* report_bytes = nullptr) {
   MetricsRegistry::Global().ResetForTest();
   Tracer::Global().Reset();
 
@@ -79,7 +64,6 @@ std::string DetectAndSerializeInvariantSections(
   config.evolution.restarts = 2;
   config.seed = 29;
   config.num_threads = threads;
-  config.container_threshold = container_threshold;
   const DetectionResult result = OutlierDetector(config).Detect(data);
   EXPECT_TRUE(result.completed);
   if (report_bytes != nullptr) *report_bytes = SerializeReport(result.report);
@@ -87,11 +71,7 @@ std::string DetectAndSerializeInvariantSections(
   RunTelemetry telemetry = CaptureRunTelemetry("invariance test");
   RunTelemetry filtered;
   filtered.tool = telemetry.tool;
-  for (const CounterSample& counter : telemetry.metrics.counters) {
-    if (!(threshold_varies && FollowsContainerThreshold(counter.name))) {
-      filtered.metrics.counters.push_back(counter);
-    }
-  }
+  filtered.metrics.counters = telemetry.metrics.counters;
   for (const HistogramSample& histogram : telemetry.metrics.histograms) {
     if (!IsThreadVariantHistogram(histogram.name)) {
       filtered.metrics.histograms.push_back(histogram);
@@ -102,9 +82,8 @@ std::string DetectAndSerializeInvariantSections(
   return SerializeRunTelemetry(filtered);
 }
 
-// At a fixed container threshold every counter is thread-invariant,
-// including the cube-counter strategy split: with no memo, the strategy
-// that serves a query depends only on the grid and the query.
+// Every counter is thread-invariant: with no memo, each query is counted
+// once whichever worker runs it.
 TEST(TelemetryInvarianceTest, InvariantCountersAreByteIdenticalAcrossThreads) {
   const Dataset data = GenerateUniform(300, 8, 13);
   std::string report_at_one;
@@ -122,39 +101,30 @@ TEST(TelemetryInvarianceTest, InvariantCountersAreByteIdenticalAcrossThreads) {
   EXPECT_NE(at_one.find("search.evaluations"), std::string::npos);
   EXPECT_NE(at_one.find("search.crossovers"), std::string::npos);
   EXPECT_NE(at_one.find("counter.queries"), std::string::npos);
-  EXPECT_NE(at_one.find("counter.bitset_counts"), std::string::npos);
-  EXPECT_NE(at_one.find("counter.posting_counts"), std::string::npos);
-  EXPECT_NE(at_one.find("grid.containers."), std::string::npos);
+  EXPECT_NE(at_one.find("grid.cells_indexed"), std::string::npos);
   EXPECT_NE(at_one.find("search.restart_generations"), std::string::npos);
 }
 
-// The counting-substrate acceptance criterion (kernels + containers are
-// encoding knobs): the report and invariant telemetry sections are
-// byte-identical under every counting kernel this host can run and every
-// container-threshold extreme, alone and crossed with threads.
+// The counting-substrate acceptance criterion (kernels are an encoding
+// choice): the report and every counter are byte-identical under every
+// counting kernel this host can run, alone and crossed with threads.
 TEST(TelemetryInvarianceTest,
-     ReportAndInvariantCountersAreIdenticalAcrossKernelsAndContainers) {
+     ReportAndInvariantCountersAreIdenticalAcrossKernelsAndThreads) {
   const Dataset data = GenerateUniform(300, 8, 13);
   std::string baseline_report;
-  const std::string baseline = DetectAndSerializeInvariantSections(
-      data, 1, &baseline_report, GridModel::kAutoArrayThreshold,
-      /*threshold_varies=*/true);
+  const std::string baseline =
+      DetectAndSerializeInvariantSections(data, 1, &baseline_report);
   ASSERT_FALSE(baseline_report.empty());
   for (const KernelKind kind : AvailableKernels()) {
     const ScopedKernelOverride forced(kind);
-    for (const size_t threshold :
-         {size_t{0}, size_t{301}, GridModel::kAutoArrayThreshold}) {
-      for (const size_t threads : {1u, 8u}) {
-        std::string report;
-        const std::string sections = DetectAndSerializeInvariantSections(
-            data, threads, &report, threshold, /*threshold_varies=*/true);
-        EXPECT_EQ(sections, baseline)
-            << "kernel=" << KernelKindName(kind)
-            << " threshold=" << threshold << " threads=" << threads;
-        EXPECT_EQ(report, baseline_report)
-            << "kernel=" << KernelKindName(kind)
-            << " threshold=" << threshold << " threads=" << threads;
-      }
+    for (const size_t threads : {1u, 8u}) {
+      std::string report;
+      const std::string sections =
+          DetectAndSerializeInvariantSections(data, threads, &report);
+      EXPECT_EQ(sections, baseline)
+          << "kernel=" << KernelKindName(kind) << " threads=" << threads;
+      EXPECT_EQ(report, baseline_report)
+          << "kernel=" << KernelKindName(kind) << " threads=" << threads;
     }
   }
 }
@@ -172,8 +142,7 @@ uint64_t CounterValue(const MetricsSnapshot& snapshot,
 // path computed a count, never its value. The cache modes (private, shared,
 // off) went with the memo layer; what stays is that the memo-free counter
 // reproduces the report and invariant counters that every mode produced at
-// 1, 2 and 8 threads (pinned below from a cached build), and that every
-// query is now computed by a strategy instead of served from a memo.
+// 1, 2 and 8 threads (pinned below from a cached build).
 TEST(TelemetryInvarianceTest,
      ReportAndInvariantCountersAreIdenticalAcrossCacheModes) {
   const Dataset data = GenerateUniform(300, 8, 13);
@@ -192,11 +161,7 @@ TEST(TelemetryInvarianceTest,
         << "threads=" << threads;
     EXPECT_EQ(CounterValue(snapshot, "detect.points_flagged"), 57u)
         << "threads=" << threads;
-    const uint64_t queries = CounterValue(snapshot, "counter.queries");
-    EXPECT_EQ(queries, 2497u) << "threads=" << threads;
-    EXPECT_EQ(CounterValue(snapshot, "counter.bitset_counts") +
-                  CounterValue(snapshot, "counter.posting_counts"),
-              queries)
+    EXPECT_EQ(CounterValue(snapshot, "counter.queries"), 2497u)
         << "threads=" << threads;
   }
 }
@@ -253,8 +218,7 @@ TEST(TelemetryInvarianceTest, ResumedRunPublishesUninterruptedTotals) {
   for (const char* name :
        {"search.runs", "search.generations", "search.evaluations",
         "search.crossovers", "search.mutations", "search.selections",
-        "search.restarts_completed", "counter.queries",
-        "counter.bitset_counts", "counter.posting_counts"}) {
+        "search.restarts_completed", "counter.queries"}) {
     EXPECT_EQ(CounterValue(after_resume, name), CounterValue(full, name))
         << name;
   }

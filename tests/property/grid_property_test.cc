@@ -90,35 +90,24 @@ uint64_t Counter(const char* name) {
 }
 
 // Builds `data` at 1 and 4 threads and checks each build against the
-// reference: cuts and min/max bitwise, cells, container kinds and ids,
-// and the grid.* counters the build adds.
+// reference: cuts and min/max bitwise, cells, range members and
+// cardinalities, and the grid.* counters the build adds.
 void ExpectBuildMatchesReference(const Dataset& data,
                                  const GridModel::Options& options) {
   const ReferenceGrid ref = BuildReference(data, options);
   const size_t n = data.num_rows();
   const size_t d = data.num_cols();
   const size_t phi = options.phi;
-  const size_t threshold =
-      options.array_threshold == GridModel::kAutoArrayThreshold
-          ? n / 32
-          : options.array_threshold;
-  size_t arrays = 0;
-  for (size_t dim = 0; dim < d; ++dim) {
-    for (const std::vector<uint32_t>& ids : ref.ids[dim]) {
-      arrays += ids.size() < threshold ? 1 : 0;
-    }
-  }
   for (const size_t threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    const char* const kCounters[] = {
-        "grid.builds", "grid.points_indexed", "grid.cells_indexed",
-        "grid.containers.array", "grid.containers.bitmap"};
+    const char* const kCounters[] = {"grid.builds", "grid.points_indexed",
+                                     "grid.cells_indexed"};
     std::vector<uint64_t> before;
     for (const char* name : kCounters) before.push_back(Counter(name));
     const Result<GridModel> built =
         GridModel::Build(data, options, /*stop=*/nullptr, threads);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    const uint64_t want[] = {1, n, n * d, arrays, d * phi - arrays};
+    const uint64_t want[] = {1, n, n * d};
     for (size_t i = 0; i < std::size(kCounters); ++i) {
       EXPECT_EQ(Counter(kCounters[i]) - before[i], want[i]) << kCounters[i];
     }
@@ -143,11 +132,8 @@ void ExpectBuildMatchesReference(const Dataset& data,
             << "row " << row << " dim " << dim;
       }
       for (uint32_t cell = 0; cell < phi; ++cell) {
-        const PostingContainer& container = grid.Container(dim, cell);
-        EXPECT_EQ(container.kind(), ref.ids[dim][cell].size() < threshold
-                                        ? PostingContainer::Kind::kArray
-                                        : PostingContainer::Kind::kBitmap);
-        EXPECT_EQ(container.ToIds(), ref.ids[dim][cell]);
+        EXPECT_EQ(grid.RangeBits(dim, cell).ToIndices(), ref.ids[dim][cell]);
+        EXPECT_EQ(grid.RangeCardinality(dim, cell), ref.ids[dim][cell].size());
       }
     }
   }
@@ -188,9 +174,9 @@ TEST_P(GridProperty, RangesPartitionPresentPoints) {
   for (size_t dim = 0; dim < d_; ++dim) {
     size_t total = 0;
     for (uint32_t cell = 0; cell < phi_; ++cell) {
-      const PostingContainer& members = grid_.Container(dim, cell);
-      EXPECT_EQ(members.cardinality(), members.ToIds().size());
-      total += members.cardinality();
+      const DynamicBitset& members = grid_.RangeBits(dim, cell);
+      EXPECT_EQ(grid_.RangeCardinality(dim, cell), members.Count());
+      total += members.Count();
     }
     EXPECT_EQ(total, data_.PresentCount(dim));
   }
@@ -204,15 +190,16 @@ TEST_P(GridProperty, CellAssignmentsConsistent) {
         EXPECT_EQ(cell, GridModel::kMissingCell);
       } else {
         ASSERT_LT(cell, phi_);
-        EXPECT_TRUE(grid_.Container(dim, cell).Contains(row));
+        EXPECT_TRUE(grid_.RangeBits(dim, cell).Test(row));
       }
     }
   }
 }
 
+// The two ways a cube is answered, the fused count and the id list ANDed
+// into a scratch bitmap, agree with the row scan.
 TEST_P(GridProperty, CountingStrategiesAgreeOnRandomCubes) {
-  CubeCounter bitset_counter(grid_, {CountingStrategy::kBitset});
-  CubeCounter posting_counter(grid_, {CountingStrategy::kPostingList});
+  CubeCounter counter(grid_);
   Rng rng(99);
   for (int trial = 0; trial < 30; ++trial) {
     const size_t k = 1 + rng.UniformIndex(std::min<size_t>(4, d_));
@@ -223,9 +210,8 @@ TEST_P(GridProperty, CountingStrategiesAgreeOnRandomCubes) {
            static_cast<uint32_t>(rng.UniformIndex(phi_))});
     }
     const size_t expected = CountByScan(grid_, conditions);
-    EXPECT_EQ(bitset_counter.Count(conditions), expected);
-    EXPECT_EQ(posting_counter.Count(conditions), expected);
-    EXPECT_EQ(posting_counter.CoveredPoints(conditions).size(), expected);
+    EXPECT_EQ(counter.Count(conditions), expected);
+    EXPECT_EQ(counter.CoveredPoints(conditions).size(), expected);
   }
 }
 
@@ -295,14 +281,13 @@ TEST(GridBuildOracle, ColumnMixingSignedZeros) {
   }
 }
 
-TEST(GridBuildOracle, SingleRowAndArrayThresholds) {
+TEST(GridBuildOracle, SingleRowAndPhiCap) {
   ExpectBuildMatchesReference(Dataset::FromRows({{3.0, -0.0}}),
                               GridModel::Options{});
   const Dataset data = GenerateUniform(700, 5, 9);
-  for (const size_t threshold : {size_t{0}, size_t{60}, size_t{1000}}) {
+  for (const size_t phi : {size_t{8}, GridModel::kMaxPhi}) {
     GridModel::Options gopts;
-    gopts.phi = 8;
-    gopts.array_threshold = threshold;
+    gopts.phi = phi;
     ExpectBuildMatchesReference(data, gopts);
   }
 }

@@ -38,7 +38,6 @@
 #include "common/string_util.h"
 #include "core/detector.h"
 #include "core/parameter_advisor.h"
-#include "core/projection.h"
 #include "core/report_io.h"
 #include "core/scoring.h"
 #include "core/search_checkpoint.h"
@@ -215,11 +214,6 @@ void AddSearchFlags(FlagParser& flags) {
                "worker threads for the search (0: all hardware threads); "
                "results are seed-deterministic for any value");
   flags.AddInt("seed", 42, "random seed");
-  flags.AddInt("container-threshold", -1,
-               "grid ranges with fewer members than this are stored as "
-               "sorted-array containers instead of bitmaps (-1: auto, "
-               "rows/32; 0: all bitmaps); reports are byte-identical at "
-               "any value");
   flags.AddDouble("deadline", 0.0,
                   "wall-clock budget in seconds (0: none); an expired run "
                   "still reports its best-so-far projections");
@@ -238,19 +232,38 @@ void AddSearchFlags(FlagParser& flags) {
 }
 
 // Range-checks the --phi and --s flags that `detect`, `fit` and `advise`
-// share, so a bad value ends in an error message instead of an abort.
+// share, so a bad value ends in an error message instead of an abort. The
+// phi cap bounds the grid's range bitmaps (GridModel::kMaxPhi).
 Status CheckPhiAndS(const FlagParser& flags) {
   const int64_t phi = flags.GetInt("phi");
-  if (phi != 0 && (phi < 2 || phi >= Projection::kDontCare)) {
+  if (phi != 0 &&
+      (phi < 2 || static_cast<uint64_t>(phi) > GridModel::kMaxPhi)) {
     return Status::InvalidArgument(
-        StrFormat("--phi must be 0 (auto) or in [2, %u), got %lld",
-                  static_cast<unsigned>(Projection::kDontCare),
-                  static_cast<long long>(phi)));
+        StrFormat("--phi must be 0 (auto) or in [2, %zu], got %lld",
+                  GridModel::kMaxPhi, static_cast<long long>(phi)));
   }
   if (!(flags.GetDouble("s") < 0.0)) {
     return Status::InvalidArgument(StrFormat(
         "--s must be negative (paper reference point: -3), got %g",
         flags.GetDouble("s")));
+  }
+  return Status::Ok();
+}
+
+// Largest --threads accepted. ParallelFor clamps work to the pool anyway,
+// but some callers size per-worker scratch from the request (the kNN
+// baseline keeps one heap per requested worker).
+constexpr size_t kMaxThreads = 1024;
+
+// Range-checks --threads for every subcommand that reads it: 0 means all
+// hardware threads.
+Status CheckThreads(const FlagParser& flags) {
+  const int64_t threads = flags.GetInt("threads");
+  if (threads < 0 || static_cast<uint64_t>(threads) > kMaxThreads) {
+    return Status::InvalidArgument(StrFormat(
+        "--threads must be 0 (all hardware threads) or in [1, %zu], got "
+        "%lld",
+        kMaxThreads, static_cast<long long>(threads)));
   }
   return Status::Ok();
 }
@@ -267,20 +280,28 @@ Status SearchConfigFromFlags(const FlagParser& flags,
         StrFormat("--m must be at least 1, got %lld",
                   static_cast<long long>(flags.GetInt("m"))));
   }
-  if (flags.GetInt("population") < 2) {
+  const int64_t population = flags.GetInt("population");
+  if (population < 2 ||
+      static_cast<uint64_t>(population) > EvolutionaryOptions::kMaxPopulation) {
     return Status::InvalidArgument(
-        StrFormat("--population must be at least 2, got %lld",
-                  static_cast<long long>(flags.GetInt("population"))));
+        StrFormat("--population must be in [2, %zu], got %lld",
+                  EvolutionaryOptions::kMaxPopulation,
+                  static_cast<long long>(population)));
   }
+  const int64_t restarts = flags.GetInt("restarts");
+  if (restarts < 0 ||
+      static_cast<uint64_t>(restarts) > EvolutionaryOptions::kMaxRestarts) {
+    return Status::InvalidArgument(
+        StrFormat("--restarts must be in [0, %zu] (0 runs one), got %lld",
+                  EvolutionaryOptions::kMaxRestarts,
+                  static_cast<long long>(restarts)));
+  }
+  HIDO_RETURN_IF_ERROR(CheckThreads(flags));
   config->phi = static_cast<size_t>(flags.GetInt("phi"));
   config->target_dim = static_cast<size_t>(flags.GetInt("k"));
   config->sparsity_target = flags.GetDouble("s");
   config->num_projections = static_cast<size_t>(flags.GetInt("m"));
   config->seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const int64_t container_threshold = flags.GetInt("container-threshold");
-  config->container_threshold =
-      container_threshold < 0 ? GridModel::kAutoArrayThreshold
-                              : static_cast<size_t>(container_threshold);
   const size_t threads = static_cast<size_t>(flags.GetInt("threads"));
   config->num_threads = threads == 0 ? HardwareThreads() : threads;
   if (flags.GetString("algorithm") == "brute-force") {
@@ -738,6 +759,8 @@ int RunServe(const std::vector<std::string>& args) {
   const int parse_outcome = ParseOrReport(flags, args);
   if (parse_outcome >= 0) return parse_outcome;
 
+  const Status threads_ok = CheckThreads(flags);
+  if (!threads_ok.ok()) return Fail(threads_ok);
   const ScopedRunControl control(flags.GetDouble("deadline"));
 
   serve::ScoreServiceOptions service_options;
@@ -1391,6 +1414,8 @@ int RunBaselines(const std::vector<std::string>& args) {
   AddTelemetryFlags(flags);
   const int parse_outcome = ParseOrReport(flags, args);
   if (parse_outcome >= 0) return parse_outcome;
+  const Status threads_ok = CheckThreads(flags);
+  if (!threads_ok.ok()) return Fail(threads_ok);
   const ScopedRunControl control(flags.GetDouble("deadline"));
   Result<Dataset> data = [&] {
     const obs::TraceSpan span("load_input");
