@@ -17,7 +17,6 @@
 #include "core/evolutionary_search.h"
 #include "data/generators/synthetic.h"
 #include "eval/table.h"
-#include "grid/cube_counter.h"
 
 namespace hido {
 namespace {
@@ -35,8 +34,7 @@ AblationRow RunOnce(const Dataset& data, CrossoverKind kind,
   GridModel::Options gopts;
   gopts.phi = 5;
   const GridModel grid = GridModel::Build(data, gopts);
-  CubeCounter counter(grid);
-  SparsityObjective objective(counter);
+  SparsityObjective objective(grid);
 
   EvolutionaryOptions options;
   options.target_dim = 3;

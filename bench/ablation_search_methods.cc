@@ -26,7 +26,6 @@
 #include "data/generators/synthetic.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
-#include "grid/cube_counter.h"
 
 namespace hido {
 namespace {
@@ -88,8 +87,7 @@ int Main() {
     for (LocalSearchMethod method :
          {LocalSearchMethod::kRandomSearch, LocalSearchMethod::kHillClimbing,
           LocalSearchMethod::kSimulatedAnnealing}) {
-      CubeCounter counter(grid);
-      SparsityObjective objective(counter);
+      SparsityObjective objective(grid);
       LocalSearchOptions opts;
       opts.method = method;
       opts.target_dim = 2;
@@ -114,8 +112,7 @@ int Main() {
     // The evolutionary algorithm at (approximately) the same budget:
     // restarts x generations x population x ~2 evals/generation ~ 60k.
     {
-      CubeCounter counter(grid);
-      SparsityObjective objective(counter);
+      SparsityObjective objective(grid);
       EvolutionaryOptions opts;
       opts.target_dim = 2;
       opts.num_projections = 20;

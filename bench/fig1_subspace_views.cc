@@ -26,10 +26,10 @@
 #include "baselines/lof.h"
 #include "common/string_util.h"
 #include "core/detector.h"
+#include "core/objective.h"
 #include "data/generators/synthetic.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
-#include "grid/cube_counter.h"
 
 namespace hido {
 namespace {
@@ -145,8 +145,7 @@ int Main() {
   GridModel::Options gopts;
   gopts.phi = 5;
   const GridModel grid = GridModel::Build(g.data, gopts);
-  CubeCounter counter(grid);
-  const SparsityModel model(grid.num_points(), grid.phi());
+  SparsityObjective objective(grid);
 
   const size_t row = g.outlier_rows.front();
   const std::vector<size_t>& expose = g.outlier_dims.front();
@@ -154,12 +153,12 @@ int Main() {
     const std::vector<DimRange> cube = {
         {static_cast<uint32_t>(a), grid.Cell(row, a)},
         {static_cast<uint32_t>(b), grid.Cell(row, b)}};
-    const size_t count = counter.Count(cube);
+    const CubeEvaluation eval = objective.EvaluateConditions(cube);
     std::printf("  view (%zu,%zu) %-28s n(D)=%-4zu S(D)=%+.2f\n", a, b, name,
-                count, model.Coefficient(count, 2));
+                eval.count, eval.sparsity);
   };
   std::printf("anomaly at row %zu; expected cell count %.0f\n", row,
-              model.ExpectedCount(2));
+              objective.model().ExpectedCount(2));
   // Two ordinary views: dims outside the exposing pair.
   std::vector<size_t> others;
   for (size_t d = 0; d < 40 && others.size() < 4; ++d) {

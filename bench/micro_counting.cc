@@ -1,6 +1,7 @@
 // Micro-benchmarks for the cube-counting substrate (google-benchmark):
-// the AND+popcount kernels, the fused k-way cube count, and grid
-// construction cost.
+// the AND+popcount kernels, the fused k-way cube count (counted and scored
+// through SparsityObjective, as the searches do), and grid construction
+// cost.
 //
 // Besides the console table, the run writes BENCH_counting.json
 // (HIDO_BENCH_JSON overrides the path): one telemetry result row per
@@ -17,8 +18,8 @@
 #include "common/bitset.h"
 #include "common/bitset_kernels.h"
 #include "common/rng.h"
+#include "core/objective.h"
 #include "data/generators/synthetic.h"
-#include "grid/cube_counter.h"
 #include "obs/telemetry.h"
 
 namespace hido {
@@ -122,11 +123,12 @@ BENCHMARK_CAPTURE(BM_AndCountAuto, mixed, BitDensity::kMixed);
 void BM_Count(benchmark::State& state, size_t n) {
   const size_t k = static_cast<size_t>(state.range(0));
   BenchFixture fixture(n, 32, 10);
-  CubeCounter counter(fixture.grid);
+  SparsityObjective objective(fixture.grid);
   const auto queries = MakeQueries(fixture.grid, k, 256);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(counter.Count(queries[i++ & 255]));
+    benchmark::DoNotOptimize(
+        objective.EvaluateConditions(queries[i++ & 255]).count);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

@@ -9,7 +9,6 @@
 #include "core/genetic/convergence.h"
 #include "core/genetic/selection.h"
 #include "data/generators/synthetic.h"
-#include "grid/cube_counter.h"
 #include "obs/trace.h"
 
 namespace hido {
@@ -24,8 +23,7 @@ struct GaFixture {
                                 o.phi = 10;
                                 return o;
                               }())),
-        counter(grid),
-        objective(counter) {}
+        objective(grid) {}
 
   std::vector<Individual> MakePopulation(size_t p, size_t k, Rng& rng) {
     std::vector<Individual> population(p);
@@ -38,7 +36,6 @@ struct GaFixture {
 
   Dataset data;
   GridModel grid;
-  CubeCounter counter;
   SparsityObjective objective;
 };
 

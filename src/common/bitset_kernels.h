@@ -2,7 +2,7 @@
 #define HIDO_COMMON_BITSET_KERNELS_H_
 
 // Counting kernels for the DynamicBitset hot loops — the AND+popcount at
-// the bottom of every cube count (grid/cube_counter.cc), which the search
+// the bottom of every cube count (core/objective.cc), which the search
 // and the ensemble fan-out make the hottest loop in the repo.
 //
 // Three implementations share one function-pointer table layout:

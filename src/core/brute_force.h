@@ -19,9 +19,10 @@
 // empty partial cube is skipped. This does not change the returned set.
 //
 // The depth-first walk visits each cube exactly once and counts it
-// directly on the carried bitset, never through CubeCounter::Count, so it
-// publishes no counter.* statistics. The bottom-up CandidateSetSearch
-// variant and the evolutionary search both count through CubeCounter.
+// directly on the carried bitset, not through SparsityObjective's counting,
+// so it adds nothing to the objective's evaluation tally. Every leaf is
+// still scored by SparsityObjective::Sparsity, the formula the bottom-up
+// CandidateSetSearch variant and the evolutionary search score with.
 
 #include <cstdint>
 
@@ -82,8 +83,9 @@ struct BruteForceResult {
   BruteForceStats stats;               ///< counters for this run
 };
 
-/// Runs the exhaustive search. `objective` supplies grid and scoring.
-BruteForceResult BruteForceSearch(SparsityObjective& objective,
+/// Runs the exhaustive search. `objective` supplies grid and scoring; its
+/// const Sparsity() is shared by every worker.
+BruteForceResult BruteForceSearch(const SparsityObjective& objective,
                                   const BruteForceOptions& options);
 
 /// Number of k-dimensional cubes in a (d, phi) grid: C(d,k) * phi^k, the

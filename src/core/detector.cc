@@ -7,7 +7,6 @@
 #include "common/timer.h"
 #include "core/parameter_advisor.h"
 #include "core/search_checkpoint.h"
-#include "grid/cube_counter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -107,8 +106,7 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
   }
   result.grid = std::move(grid).value();
 
-  CubeCounter counter(result.grid);
-  SparsityObjective objective(counter, config_.expectation);
+  SparsityObjective objective(result.grid, config_.expectation);
 
   std::vector<ScoredProjection> best;
   if (config_.algorithm == SearchAlgorithm::kEvolutionary) {

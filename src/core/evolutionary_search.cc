@@ -16,7 +16,6 @@
 #include "core/genetic/convergence.h"
 #include "core/genetic/selection.h"
 #include "core/search_checkpoint.h"
-#include "grid/cube_counter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -46,61 +45,6 @@ bool OfferPopulation(const std::vector<Individual>& population,
   }
   return improved;
 }
-
-// Per-worker fitness-evaluation scratch for one restart: a CubeCounter
-// (stats + source scratch are single-threaded state) and objective per
-// worker, all over the shared read-only grid. Worker 0 is the restart's
-// own base objective. The private counters' Stats are absorbed at the end.
-class EvalScratch {
- public:
-  EvalScratch(SparsityObjective& base, size_t workers) {
-    objectives_.push_back(&base);
-    for (size_t w = 1; w < workers; ++w) {
-      counters_.push_back(std::make_unique<CubeCounter>(base.grid()));
-      owned_.push_back(std::make_unique<SparsityObjective>(
-          *counters_.back(), base.expectation()));
-      objectives_.push_back(owned_.back().get());
-    }
-  }
-
-  const std::vector<SparsityObjective*>& objectives() const {
-    return objectives_;
-  }
-
-  // Evaluations performed so far across the base and every private worker
-  // (for snapshots taken before the final AbsorbIntoBase).
-  uint64_t TotalEvaluations() const {
-    uint64_t total = 0;
-    for (const SparsityObjective* objective : objectives_) {
-      total += objective->num_evaluations();
-    }
-    return total;
-  }
-
-  // Counter statistics so far across the base and every private worker.
-  CubeCounter::Stats CombinedCounterStats() const {
-    CubeCounter::Stats stats = objectives_.front()->counter().stats();
-    for (const auto& counter : counters_) stats += counter->stats();
-    return stats;
-  }
-
-  // Folds the private workers' evaluation counts and counter statistics
-  // into the base objective, so the restart's totals are truthful.
-  void AbsorbIntoBase() {
-    SparsityObjective& base = *objectives_.front();
-    for (const auto& objective : owned_) {
-      base.AddEvaluations(objective->num_evaluations());
-    }
-    for (const auto& counter : counters_) {
-      base.counter().AbsorbStats(counter->stats());
-    }
-  }
-
- private:
-  std::vector<std::unique_ptr<CubeCounter>> counters_;
-  std::vector<std::unique_ptr<SparsityObjective>> owned_;
-  std::vector<SparsityObjective*> objectives_;
-};
 
 // Serializes concurrent per-restart snapshot updates into whole-file
 // atomic rewrites. Checkpointing is best-effort: write failures are
@@ -161,7 +105,6 @@ struct RestartOutcome {
   uint64_t crossovers = 0;
   uint64_t mutations = 0;
   uint64_t selections = 0;
-  CubeCounter::Stats counter_stats;
 };
 
 // Context shared (read-only or thread-safe) by all restarts of one search.
@@ -184,7 +127,6 @@ RestartOutcome OutcomeFromSnapshot(const RestartCheckpoint& snapshot) {
   outcome.crossovers = snapshot.crossovers;
   outcome.mutations = snapshot.mutations;
   outcome.selections = snapshot.selections;
-  outcome.counter_stats = snapshot.counter_stats;
   return outcome;
 }
 
@@ -207,13 +149,18 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
     return outcome;
   }
 
-  // Private evaluation state: restarts may run concurrently, so none of
-  // them may touch the caller's counter. Results are unaffected — fitness
-  // evaluation is pure.
-  CubeCounter counter(*ctx.grid);
-  SparsityObjective objective(counter, ctx.expectation);
-  EvalScratch scratch(objective, ctx.eval_threads);
-  const std::vector<SparsityObjective*>& evals = scratch.objectives();
+  // One private evaluator per worker, worker 0 being the restart's own:
+  // restarts may run concurrently, so none of them may touch the caller's
+  // objective. Each sits in its own allocation, because its tally and
+  // gather scratch are written on every count. Results are unaffected —
+  // fitness evaluation is pure.
+  std::vector<std::unique_ptr<SparsityObjective>> evaluators;
+  std::vector<SparsityObjective*> evals;
+  for (size_t w = 0; w < ctx.eval_threads; ++w) {
+    evaluators.push_back(
+        std::make_unique<SparsityObjective>(*ctx.grid, ctx.expectation));
+    evals.push_back(evaluators.back().get());
+  }
   const size_t eval_workers = evals.size();
 
   // Per-restart RNG stream: bit-identical results no matter which thread
@@ -226,7 +173,14 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
   // Work already accounted by the snapshot being resumed, folded back into
   // the outcome so resumed totals match the uninterrupted run.
   uint64_t base_evaluations = 0;
-  CubeCounter::Stats base_counter_stats;
+  // The restart's evaluations so far: the snapshot's plus every worker's.
+  auto evaluations = [&] {
+    uint64_t total = base_evaluations;
+    for (const SparsityObjective* eval : evals) {
+      total += eval->num_evaluations();
+    }
+    return total;
+  };
   // Operator tallies (cumulative: seeded from the snapshot on resume).
   uint64_t crossovers = 0;
   uint64_t mutations = 0;
@@ -241,7 +195,6 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
     start_generation = resume->generation;
     stagnant_generations = resume->stagnant_generations;
     base_evaluations = resume->evaluations;
-    base_counter_stats = resume->counter_stats;
     crossovers = resume->crossovers;
     mutations = resume->mutations;
     selections = resume->selections;
@@ -273,12 +226,10 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
     snapshot.rng = rng.SaveState();
     snapshot.best = best.Sorted();
     snapshot.population = population;
-    snapshot.evaluations = base_evaluations + scratch.TotalEvaluations();
+    snapshot.evaluations = evaluations();
     snapshot.crossovers = crossovers;
     snapshot.mutations = mutations;
     snapshot.selections = selections;
-    snapshot.counter_stats = base_counter_stats;
-    snapshot.counter_stats += scratch.CombinedCounterStats();
     return snapshot;
   };
 
@@ -354,15 +305,12 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
     }
   }
 
-  scratch.AbsorbIntoBase();
-  counter.AbsorbStats(base_counter_stats);
   outcome.best = best.Sorted();
   outcome.generations = generation;
-  outcome.evaluations = base_evaluations + objective.num_evaluations();
+  outcome.evaluations = evaluations();
   outcome.crossovers = crossovers;
   outcome.mutations = mutations;
   outcome.selections = selections;
-  outcome.counter_stats = counter.stats();
 
   if (ctx.sink != nullptr && !outcome.interrupted) {
     RestartCheckpoint snapshot;
@@ -374,7 +322,6 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
     snapshot.crossovers = outcome.crossovers;
     snapshot.mutations = outcome.mutations;
     snapshot.selections = outcome.selections;
-    snapshot.counter_stats = outcome.counter_stats;
     ctx.sink->Update(run, std::move(snapshot));
   }
   return outcome;
@@ -429,9 +376,9 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
   ctx.grid = &grid;
   ctx.options = &options;
   ctx.expectation = objective.expectation();
-  // Scratch allocation must not exceed what ParallelFor can actually
-  // deploy — otherwise an oversized num_threads (e.g. a stray -1 cast to
-  // size_t at a call site) would allocate a counter per requested thread.
+  // Evaluators must not outnumber what ParallelFor can actually deploy —
+  // otherwise an oversized num_threads (e.g. a stray -1 cast to size_t at
+  // a call site) would allocate one per requested thread.
   ctx.eval_threads =
       std::min({threads, options.population_size,
                 ThreadPool::Shared().num_workers() + 1});
@@ -478,10 +425,9 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
   }
 
   // Merge in restart order (deterministic tie-breaking), and fold every
-  // restart's evaluation/counter totals back into the caller's objective.
+  // restart's evaluation total back into the caller's objective.
   EvolutionResult result;
   BestSet best(options.num_projections, options.require_non_empty);
-  CubeCounter::Stats counter_totals;
   for (const RestartOutcome& outcome : outcomes) {
     for (const ScoredProjection& scored : outcome.best) {
       best.Offer(scored);
@@ -492,15 +438,13 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
     result.stats.mutations += outcome.mutations;
     result.stats.selections += outcome.selections;
     if (!outcome.interrupted) ++result.stats.restarts_completed;
-    counter_totals += outcome.counter_stats;
     objective.AddEvaluations(outcome.evaluations);
-    objective.counter().AbsorbStats(outcome.counter_stats);
   }
   result.best = best.Sorted();
 
   // Publish this run's totals to the process-wide registry once, at
-  // aggregation — never from the hot loops. All search.* and counter.*
-  // counters are deterministic for a fixed seed at any thread count.
+  // aggregation — never from the hot loops. All search.* counters are
+  // deterministic for a fixed seed at any thread count.
   {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     registry.GetCounter("search.runs").Add(1);
@@ -521,7 +465,6 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
       generations_histogram.Observe(
           static_cast<double>(outcome.generations));
     }
-    registry.GetCounter("counter.queries").Add(counter_totals.queries);
   }
   result.stats.completed = !poller.stopped();
   result.stats.stop_cause = poller.cause();

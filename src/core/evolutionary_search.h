@@ -83,7 +83,7 @@ struct EvolutionaryOptions {
   /// ValidateCheckpoint). Finished restarts are replayed from the snapshot;
   /// interrupted ones continue from their saved generation on the exact
   /// RNG stream position, so the final result is bit-identical to the
-  /// uninterrupted run at any thread count, and so are its counter.*
+  /// uninterrupted run at any thread count, and so are its search.*
   /// totals.
   const EvolutionCheckpoint* resume = nullptr;
   bool require_non_empty = true;  ///< skip empty-cube projections
@@ -91,7 +91,7 @@ struct EvolutionaryOptions {
   /// Worker threads (0 = hardware concurrency). Parallelism is exploited
   /// along two axes on the shared ThreadPool: restarts run as independent
   /// tasks, and within a restart the population's fitness evaluations fan
-  /// out with per-worker counter scratch.
+  /// out over one SparsityObjective per worker.
   ///
   /// Determinism contract: with time_budget_seconds == 0, a fixed seed
   /// yields a bit-identical `EvolutionResult::best` (projections, counts,
@@ -152,9 +152,9 @@ struct EvolutionResult {
 using GenerationCallback = std::function<void(
     size_t, const std::vector<Individual>&, const BestSet&)>;
 
-/// Runs the evolutionary search against `objective`. Evaluations performed
-/// on private per-restart/per-worker counters are folded back into
-/// `objective` (and its CubeCounter's stats) before returning.
+/// Runs the evolutionary search against `objective`'s grid and expectation
+/// model. Evaluations performed on the private per-worker objectives are
+/// folded into `objective`'s tally before returning.
 EvolutionResult EvolutionarySearch(
     SparsityObjective& objective, const EvolutionaryOptions& options,
     const GenerationCallback& on_generation = nullptr);

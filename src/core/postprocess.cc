@@ -5,7 +5,6 @@
 
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "grid/cube_counter.h"
 #include "grid/sparsity.h"
 
 namespace hido {
@@ -15,14 +14,12 @@ OutlierReport ExtractOutliers(const GridModel& grid,
   OutlierReport report;
   report.projections = std::move(projections);
 
-  const CubeCounter counter(grid);
-
   std::map<size_t, OutlierRecord> by_row;
   for (size_t p = 0; p < report.projections.size(); ++p) {
     const ScoredProjection& scored = report.projections[p];
     if (scored.projection.Dimensionality() == 0) continue;
     const std::vector<uint32_t> covered =
-        counter.CoveredPoints(scored.projection.Conditions());
+        grid.CoveredPoints(scored.projection.Conditions());
     for (uint32_t row : covered) {
       OutlierRecord& record = by_row[row];
       record.row = row;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "grid/cube_counter.h"
-
 namespace hido {
 
 std::vector<PointScore> ScoreAllPoints(
@@ -15,11 +13,9 @@ std::vector<PointScore> ScoreAllPoints(
     scores[row].row = row;
   }
 
-  const CubeCounter counter(grid);
   for (const ScoredProjection& scored : projections) {
     if (scored.projection.Dimensionality() == 0) continue;
-    for (uint32_t row :
-         counter.CoveredPoints(scored.projection.Conditions())) {
+    for (uint32_t row : grid.CoveredPoints(scored.projection.Conditions())) {
       PointScore& score = scores[row];
       if (score.covering_projections == 0 ||
           scored.sparsity < score.sparsity_score) {

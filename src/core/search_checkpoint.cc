@@ -16,10 +16,11 @@ constexpr char kMagic[] = "hido-checkpoint";
 // resumed run's telemetry counters match the uninterrupted run's. v3 widened
 // `counter_stats` to the cube-cache breakdown; v4 shrank it back to the
 // queries and the two counting strategies once counts were no longer
-// memoized; v5 keeps only the queries, since every cube is counted one way.
+// memoized; v5 kept only the queries, since every cube is counted one way;
+// v6 drops the `counter_stats` line, which always repeated `evaluations`.
 // Older versions are rejected; checkpoints are short-lived scratch state,
 // not archives.
-constexpr char kVersion[] = "v5";
+constexpr char kVersion[] = "v6";
 
 const char* StateName(RestartCheckpoint::State state) {
   switch (state) {
@@ -39,11 +40,6 @@ void AppendConditions(std::string& out, const Projection& projection) {
   for (const DimRange& cond : conditions) {
     out += StrFormat(" %u:%u", cond.dim, cond.cell);
   }
-}
-
-void AppendStats(std::string& out, const CubeCounter::Stats& stats) {
-  out += StrFormat("counter_stats %llu\n",
-                   static_cast<unsigned long long>(stats.queries));
 }
 
 void AppendBest(std::string& out,
@@ -110,12 +106,6 @@ Status ParseProjection(Parser& p, size_t num_dims, size_t phi,
     out.Specify(static_cast<size_t>(dim.value()),
                 static_cast<uint32_t>(cell.value()));
   }
-  return Status::Ok();
-}
-
-Status ParseStats(Parser& p, CubeCounter::Stats& stats) {
-  HIDO_RETURN_IF_ERROR(p.ExpectKey("counter_stats"));
-  if (!(p.in >> stats.queries)) return p.Fail("bad counter_stats");
   return Status::Ok();
 }
 
@@ -220,7 +210,6 @@ std::string SerializeCheckpoint(const EvolutionCheckpoint& checkpoint) {
                      static_cast<unsigned long long>(run.crossovers),
                      static_cast<unsigned long long>(run.mutations),
                      static_cast<unsigned long long>(run.selections));
-    AppendStats(out, run.counter_stats);
     if (run.state == RestartCheckpoint::State::kDone) {
       out += StrFormat("stop_reason %d\n",
                        static_cast<int>(run.stop_reason));
@@ -351,7 +340,6 @@ Result<EvolutionCheckpoint> ParseCheckpoint(std::string_view text) {
     if (!(p.in >> run.crossovers >> run.mutations >> run.selections)) {
       return p.Fail("bad ops");
     }
-    HIDO_RETURN_IF_ERROR(ParseStats(p, run.counter_stats));
 
     if (run.state == RestartCheckpoint::State::kDone) {
       HIDO_RETURN_IF_ERROR(p.ExpectKey("stop_reason"));

@@ -4,7 +4,7 @@
 // Resumable snapshots of an evolutionary search: everything needed to
 // continue an interrupted batch bit-identically — per-restart RNG stream
 // positions, populations with cached fitness, restart-local best sets, and
-// evaluation/counter totals — plus a fingerprint of the configuration the
+// evaluation and operator totals — plus a fingerprint of the configuration the
 // snapshot was taken under, so a checkpoint can never silently resume a
 // different experiment.
 //
@@ -19,7 +19,7 @@
 //   * unstarted — resumes from scratch on its own RNG stream.
 // Because each restart owns an independent RNG stream and restart-local
 // BestSet (merged in restart order under key-based tie-breaking), the
-// resumed batch's result and its evaluation/counter totals are identical
+// resumed batch's result and its evaluation and operator totals are identical
 // to the uninterrupted run's at any thread count.
 //
 // Format: a versioned `key value...` line format in the style of the
@@ -36,7 +36,7 @@
 #include "common/status.h"
 #include "core/evolutionary_search.h"
 #include "core/genetic/individual.h"
-#include "grid/cube_counter.h"
+#include "grid/grid_model.h"
 
 namespace hido {
 
@@ -54,7 +54,6 @@ struct RestartCheckpoint {
   uint64_t crossovers = 0;              ///< crossover operations so far
   uint64_t mutations = 0;               ///< mutation operations so far
   uint64_t selections = 0;              ///< selection operations so far
-  CubeCounter::Stats counter_stats;     ///< cube-counter totals so far
   /// kDone: generations the restart ran; kPartial: the generation index the
   /// resumed run continues at (its draws have not happened yet).
   size_t generation = 0;

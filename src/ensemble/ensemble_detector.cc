@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "core/local_search.h"
 #include "core/parameter_advisor.h"
-#include "grid/cube_counter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -154,8 +153,7 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
     member.kind = kinds[index];
     member.seed = DeriveMemberSeed(base.seed, index);
 
-    CubeCounter counter(result.grid);
-    SparsityObjective objective(counter, base.expectation);
+    SparsityObjective objective(result.grid, base.expectation);
 
     switch (member.kind) {
       case MemberKind::kGa: {

@@ -2,7 +2,6 @@
 
 #include "common/stats.h"
 #include "core/postprocess.h"
-#include "grid/cube_counter.h"
 
 namespace hido {
 
@@ -26,8 +25,7 @@ double MeanSparsity(const std::vector<ScoredProjection>& best) {
 SearchRun RunBruteForceExperiment(const Dataset& data,
                                   const ExperimentParams& params) {
   const GridModel grid = BuildGrid(data, params.phi);
-  CubeCounter counter(grid);
-  SparsityObjective objective(counter);
+  SparsityObjective objective(grid);
 
   BruteForceOptions options;
   options.target_dim = params.target_dim;
@@ -50,8 +48,7 @@ SearchRun RunEvolutionaryExperiment(const Dataset& data,
                                     const ExperimentParams& params,
                                     CrossoverKind crossover) {
   const GridModel grid = BuildGrid(data, params.phi);
-  CubeCounter counter(grid);
-  SparsityObjective objective(counter);
+  SparsityObjective objective(grid);
 
   EvolutionaryOptions options;
   options.target_dim = params.target_dim;

@@ -136,4 +136,16 @@ bool GridModel::Covers(size_t row,
   return true;
 }
 
+std::vector<uint32_t> GridModel::CoveredPoints(
+    const std::vector<DimRange>& conditions) const {
+  HIDO_CHECK(!conditions.empty());
+  DynamicBitset covered = RangeBits(conditions[0].dim, conditions[0].cell);
+  for (size_t i = 1; i < conditions.size(); ++i) {
+    covered.AndWith(RangeBits(conditions[i].dim, conditions[i].cell));
+  }
+  std::vector<uint32_t> ids;
+  covered.AppendSetBits(ids);
+  return ids;
+}
+
 }  // namespace hido

@@ -94,6 +94,12 @@ class GridModel {
   /// True when a point satisfies all conditions (missing never matches).
   bool Covers(size_t row, const std::vector<DimRange>& conditions) const;
 
+  /// Sorted ids of the points satisfying all `conditions`: the AND of their
+  /// range bitmaps. Preconditions: conditions non-empty, every dim < d and
+  /// cell < phi (all checked).
+  std::vector<uint32_t> CoveredPoints(
+      const std::vector<DimRange>& conditions) const;
+
   const Quantizer& quantizer() const { return quantizer_; }  ///< bin edges
 
  private:

@@ -13,8 +13,7 @@
 // any thread count and counting kernel, *except* instruments declared
 // `variant` in the machine-readable contract block below — scheduling-
 // dependent breakdowns (the kNN scored/pruned split, pool.* gauges) and the
-// client-dependent serve.* family. counter.queries is invariant — every
-// query increments it exactly once. The serve.* family is client-dependent
+// client-dependent serve.* family. The serve.* family is client-dependent
 // rather than thread-dependent: deterministic for a scripted client
 // schedule (the CI chaos job asserts exact values) but dependent on kernel
 // read coalescing when clients race. Wall-clock lives only in `timing` and
@@ -44,7 +43,6 @@
 //   counter checkpoint.resumes invariant
 //   counter checkpoint.save_failures invariant
 //   counter checkpoint.saves invariant
-//   counter counter.queries invariant one increment per query
 //   counter data.columns_encoded invariant
 //   counter data.csv_loads invariant
 //   counter data.csv_rows invariant

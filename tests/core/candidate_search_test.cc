@@ -16,10 +16,8 @@ struct Fixture {
                                 o.phi = phi;
                                 return o;
                               }())),
-        counter(grid),
-        objective(counter) {}
+        objective(grid) {}
   GridModel grid;
-  CubeCounter counter;
   SparsityObjective objective;
 };
 

@@ -19,10 +19,8 @@ struct Fixture {
                                 o.phi = phi;
                                 return o;
                               }())),
-        counter(grid),
-        objective(counter) {}
+        objective(grid) {}
   GridModel grid;
-  CubeCounter counter;
   SparsityObjective objective;
 };
 
@@ -177,8 +175,7 @@ TEST(OptimizedCrossoverTest, GreedyPicksSparserExtension) {
   gopts.phi = 2;
   gopts.mode = BinningMode::kEquiWidth;  // deterministic cells under ties
   const GridModel grid = GridModel::Build(ds, gopts);
-  CubeCounter counter(grid);
-  SparsityObjective objective(counter);
+  SparsityObjective objective(grid);
 
   Projection a(3);
   a.Specify(0, 0);
@@ -210,8 +207,7 @@ TEST(OptimizedCrossoverTest, TypeIIEnumerationFindsBestCombination) {
   gopts.phi = 2;
   gopts.mode = BinningMode::kEquiWidth;  // deterministic cells under ties
   const GridModel grid = GridModel::Build(ds, gopts);
-  CubeCounter counter(grid);
-  SparsityObjective objective(counter);
+  SparsityObjective objective(grid);
 
   Projection a(2);
   a.Specify(0, 0);

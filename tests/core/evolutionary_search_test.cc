@@ -21,10 +21,8 @@ struct Fixture {
                                 o.phi = phi;
                                 return o;
                               }())),
-        counter(grid),
-        objective(counter) {}
+        objective(grid) {}
   GridModel grid;
-  CubeCounter counter;
   SparsityObjective objective;
 };
 
@@ -113,8 +111,8 @@ TEST(EvolutionarySearchTest, BitIdenticalResultsForAnyThreadCount) {
 }
 
 TEST(EvolutionarySearchTest, StatsStayTruthfulUnderConcurrency) {
-  // Evaluations done on private per-restart/per-worker counters must be
-  // folded back into the caller's objective and its counter's statistics.
+  // Evaluations done on the private per-worker objectives must be folded
+  // back into the caller's objective.
   Fixture f(GenerateUniform(300, 10, 3), 5);
   EvolutionaryOptions opts;
   opts.target_dim = 2;
@@ -127,14 +125,12 @@ TEST(EvolutionarySearchTest, StatsStayTruthfulUnderConcurrency) {
   const EvolutionResult result = EvolutionarySearch(f.objective, opts);
   EXPECT_GT(result.stats.evaluations, 0u);
   EXPECT_EQ(f.objective.num_evaluations(), result.stats.evaluations);
-  const CubeCounter::Stats stats = f.counter.stats();
-  EXPECT_GT(stats.queries, 0u);
 }
 
 TEST(EvolutionarySearchTest, OversizedThreadCountIsClampedNotAllocated) {
   // A caller passing e.g. -1 cast to size_t must not make the search try
-  // to allocate one counter per requested thread; scratch is clamped to
-  // what the pool can actually deploy, and results match num_threads=1.
+  // to allocate one evaluator per requested thread; evaluators are clamped
+  // to what the pool can actually deploy, and results match num_threads=1.
   EvolutionaryOptions opts;
   opts.target_dim = 2;
   opts.num_projections = 3;

@@ -95,8 +95,7 @@ TEST(MutatePopulationTest, ReevaluatesChangedIndividuals) {
   gopts.phi = 4;
   const GridModel grid =
       GridModel::Build(GenerateUniform(300, 6, 7), gopts);
-  CubeCounter counter(grid);
-  SparsityObjective objective(counter);
+  SparsityObjective objective(grid);
 
   Rng rng(8);
   std::vector<Individual> population(10);

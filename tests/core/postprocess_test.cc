@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "data/generators/synthetic.h"
-#include "grid/cube_counter.h"
 
 namespace hido {
 namespace {
@@ -64,14 +63,14 @@ TEST(PostprocessTest, OutliersSortedByStrength) {
   GridModel::Options gopts;
   gopts.phi = 4;
   const GridModel grid = GridModel::Build(ds, gopts);
-  CubeCounter counter(grid);
+  SparsityObjective objective(grid);
 
   // Two non-empty cubes with different sparsities.
   std::vector<ScoredProjection> projections;
   Rng rng(4);
   while (projections.size() < 3) {
     Projection p = Projection::Random(4, 2, 4, rng);
-    const size_t count = counter.Count(p.Conditions());
+    const size_t count = objective.Evaluate(p).count;
     if (count == 0) continue;
     ScoredProjection s;
     s.projection = p;

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "data/generators/synthetic.h"
-#include "grid/cube_counter.h"
 #include "grid/sparsity.h"
 
 namespace hido {
@@ -74,7 +73,7 @@ TEST(ScoringTest, PlantedAnomaliesRankFirst) {
   GridModel::Options gopts;
   gopts.phi = 5;
   const GridModel grid = GridModel::Build(g.data, gopts);
-  CubeCounter counter(grid);
+  SparsityObjective objective(grid);
   const SparsityModel model(500, 5);
 
   // Build the planted cubes directly (perfect search).
@@ -86,7 +85,7 @@ TEST(ScoringTest, PlantedAnomaliesRankFirst) {
     for (size_t d : g.outlier_dims[o]) {
       s.projection.Specify(d, grid.Cell(row, d));
     }
-    s.count = counter.Count(s.projection.Conditions());
+    s.count = objective.Evaluate(s.projection).count;
     s.sparsity = model.Coefficient(s.count, 2);
     projections.push_back(s);
   }

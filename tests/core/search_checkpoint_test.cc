@@ -21,10 +21,8 @@ struct Fixture {
                                 o.phi = phi;
                                 return o;
                               }())),
-        counter(grid),
-        objective(counter) {}
+        objective(grid) {}
   GridModel grid;
-  CubeCounter counter;
   SparsityObjective objective;
 };
 
@@ -121,7 +119,8 @@ TEST(SearchCheckpointTest, SerializeParseRoundTripsExactly) {
   Result<EvolutionCheckpoint> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string first = SerializeCheckpoint(loaded.value());
-  EXPECT_EQ(first.rfind("hido-checkpoint v5\n", 0), 0u);
+  EXPECT_EQ(first.rfind("hido-checkpoint v6\n", 0), 0u);
+  EXPECT_EQ(first.find("counter_stats"), std::string::npos);
   Result<EvolutionCheckpoint> reparsed = ParseCheckpoint(first);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(SerializeCheckpoint(reparsed.value()), first);
@@ -131,14 +130,15 @@ TEST(SearchCheckpointTest, SerializeParseRoundTripsExactly) {
 TEST(SearchCheckpointTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseCheckpoint("").ok());
   EXPECT_FALSE(ParseCheckpoint("not a checkpoint").ok());
-  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v5\nseed oops\n").ok());
+  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v6\nseed oops\n").ok());
 }
 
 TEST(SearchCheckpointTest, ParseRejectsOldFormatVersion) {
-  // v1 files lack the per-restart `ops` tallies, and v2-v4 carry a
-  // different counter_stats shape; checkpoints are short-lived scratch
-  // state, so old versions are rejected outright rather than migrated.
-  for (const char* version : {"v1", "v2", "v3", "v4"}) {
+  // v1 files lack the per-restart `ops` tallies, and v2-v5 carry a
+  // `counter_stats` line that v6 dropped; checkpoints are short-lived
+  // scratch state, so old versions are rejected outright rather than
+  // migrated.
+  for (const char* version : {"v1", "v2", "v3", "v4", "v5"}) {
     const Result<EvolutionCheckpoint> parsed = ParseCheckpoint(
         std::string("hido-checkpoint ") + version + "\nseed 17\n");
     ASSERT_FALSE(parsed.ok()) << version;

@@ -11,7 +11,6 @@
 #include "core/scoring.h"
 #include "data/generators/synthetic.h"
 #include "ensemble/ensemble_detector.h"
-#include "grid/cube_counter.h"
 #include "grid/sparsity.h"
 #include "obs/metrics.h"
 
@@ -44,7 +43,7 @@ TEST(ModelTest, SingleFitScoresEveryTrainingRowLikeScoreAllPoints) {
   GridModel::Options gopts;
   gopts.phi = 5;
   const GridModel grid = GridModel::Build(g.data, gopts);
-  CubeCounter counter(grid);
+  SparsityObjective objective(grid);
   const SparsityModel sparsity(g.data.num_rows(), 5);
 
   Model model;
@@ -55,7 +54,7 @@ TEST(ModelTest, SingleFitScoresEveryTrainingRowLikeScoreAllPoints) {
   for (int trial = 0; trial < 10; ++trial) {
     ScoredProjection s;
     s.projection = Projection::Random(10, 2, 5, rng);
-    s.count = counter.Count(s.projection.Conditions());
+    s.count = objective.Evaluate(s.projection).count;
     s.sparsity = sparsity.Coefficient(s.count, 2);
     member.projections.push_back(s);
   }

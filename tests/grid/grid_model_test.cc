@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/run_control.h"
 #include "common/status.h"
 #include "data/generators/synthetic.h"
+#include "testing/count_oracle.h"
 
 namespace hido {
 namespace {
@@ -127,6 +129,27 @@ TEST(GridModelTest, CoversNeverMatchesMissing) {
   }
 }
 
+TEST(GridModelTest, CoveredPointsMatchCount) {
+  const Dataset ds = GenerateUniform(600, 5, 9);
+  GridModel::Options opts;
+  opts.phi = 4;
+  const GridModel grid = GridModel::Build(ds, opts);
+  Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<DimRange> conditions;
+    for (size_t d : rng.SampleWithoutReplacement(grid.num_dims(), 2)) {
+      conditions.push_back(
+          {static_cast<uint32_t>(d),
+           static_cast<uint32_t>(rng.UniformIndex(grid.phi()))});
+    }
+    const std::vector<uint32_t> covered = grid.CoveredPoints(conditions);
+    EXPECT_EQ(covered.size(), CountByScan(grid, conditions));
+    for (uint32_t row : covered) {
+      EXPECT_TRUE(grid.Covers(row, conditions));
+    }
+  }
+}
+
 TEST(GridModelTest, StopTokenFailpointAbortsBuild) {
   const Dataset ds = GenerateUniform(500, 8, 7);
   GridModel::Options opts;
@@ -179,6 +202,13 @@ TEST(GridModelDeathTest, BadCellAborts) {
   opts.phi = 2;
   const GridModel grid = GridModel::Build(ds, opts);
   EXPECT_DEATH(grid.RangeBits(0, 5), "cell");
+}
+
+TEST(GridModelDeathTest, CoveredPointsOfNoConditionsAborts) {
+  GridModel::Options opts;
+  opts.phi = 2;
+  const GridModel grid = GridModel::Build(GenerateUniform(10, 2, 15), opts);
+  EXPECT_DEATH(grid.CoveredPoints({}), "empty");
 }
 
 TEST(GridModelDeathTest, PhiAboveTheCapAborts) {

@@ -221,7 +221,7 @@ TEST(SimdConfinementRule, DoesNotFlagKernelTableUsers) {
       "const BitsetKernels& k = ActiveKernels();\n"
       "size_t c = k.and_count(a, b, n);\n"
       "ScopedKernelOverride forced(KernelKind::kAvx2);\n";
-  EXPECT_TRUE(LintContent("src/grid/cube_counter.cc", clean).empty());
+  EXPECT_TRUE(LintContent("src/grid/grid_model.cc", clean).empty());
 }
 
 TEST(SimdConfinementRule, CommentsAndStringsDoNotTrip) {

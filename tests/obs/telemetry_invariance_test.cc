@@ -100,7 +100,6 @@ TEST(TelemetryInvarianceTest, InvariantCountersAreByteIdenticalAcrossThreads) {
   // Sanity: the compared bytes actually contain the work counters.
   EXPECT_NE(at_one.find("search.evaluations"), std::string::npos);
   EXPECT_NE(at_one.find("search.crossovers"), std::string::npos);
-  EXPECT_NE(at_one.find("counter.queries"), std::string::npos);
   EXPECT_NE(at_one.find("grid.cells_indexed"), std::string::npos);
   EXPECT_NE(at_one.find("search.restart_generations"), std::string::npos);
 }
@@ -161,7 +160,7 @@ TEST(TelemetryInvarianceTest,
         << "threads=" << threads;
     EXPECT_EQ(CounterValue(snapshot, "detect.points_flagged"), 57u)
         << "threads=" << threads;
-    EXPECT_EQ(CounterValue(snapshot, "counter.queries"), 2497u)
+    EXPECT_EQ(CounterValue(snapshot, "search.evaluations"), 2497u)
         << "threads=" << threads;
   }
 }
@@ -175,8 +174,7 @@ TEST(TelemetryInvarianceTest, ResumedRunPublishesUninterruptedTotals) {
   GridModel::Options grid_options;
   grid_options.phi = 4;
   const GridModel grid = GridModel::Build(data, grid_options);
-  CubeCounter counter(grid);
-  SparsityObjective objective(counter);
+  SparsityObjective objective(grid);
 
   EvolutionaryOptions opts;
   opts.target_dim = 2;
@@ -218,7 +216,7 @@ TEST(TelemetryInvarianceTest, ResumedRunPublishesUninterruptedTotals) {
   for (const char* name :
        {"search.runs", "search.generations", "search.evaluations",
         "search.crossovers", "search.mutations", "search.selections",
-        "search.restarts_completed", "counter.queries"}) {
+        "search.restarts_completed"}) {
     EXPECT_EQ(CounterValue(after_resume, name), CounterValue(full, name))
         << name;
   }

@@ -37,8 +37,7 @@ struct SmallSearch {
                                 o.phi = 4;
                                 return o;
                               }())),
-        counter(grid),
-        objective(counter) {
+        objective(grid) {
     options.target_dim = 2;
     options.num_projections = 4;
     options.population_size = 10;
@@ -67,7 +66,6 @@ struct SmallSearch {
   }
 
   GridModel grid;
-  CubeCounter counter;
   SparsityObjective objective;
   EvolutionaryOptions options;
 };

@@ -8,7 +8,6 @@
 
 #include "core/genetic/crossover.h"
 #include "data/generators/synthetic.h"
-#include "grid/cube_counter.h"
 
 namespace hido {
 namespace {
@@ -26,13 +25,11 @@ class OptimizedCrossoverProperty : public ::testing::TestWithParam<Shape> {
     GridModel::Options gopts;
     gopts.phi = phi;
     grid_ = GridModel::Build(GenerateUniform(300, d, 11), gopts);
-    counter_ = std::make_unique<CubeCounter>(grid_);
-    objective_ = std::make_unique<SparsityObjective>(*counter_);
+    objective_ = std::make_unique<SparsityObjective>(grid_);
   }
 
   size_t d_, k_, phi_;
   GridModel grid_;
-  std::unique_ptr<CubeCounter> counter_;
   std::unique_ptr<SparsityObjective> objective_;
 };
 

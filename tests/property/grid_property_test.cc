@@ -14,8 +14,8 @@
 #include "common/rng.h"
 #include "common/run_control.h"
 #include "common/stats.h"
+#include "core/objective.h"
 #include "data/generators/synthetic.h"
-#include "grid/cube_counter.h"
 #include "grid/sparsity.h"
 #include "obs/metrics.h"
 #include "testing/count_oracle.h"
@@ -196,10 +196,10 @@ TEST_P(GridProperty, CellAssignmentsConsistent) {
   }
 }
 
-// The two ways a cube is answered, the fused count and the id list ANDed
-// into a scratch bitmap, agree with the row scan.
+// The two ways a cube is answered, the objective's fused count and the
+// grid's id list ANDed into a scratch bitmap, agree with the row scan.
 TEST_P(GridProperty, CountingStrategiesAgreeOnRandomCubes) {
-  CubeCounter counter(grid_);
+  SparsityObjective objective(grid_);
   Rng rng(99);
   for (int trial = 0; trial < 30; ++trial) {
     const size_t k = 1 + rng.UniformIndex(std::min<size_t>(4, d_));
@@ -210,8 +210,8 @@ TEST_P(GridProperty, CountingStrategiesAgreeOnRandomCubes) {
            static_cast<uint32_t>(rng.UniformIndex(phi_))});
     }
     const size_t expected = CountByScan(grid_, conditions);
-    EXPECT_EQ(counter.Count(conditions), expected);
-    EXPECT_EQ(counter.CoveredPoints(conditions).size(), expected);
+    EXPECT_EQ(objective.EvaluateConditions(conditions).count, expected);
+    EXPECT_EQ(grid_.CoveredPoints(conditions).size(), expected);
   }
 }
 
@@ -220,7 +220,7 @@ TEST_P(GridProperty, SparsityTotalsAreCoherent) {
   // rows present in both dims; per Equation 1 the count-weighted mean of
   // S(D) over a partition is bounded by the all-cells-at-expectation case.
   if (d_ < 2) return;
-  CubeCounter counter(grid_);
+  SparsityObjective objective(grid_);
   size_t both_present = 0;
   for (size_t row = 0; row < n_; ++row) {
     both_present +=
@@ -229,7 +229,7 @@ TEST_P(GridProperty, SparsityTotalsAreCoherent) {
   size_t total = 0;
   for (uint32_t c0 = 0; c0 < phi_; ++c0) {
     for (uint32_t c1 = 0; c1 < phi_; ++c1) {
-      total += counter.Count({{0, c0}, {1, c1}});
+      total += objective.EvaluateConditions({{0, c0}, {1, c1}}).count;
     }
   }
   EXPECT_EQ(total, both_present);

@@ -2,8 +2,9 @@
 #define HIDO_TESTS_TESTING_COUNT_ORACLE_H_
 
 // The cube-counting oracle for tests: a scan of every row through
-// GridModel::Covers. It shares no bitmap or kernel with CubeCounter, so
-// agreement with it checks the counting paths end to end.
+// GridModel::Covers. It shares no bitmap or kernel with SparsityObjective's
+// counts or GridModel::CoveredPoints, so agreement with it checks the
+// counting paths end to end.
 
 #include <cstddef>
 #include <vector>
