@@ -21,6 +21,16 @@ Status Errno(const char* what) {
   return Status::IoError(StrFormat("%s: %s", what, std::strerror(errno)));
 }
 
+// A port must fit the 16-bit field; htons would silently wrap anything
+// else onto another port.
+Status CheckPort(int port) {
+  if (port < 0 || port > 65535) {
+    return Status::InvalidArgument(
+        StrFormat("port %d is outside [0, 65535]", port));
+  }
+  return Status::Ok();
+}
+
 thread_local FaultInjector* tls_fault_injector = nullptr;
 
 // Consults the calling thread's injector (if any) before a syscall for
@@ -173,6 +183,7 @@ void OwnedFd::Reset() {
 
 Result<TcpListener> ListenTcp(const std::string& host, int port,
                               int backlog) {
+  HIDO_RETURN_IF_ERROR(CheckPort(port));
   OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return Errno("socket");
   const int one = 1;
@@ -221,6 +232,7 @@ Result<OwnedFd> AcceptClient(int listener_fd) {
 }
 
 Result<OwnedFd> ConnectTcp(const std::string& host, int port) {
+  HIDO_RETURN_IF_ERROR(CheckPort(port));
   OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return Errno("socket");
   sockaddr_in addr;

@@ -67,7 +67,8 @@ struct TcpListener {
 
 /// Binds `host:port` (port 0 = kernel-assigned) and listens. The listener
 /// fd is left in blocking mode; flip it with SetNonBlocking for an event
-/// loop. `host` must be a numeric IPv4 address (e.g. "127.0.0.1").
+/// loop. `host` must be a numeric IPv4 address (e.g. "127.0.0.1"); a port
+/// outside [0, 65535] is an InvalidArgument.
 Result<TcpListener> ListenTcp(const std::string& host, int port,
                               int backlog = 64);
 
@@ -75,7 +76,7 @@ Result<TcpListener> ListenTcp(const std::string& host, int port,
 /// pending connection, returns an invalid OwnedFd (not an error).
 Result<OwnedFd> AcceptClient(int listener_fd);
 
-/// Connects to `host:port` (numeric IPv4), blocking.
+/// Connects to `host:port` (numeric IPv4, port in [0, 65535]), blocking.
 Result<OwnedFd> ConnectTcp(const std::string& host, int port);
 
 /// Puts the fd in non-blocking mode.

@@ -27,6 +27,14 @@ SocketServer::SocketServer(ScoreService& service, ServerOptions options)
           &obs::MetricsRegistry::Global().GetGauge("serve.conn.active")) {}
 
 Status SocketServer::Start() {
+  // A zero batch would never hand a request to the service, and zero
+  // connections would answer every client `err busy`.
+  if (options_.max_batch == 0) {
+    return Status::InvalidArgument("max_batch must be at least 1");
+  }
+  if (options_.max_connections == 0) {
+    return Status::InvalidArgument("max_connections must be at least 1");
+  }
   Result<TcpListener> listener = ListenTcp(options_.host, options_.port);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener.value());

@@ -77,6 +77,8 @@ class SocketServer {
   SocketServer(ScoreService& service, ServerOptions options);
 
   /// Binds and listens. After an OK return, port() is the live port.
+  /// InvalidArgument for a zero max_batch or max_connections, or a port
+  /// outside [0, 65535].
   Status Start();
 
   /// The bound port (kernel-assigned when options.port was 0).

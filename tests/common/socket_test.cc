@@ -92,6 +92,19 @@ TEST(SocketTest, NonNumericHostRejected) {
   EXPECT_FALSE(ListenTcp("not-a-host", 0).ok());
 }
 
+// htons would wrap these onto another port (70000 onto 4464, -1 onto
+// 65535, 65536 onto 0, a kernel-assigned one).
+TEST(SocketTest, PortsOutsideSixteenBitsRejected) {
+  for (const int port : {-1, 65536, 70000}) {
+    const Result<TcpListener> listener = ListenTcp("127.0.0.1", port);
+    ASSERT_FALSE(listener.ok()) << port;
+    EXPECT_EQ(listener.status().code(), StatusCode::kInvalidArgument);
+    const Result<OwnedFd> client = ConnectTcp("127.0.0.1", port);
+    ASSERT_FALSE(client.ok()) << port;
+    EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(SocketTest, OwnedFdMoveTransfersOwnership) {
   Result<TcpListener> listener = ListenTcp("127.0.0.1", 0);
   ASSERT_TRUE(listener.ok());

@@ -105,6 +105,20 @@ std::string Request(int fd, const std::string& line, std::string* carry) {
   return response.ok() ? response.value() : std::string();
 }
 
+// A zero batch would never answer a request and zero connections would
+// answer every client `err busy`: Start refuses both before binding.
+TEST(ServerTest, StartRejectsZeroBatchAndConnectionCaps) {
+  ScoreService service;
+  for (const bool zero_batch : {true, false}) {
+    ServerOptions options;
+    (zero_batch ? options.max_batch : options.max_connections) = 0;
+    SocketServer server(service, options);
+    const Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+        << started.ToString();
+  }
+}
+
 TEST(ServerTest, ServesScoresAndShutsDownOverTheProtocol) {
   const GeneratedDataset g = MakeData();
   ScoreService service;
