@@ -1,5 +1,6 @@
 #include "serve/score_service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/file_util.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "core/detector.h"
 #include "data/generators/synthetic.h"
@@ -381,6 +383,84 @@ TEST(ScoreServiceTest, StatsReportsCountersAndQuantiles) {
   EXPECT_EQ(stats.substr(0, 12), "ok requests=") << stats;
   EXPECT_NE(stats.find("score_p50_seconds="), std::string::npos) << stats;
   EXPECT_NE(stats.find("score_p99_seconds="), std::string::npos) << stats;
+}
+
+// A protocol line damaged in flight: one to three bit flips, truncations,
+// NUL bytes, non-ASCII bytes, or a value replaced by one no double holds.
+// A framed line never holds a newline, so any the flips make become spaces.
+std::string MutateLine(std::string line, Rng& rng) {
+  const size_t mutations = 1 + rng.UniformIndex(3);
+  for (size_t m = 0; m < mutations && !line.empty(); ++m) {
+    const size_t pos = rng.UniformIndex(line.size());
+    switch (rng.UniformIndex(5)) {
+      case 0:  // flip one bit
+        line[pos] = static_cast<char>(line[pos] ^ (1 << rng.UniformIndex(8)));
+        break;
+      case 1:  // truncate
+        line.resize(pos);
+        break;
+      case 2:  // a NUL byte
+        line[pos] = '\0';
+        break;
+      case 3:  // a non-ASCII byte
+        line[pos] = static_cast<char>(0x80 + rng.UniformIndex(0x80));
+        break;
+      case 4: {  // the rest of this value overflows a double
+        const size_t comma = line.find(',', pos);
+        line.replace(pos,
+                     comma == std::string::npos ? std::string::npos
+                                                : comma - pos,
+                     "1e400");
+        break;
+      }
+    }
+  }
+  std::replace(line.begin(), line.end(), '\n', ' ');
+  return line;
+}
+
+// A deterministic mutation sweep over the line protocol: every damaged
+// request gets exactly one `ok ` or `err ` line back, and the service
+// answers as before afterwards.
+TEST(ScoreServiceMutationSweep, EveryMutantGetsOneOkOrErrLine) {
+  constexpr uint64_t kMutants = 2400;
+  const GeneratedDataset g = MakeData();
+  ScoreService service;
+  service.Publish(FitSnapshot(g));
+  const std::string path = ::testing::TempDir() + "/mutation_sweep.hido";
+  ASSERT_TRUE(SaveSnapshot(*FitSnapshot(g, /*seed=*/7), path).ok());
+  const std::string fixed = "score " + CsvRow(g.data, 0);
+  const std::vector<std::string> valid = {
+      fixed, "score " + CsvRow(g.data, 17), "info", "stats", "ping",
+      "swap " + path};
+  std::string wide = "score 0.5";  // 100 000 values for an 8-dim model
+  for (int v = 1; v < 100000; ++v) wide += ",0.5";
+  const std::string fixed_reply = service.Handle(fixed);
+  const uint64_t generation = service.generation();
+
+  size_t ok = 0;
+  size_t err = 0;
+  for (uint64_t seed = 1; seed <= kMutants; ++seed) {
+    Rng rng(seed * 104729);
+    const std::string line =
+        seed % 400 == 0 ? wide
+                        : MutateLine(valid[seed % valid.size()], rng);
+    const std::string reply = service.Handle(line);
+    EXPECT_EQ(reply.find('\n'), std::string::npos) << "seed " << seed;
+    if (reply.rfind("ok ", 0) == 0) {
+      ++ok;
+    } else {
+      EXPECT_EQ(reply.rfind("err ", 0), 0u) << "seed " << seed << ": "
+                                             << reply;
+      ++err;
+    }
+  }
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(err, 0u);
+  EXPECT_EQ(service.Handle("ping"), "ok pong");
+  EXPECT_EQ(service.generation(), generation);  // no mutant swapped
+  EXPECT_EQ(service.Handle(fixed), fixed_reply);
+  std::remove(path.c_str());
 }
 
 }  // namespace
