@@ -75,6 +75,26 @@ Status ReadToEnd(int fd, const std::string& path,
   }
 }
 
+// Opens `path` for reading and describes it into `*info`; a directory is
+// an IoError.
+Result<int> OpenForReading(const std::string& path, struct stat* info) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open for reading: " + path);
+  }
+  Status failure = Status::Ok();
+  if (::fstat(fd, info) != 0) {
+    failure = Status::IoError("read failure: " + path);
+  } else if (S_ISDIR(info->st_mode)) {
+    failure = Status::IoError("is a directory: " + path);
+  }
+  if (!failure.ok()) {
+    ::close(fd);
+    return failure;
+  }
+  return fd;
+}
+
 std::atomic<int> g_write_failpoint{
     static_cast<int>(internal::WriteFailStep::kNone)};
 
@@ -98,18 +118,11 @@ void ArmWriteFailpointForTest(WriteFailStep step) {
 }  // namespace internal
 
 Result<FileBytes> ReadFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  const FdCloser closer(fd);
   struct stat info = {};
-  if (::fstat(fd, &info) != 0) {
-    return Status::IoError("read failure: " + path);
-  }
-  if (S_ISDIR(info.st_mode)) {
-    return Status::IoError("is a directory: " + path);
-  }
+  const Result<int> opened = OpenForReading(path, &info);
+  if (!opened.ok()) return opened.status();
+  const int fd = opened.value();
+  const FdCloser closer(fd);
   FileBytes bytes;
   size_t capacity = kUnsizedReadBytes;
   if (S_ISREG(info.st_mode)) {
@@ -139,6 +152,72 @@ Result<FileBytes> ReadFile(const std::string& path) {
   HIDO_RETURN_IF_ERROR(
       ReadToEnd(fd, path, &bytes.data_, &capacity, &bytes.size_));
   return bytes;
+}
+
+Result<SequentialFile> SequentialFile::Open(const std::string& path,
+                                            bool rewindable) {
+  struct stat info = {};
+  const Result<int> opened = OpenForReading(path, &info);
+  if (!opened.ok()) return opened.status();
+  SequentialFile file(path, opened.value(), S_ISREG(info.st_mode));
+  if (rewindable && !file.positional_) {
+    file.spool_ = std::tmpfile();
+    if (file.spool_ == nullptr) {
+      return Status::IoError("cannot create a temporary copy of " + path);
+    }
+  }
+  return file;
+}
+
+SequentialFile::SequentialFile(std::string path, int fd, bool positional)
+    : path_(std::move(path)), fd_(fd), positional_(positional) {}
+
+SequentialFile::SequentialFile(SequentialFile&& other) noexcept
+    : path_(std::move(other.path_)),
+      fd_(std::exchange(other.fd_, -1)),
+      positional_(other.positional_),
+      spool_(std::exchange(other.spool_, nullptr)),
+      rewound_(other.rewound_),
+      offset_(other.offset_) {}
+
+SequentialFile::~SequentialFile() {
+  if (fd_ >= 0) ::close(fd_);
+  if (spool_ != nullptr) std::fclose(spool_);
+}
+
+Result<size_t> SequentialFile::Read(char* buffer, size_t length) {
+  const int fd = rewound_ ? ::fileno(spool_) : fd_;
+  const bool positional = positional_ || rewound_;
+  size_t done = 0;
+  while (done < length) {
+    const ssize_t got =
+        positional ? ::pread(fd, buffer + done, length - done,
+                             static_cast<off_t>(offset_ + done))
+                   : ::read(fd, buffer + done, length - done);
+    if (got == 0) break;
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("read failure: " + path_);
+    }
+    done += static_cast<size_t>(got);
+  }
+  offset_ += done;
+  for (size_t kept = 0; spool_ != nullptr && !rewound_ && kept < done;) {
+    const ssize_t put = ::write(::fileno(spool_), buffer + kept, done - kept);
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) {
+      return Status::IoError("cannot keep a temporary copy of " + path_);
+    }
+    kept += static_cast<size_t>(put);
+  }
+  return done;
+}
+
+void SequentialFile::Rewind() {
+  HIDO_CHECK_MSG(positional_ || spool_ != nullptr,
+                 "Rewind of a pipe opened without rewindable");
+  rewound_ = spool_ != nullptr;
+  offset_ = 0;
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& content) {

@@ -2,10 +2,11 @@
 #define HIDO_COMMON_FILE_UTIL_H_
 
 // Small file helpers shared by the input and persistence layers (CSV,
-// models, checkpoints, snapshots): whole-file reads and crash-tolerant
-// atomic writes.
+// models, checkpoints, snapshots): whole-file reads, front-to-back reads
+// into the caller's buffers, and crash-tolerant atomic writes.
 
 #include <cstddef>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -41,6 +42,40 @@ inline constexpr size_t kReadSliceBytes = size_t{4} << 20;
 /// FIFO is read to its end into a doubling buffer. A directory is an
 /// IoError.
 Result<FileBytes> ReadFile(const std::string& path);
+
+/// A file, pipe or FIFO read front to back into buffers the caller owns,
+/// so that a reader can hold a window of the input instead of all of it
+/// (ReadCsv does). A regular file is read with pread at an advancing
+/// offset, anything else with read.
+class SequentialFile {
+ public:
+  /// Opens `path`; a directory is an IoError. With `rewindable`, a pipe or
+  /// FIFO also copies every byte it reads into an unlinked temporary file
+  /// that Rewind replays (a regular file is simply read again).
+  static Result<SequentialFile> Open(const std::string& path,
+                                     bool rewindable = false);
+
+  SequentialFile(SequentialFile&& other) noexcept;  ///< takes the file over
+  SequentialFile& operator=(SequentialFile&& other) = delete;
+  ~SequentialFile();  ///< closes the file and any copy
+
+  /// Fills buffer[0, length) with the next bytes and returns how many it
+  /// read: fewer than `length` only at end of file.
+  Result<size_t> Read(char* buffer, size_t length);
+
+  /// Reads from the first byte again. Precondition: opened rewindable.
+  void Rewind();
+
+ private:
+  SequentialFile(std::string path, int fd, bool positional);
+
+  std::string path_;
+  int fd_ = -1;                 // the open file, pipe or FIFO
+  bool positional_ = false;     // fd_ is read with pread at offset_
+  std::FILE* spool_ = nullptr;  // a rewindable pipe's bytes so far
+  bool rewound_ = false;        // reading spool_ back with pread
+  size_t offset_ = 0;           // bytes read since the first or a rewind
+};
 
 /// Writes `content` to `path` via a temporary sibling file followed by a
 /// rename, so a crash mid-write can never leave a truncated or interleaved

@@ -6,18 +6,20 @@
 #include <utility>
 #include <vector>
 
-#include "common/file_util.h"
 #include "data/csv_parser.h"
 #include "obs/metrics.h"
 
 namespace hido {
 
-Result<Dataset> ReadCsvString(std::string_view text,
-                              const CsvReadOptions& options) {
-  Result<internal::CsvTable> parsed =
-      internal::ParseCsv(text, options, /*encode_categorical=*/false);
+namespace internal {
+
+Result<Dataset> ReadCsvWindowed(const CsvSource& source,
+                                const CsvReadOptions& options,
+                                size_t window_bytes) {
+  Result<CsvTable> parsed =
+      ParseCsv(source, options, /*encode_categorical=*/false, window_bytes);
   if (!parsed.ok()) return parsed.status();
-  internal::CsvTable& table = parsed.value();
+  CsvTable& table = parsed.value();
 
   // Column names are the header's, minus the label column's.
   std::vector<std::string> names;
@@ -36,11 +38,16 @@ Result<Dataset> ReadCsvString(std::string_view text,
   return ds;
 }
 
+}  // namespace internal
+
+Result<Dataset> ReadCsvString(std::string_view text,
+                              const CsvReadOptions& options) {
+  return internal::ReadCsvWindowed({nullptr, text}, options, kCsvWindowBytes);
+}
+
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvReadOptions& options) {
-  const Result<FileBytes> bytes = ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  return ReadCsvString(bytes.value().view(), options);
+  return internal::ReadCsvWindowed({&path, {}}, options, kCsvWindowBytes);
 }
 
 std::string WriteCsvString(const Dataset& data,

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/file_util.h"
 #include "common/run_control.h"
 #include "common/status.h"
 #include "data/dataset.h"
@@ -49,22 +50,35 @@ struct CsvWriteOptions {
   bool write_labels = true;
 };
 
-/// Byte stride of the reader's parse chunks: chunk k of a file's data
-/// lines starts at the first line start at or after k * kCsvChunkBytes.
-/// Chunks are parsed in parallel; the result never depends on the split
-/// (tests use the stride to put damage on both sides of a boundary).
+/// Bytes of input the reader holds at once, twice over: it parses one
+/// window while it reads the next into a second buffer, and both buffers
+/// are reused, so a read's memory is its columns plus these two windows
+/// (more only while a single line is longer than half a window). A window
+/// starts at a line start and ends, for parsing, at its last line end;
+/// the partial line after it opens the next window.
+inline constexpr size_t kCsvWindowBytes = 2 * kReadSliceBytes;
+
+/// Byte stride of the reader's parse chunks: chunk k of a window's data
+/// lines starts at the first line start at or after k * kCsvChunkBytes
+/// from the window's start. Chunks are parsed in parallel; the result never
+/// depends on the split (tests use the stride to put damage on both sides
+/// of a boundary).
 inline constexpr size_t kCsvChunkBytes = size_t{1} << 18;
+static_assert(kCsvWindowBytes % kCsvChunkBytes == 0,
+              "a window holds whole parse chunks");
 
 /// Parses `path` into a Dataset. Fails (no partial result) on ragged rows,
 /// non-numeric fields (other than missing tokens), labels outside int32,
 /// embedded NUL bytes, fields/rows beyond the size caps, or unreadable
 /// files and directories; every parse error carries 1-based line (and
 /// where it applies, column) context, and of several errors the first in
-/// line order is reported. A pipe or FIFO is read to its end.
+/// line order is reported. The file is read front to back in windows of
+/// kCsvWindowBytes; a pipe or FIFO is read to its end the same way.
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvReadOptions& options = {});
 
-/// Parses CSV text directly (same semantics as ReadCsv).
+/// Parses CSV text directly (same semantics as ReadCsv, and the same
+/// windows: the text is parsed where it lies, one window at a time).
 Result<Dataset> ReadCsvString(std::string_view text,
                               const CsvReadOptions& options = {});
 

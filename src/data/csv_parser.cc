@@ -4,8 +4,12 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <map>
+#include <memory>
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/run_control.h"
@@ -16,7 +20,7 @@ namespace internal {
 
 namespace {
 
-// Line stride between StopToken polls, counted over the file's lines (a
+// Line stride between StopToken polls, counted over the input's lines (a
 // poll is an atomic read or two; a line is a few hundred nanoseconds).
 constexpr size_t kPollStride = 1024;
 
@@ -145,32 +149,128 @@ Result<int32_t> ParseLabel(std::string_view field, size_t line_no) {
   return static_cast<int32_t>(label.value());
 }
 
-// Lines [begin, end) of the data, whole lines only.
+// The input, one window at a time: views of in-memory text, or a file read
+// front to back into two reused buffers. Every window starts at a line
+// start and holds up to `window_bytes`, or twice its carried partial line
+// when that is longer than half a window, so a line longer than a window
+// still ends up whole in one.
+class Windows {
+ public:
+  Windows(std::string_view text, size_t window_bytes)
+      : text_(text), window_bytes_(window_bytes) {}
+  Windows(SequentialFile* file, size_t window_bytes)
+      : file_(file), window_bytes_(window_bytes) {}
+
+  // Makes the input's first window current.
+  Status Start() {
+    current_ = {};
+    begin_ = 0;
+    HIDO_RETURN_IF_ERROR(Prefetch(0));
+    Advance();
+    return Status::Ok();
+  }
+
+  // Starts over from the first byte.
+  Status Rewind() {
+    if (file_ != nullptr) file_->Rewind();
+    return Start();
+  }
+
+  std::string_view current() const { return current_; }
+  bool last() const { return last_; }  // no byte follows the current window
+
+  // Loads the window after the current one: the current window's bytes
+  // from `keep` on, then fresh bytes. It writes only the spare buffer, so
+  // it may run while the current window is parsed.
+  Status Prefetch(size_t keep) {
+    const std::string_view carry = current_.substr(keep);
+    const size_t capacity = std::max(window_bytes_, 2 * carry.size());
+    if (file_ == nullptr) {
+      next_begin_ = begin_ + keep;
+      next_ = text_.substr(next_begin_, capacity);
+      next_last_ = next_begin_ + next_.size() == text_.size();
+      return Status::Ok();
+    }
+    Buffer& spare = buffers_[1 - slot_];
+    if (spare.capacity < capacity) {
+      spare.data = std::make_unique_for_overwrite<char[]>(capacity);
+      spare.capacity = capacity;
+    }
+    if (!carry.empty()) {
+      std::memcpy(spare.data.get(), carry.data(), carry.size());
+    }
+    const Result<size_t> fresh = file_->Read(spare.data.get() + carry.size(),
+                                             capacity - carry.size());
+    if (!fresh.ok()) return fresh.status();
+    next_ = {spare.data.get(), carry.size() + fresh.value()};
+    next_last_ = next_.size() < capacity;
+    return Status::Ok();
+  }
+
+  // Makes the prefetched window current.
+  void Advance() {
+    current_ = next_;
+    last_ = next_last_;
+    begin_ = next_begin_;
+    slot_ = 1 - slot_;
+  }
+
+ private:
+  struct Buffer {
+    std::unique_ptr<char[]> data;  // not zero-filled: reads overwrite it
+    size_t capacity = 0;
+  };
+
+  std::string_view text_;
+  SequentialFile* file_ = nullptr;
+  const size_t window_bytes_;
+  std::string_view current_;
+  bool last_ = false;
+  size_t begin_ = 0;  // offset of current_ in text_
+  std::string_view next_;
+  bool next_last_ = false;
+  size_t next_begin_ = 0;
+  Buffer buffers_[2];
+  size_t slot_ = 0;  // the buffer holding current_
+};
+
+// End of the window's whole lines: all of the last window's lines (see
+// LinesEnd), else everything up to its last '\n'.
+size_t WholeLinesEnd(std::string_view window, bool last) {
+  if (last) return LinesEnd(window);
+  const size_t newline = window.rfind('\n');
+  return newline == std::string_view::npos ? 0 : newline + 1;
+}
+
+// Lines [begin, end) of a window, whole lines only.
 struct Chunk {
   size_t begin = 0;
   size_t end = 0;
   size_t lines = 0;       // lines in the chunk
   size_t rows = 0;        // non-blank lines in the chunk
-  size_t first_line = 0;  // lines of the file before the chunk
+  size_t first_line = 0;  // lines of the input before the chunk
   size_t first_row = 0;   // data rows before the chunk
   Status error;           // the chunk's first error
   // Encoding only: per field index, did a field fail to parse as a number.
   std::vector<char> non_numeric;
 };
 
-// Chunk k of the data starts at the first line start at or after
-// k * kCsvChunkBytes, so the split depends on the bytes alone.
-std::vector<Chunk> SplitChunks(std::string_view text, size_t begin,
-                               size_t end) {
+// Chunk k of window[begin, end) starts at the first line start at or after
+// k * kCsvChunkBytes, so the split depends on the bytes alone. Each chunk's
+// lines and rows are counted (in parallel) and numbered on from
+// `first_line` and `first_row`.
+std::vector<Chunk> CountedChunks(std::string_view window, size_t begin,
+                                 size_t end, size_t first_line,
+                                 size_t first_row) {
   std::vector<Chunk> chunks;
   while (begin < end) {
     const size_t target = (begin / kCsvChunkBytes + 1) * kCsvChunkBytes;
     size_t stop = end;
     if (target < end) {
       const auto* newline = static_cast<const char*>(
-          std::memchr(text.data() + target - 1, '\n', end - (target - 1)));
+          std::memchr(window.data() + target - 1, '\n', end - (target - 1)));
       if (newline != nullptr) {
-        stop = static_cast<size_t>(newline - text.data()) + 1;
+        stop = static_cast<size_t>(newline - window.data()) + 1;
       }
     }
     Chunk chunk;
@@ -179,30 +279,79 @@ std::vector<Chunk> SplitChunks(std::string_view text, size_t begin,
     chunks.push_back(std::move(chunk));
     begin = stop;
   }
+  ParallelFor(chunks.size(), HardwareThreads(), [&](size_t k, size_t) {
+    Chunk& chunk = chunks[k];
+    LineReader lines(window, chunk.begin, chunk.end);
+    std::string_view line;
+    while (lines.Next(&line)) {
+      ++chunk.lines;
+      if (!IsBlank(line)) ++chunk.rows;
+    }
+  });
+  for (Chunk& chunk : chunks) {
+    chunk.first_line = first_line;
+    chunk.first_row = first_row;
+    first_line += chunk.lines;
+    first_row += chunk.rows;
+  }
   return chunks;
 }
 
+// A categorical column's dictionary while the read runs: each distinct
+// trimmed field and its provisional code, the order it was first seen in.
+using Dictionary = std::map<std::string, size_t, std::less<>>;
+
+constexpr size_t kNumeric = std::numeric_limits<size_t>::max();
+
 class Parser {
  public:
-  Parser(std::string_view text, const CsvReadOptions& options, bool encode)
-      : text_(text), options_(options), encode_(encode) {}
+  Parser(Windows& windows, const CsvReadOptions& options, bool encode)
+      : windows_(windows), options_(options), encode_(encode) {}
 
   Result<CsvTable> Run();
 
  private:
-  void ParseChunk(Chunk& chunk);
+  // Where a window's data was, for a second look at its fields.
+  struct WindowSpan {
+    size_t begin = 0;
+    size_t end = 0;
+    size_t first_line = 0;
+    size_t first_row = 0;
+    size_t rows = 0;
+  };
+
+  Result<size_t> ReadHeader(std::string_view window, size_t end, bool last);
+  void ProbeWidth(std::string_view window, size_t end);
+  void SetWidth(size_t width);
+  Status ParseWindow(std::string_view window, size_t begin, size_t end,
+                     bool last);
+  void ParseChunk(std::string_view window, Chunk& chunk);
   Status ParseRow(std::string_view line, size_t line_no, size_t row,
                   std::vector<std::string_view>& fields, Chunk& chunk);
-  void EncodeCategorical(const std::vector<Chunk>& chunks,
-                         const std::vector<size_t>& fields);
+  size_t ColumnOf(size_t field) const {
+    return label_ >= 0 && field > static_cast<size_t>(label_) ? field - 1
+                                                              : field;
+  }
+  Status Collect(std::string_view window, const std::vector<Chunk>& chunks,
+                 const std::vector<size_t>& fields);
+  Status CollectEarlierWindows();
+  void EncodeCategorical();
 
-  std::string_view text_;
+  Windows& windows_;
   const CsvReadOptions& options_;
   const bool encode_;
   CsvTable table_;
+  bool width_known_ = false;   // header read, or first data row probed
   int label_ = -1;             // label field index, -1 for none
   size_t bad_label_line_ = 0;  // line whose row reports label_column
-  size_t max_rows_ = 0;        // rows the columns hold
+  size_t lines_ = 0;           // lines before the current window's data
+  size_t rows_ = 0;            // rows the columns hold
+  size_t max_rows_ = 0;        // rows they hold once this window is parsed
+  // Encoding only, per field: the first window with a non-numeric field
+  // (kNumeric while there is none) and the dictionary collected since.
+  std::vector<size_t> categorical_from_;
+  std::vector<Dictionary> dictionaries_;
+  std::vector<WindowSpan> spans_;  // every window parsed so far
 };
 
 Result<CsvTable> Parser::Run() {
@@ -210,119 +359,157 @@ Result<CsvTable> Parser::Run() {
   if (stop != nullptr && stop->ShouldStop()) {
     return StopStatus(*stop, "csv read");
   }
-  const size_t end = LinesEnd(text_);
-  LineReader reader(text_, 0, end);
-  size_t header_lines = 0;
-  std::string_view line;
-  std::vector<std::string_view> fields;
-  if (options_.has_header) {
-    bool found = false;
-    while (reader.Next(&line)) {
-      ++header_lines;
-      if (options_.skip_blank_lines && IsBlank(line)) continue;
-      found = true;
-      break;
+  HIDO_RETURN_IF_ERROR(windows_.Start());
+  while (true) {
+    const std::string_view window = windows_.current();
+    const bool last = windows_.last();
+    const size_t end = WholeLinesEnd(window, last);
+    size_t begin = 0;
+    if (!width_known_ && options_.has_header) {
+      const Result<size_t> data_begin = ReadHeader(window, end, last);
+      if (!data_begin.ok()) return data_begin.status();
+      begin = data_begin.value();
+    } else if (!width_known_) {
+      ProbeWidth(window, end);
     }
-    if (!found) return Status::ParseError("csv: missing header line");
-    SplitFields(line, options_.delimiter, &fields);
-    HIDO_RETURN_IF_ERROR(CheckFields(line, fields, header_lines, options_));
-    for (const std::string_view name : fields) {
-      table_.header.emplace_back(Trim(name));
-    }
-    table_.width = table_.header.size();
+    HIDO_RETURN_IF_ERROR(ParseWindow(window, begin, end, last));
+    if (last) break;
+    windows_.Advance();
   }
-  const size_t data_begin = reader.pos();
-
   const int label_column = options_.label_column;
-  if (!options_.has_header) {
-    // The first data row fixes the width, and there a label column past
-    // it fails the read (after the row's structural checks).
-    LineReader probe(text_, data_begin, end);
-    size_t line_no = 0;
-    while (probe.Next(&line)) {
-      ++line_no;
-      if (IsBlank(line)) {
-        if (options_.skip_blank_lines) continue;
-        break;
-      }
-      table_.width = 1 + static_cast<size_t>(std::count(
-                             line.begin(), line.end(), options_.delimiter));
-      if (label_column >= 0 &&
-          static_cast<size_t>(label_column) >= table_.width) {
-        bad_label_line_ = line_no;
-      }
-      break;
-    }
-  }
-  const size_t width = table_.width;
-  if (label_column >= 0 && static_cast<size_t>(label_column) < width) {
-    label_ = label_column;
-  }
-
-  std::vector<Chunk> chunks = SplitChunks(text_, data_begin, end);
-  const size_t threads = HardwareThreads();
-  ParallelFor(chunks.size(), threads, [&](size_t k, size_t) {
-    Chunk& chunk = chunks[k];
-    LineReader lines(text_, chunk.begin, chunk.end);
-    std::string_view chunk_line;
-    while (lines.Next(&chunk_line)) {
-      ++chunk.lines;
-      if (!IsBlank(chunk_line)) ++chunk.rows;
-    }
-  });
-  size_t lines_before = header_lines;
-  size_t rows_before = 0;
-  for (Chunk& chunk : chunks) {
-    chunk.first_line = lines_before;
-    chunk.first_row = rows_before;
-    lines_before += chunk.lines;
-    rows_before += chunk.rows;
-  }
-  // A row of `width` fields holds width - 1 delimiters and, unless it is
-  // the last, a '\n', so a file of whole rows has at most
-  // bytes / width + 1 of them. Beyond that some row is short, and the
-  // first short row is among the first bytes / width + 1: the columns
-  // never need more, whatever the input claims.
-  max_rows_ = width == 0 ? 0
-                         : std::min(rows_before,
-                                    (end - data_begin) / width + 1);
-  table_.columns.resize(width - (label_ >= 0 ? 1 : 0));
-  ParallelFor(table_.columns.size(), threads, [&](size_t j, size_t) {
-    table_.columns[j].resize(max_rows_);
-  });
-  if (label_ >= 0) table_.labels.resize(max_rows_);
-
-  ParallelFor(chunks.size(), threads,
-              [&](size_t k, size_t) { ParseChunk(chunks[k]); });
-  for (const Chunk& chunk : chunks) {
-    if (!chunk.error.ok()) return chunk.error;
-  }
-  if (label_column >= 0 && label_ < 0 && width > 0) {
+  if (label_column >= 0 && label_ < 0 && table_.width > 0) {
     return Status::InvalidArgument("csv: label_column out of range");
   }
-  HIDO_CHECK(max_rows_ == rows_before);
-  table_.num_rows = rows_before;
-
+  table_.num_rows = rows_;
   if (encode_) {
-    std::vector<size_t> categorical_fields;
-    for (size_t c = 0; c < width; ++c) {
-      for (const Chunk& chunk : chunks) {
-        if (!chunk.non_numeric.empty() && chunk.non_numeric[c] != 0) {
-          categorical_fields.push_back(c);
-          break;
-        }
-      }
-    }
-    if (!categorical_fields.empty()) {
-      EncodeCategorical(chunks, categorical_fields);
-    }
+    HIDO_RETURN_IF_ERROR(CollectEarlierWindows());
+    EncodeCategorical();
   }
   return std::move(table_);
 }
 
-void Parser::ParseChunk(Chunk& chunk) {
+// Reads the header among the window's whole lines [0, end) and returns
+// where the data starts; a window of blank lines (when they are skipped)
+// is all consumed, and the header looked for in the next one.
+Result<size_t> Parser::ReadHeader(std::string_view window, size_t end,
+                                  bool last) {
+  LineReader reader(window, 0, end);
+  std::string_view line;
+  while (reader.Next(&line)) {
+    ++lines_;
+    if (options_.skip_blank_lines && IsBlank(line)) continue;
+    std::vector<std::string_view> fields;
+    SplitFields(line, options_.delimiter, &fields);
+    HIDO_RETURN_IF_ERROR(CheckFields(line, fields, lines_, options_));
+    for (const std::string_view name : fields) {
+      table_.header.emplace_back(Trim(name));
+    }
+    SetWidth(table_.header.size());
+    return reader.pos();
+  }
+  if (last) return Status::ParseError("csv: missing header line");
+  return end;
+}
+
+// Without a header the first data row fixes the width, and there a label
+// column past it fails the read (after the row's structural checks). The
+// row stays data: this only looks. A window of skipped blank lines leaves
+// the width to the next window.
+void Parser::ProbeWidth(std::string_view window, size_t end) {
+  LineReader probe(window, 0, end);
+  size_t line_no = lines_;
+  std::string_view line;
+  while (probe.Next(&line)) {
+    ++line_no;
+    if (IsBlank(line)) {
+      if (options_.skip_blank_lines) continue;
+      SetWidth(0);
+      return;
+    }
+    const int label_column = options_.label_column;
+    const size_t width = 1 + static_cast<size_t>(std::count(
+                                 line.begin(), line.end(), options_.delimiter));
+    if (label_column >= 0 && static_cast<size_t>(label_column) >= width) {
+      bad_label_line_ = line_no;
+    }
+    SetWidth(width);
+    return;
+  }
+}
+
+void Parser::SetWidth(size_t width) {
+  width_known_ = true;
+  table_.width = width;
+  const int label_column = options_.label_column;
+  if (label_column >= 0 && static_cast<size_t>(label_column) < width) {
+    label_ = label_column;
+  }
+  table_.columns.resize(width - (label_ >= 0 ? 1 : 0));
+  if (encode_) {
+    categorical_from_.assign(width, kNumeric);
+    dictionaries_.resize(width);
+  }
+}
+
+// Parses the window's data lines [begin, end) into the columns, each grown
+// by the window's rows, while the pool also reads the next window.
+Status Parser::ParseWindow(std::string_view window, size_t begin, size_t end,
+                           bool last) {
+  std::vector<Chunk> chunks = CountedChunks(window, begin, end, lines_, rows_);
+  size_t lines = 0;
+  size_t rows = 0;
+  for (const Chunk& chunk : chunks) {
+    lines += chunk.lines;
+    rows += chunk.rows;
+  }
+  // A row of `width` fields holds width - 1 delimiters and, unless it is
+  // the input's last line, a '\n', so whole rows fill at most
+  // bytes / width + 1 of the window's lines. Beyond that some row is short,
+  // and the first short row is among the first bytes / width + 1: the
+  // columns never grow by more, whatever the input claims.
+  const size_t width = table_.width;
+  max_rows_ = rows_ + (width == 0 ? 0 : std::min(rows, (end - begin) / width + 1));
+  for (std::vector<double>& column : table_.columns) column.resize(max_rows_);
+  if (label_ >= 0) table_.labels.resize(max_rows_);
+
+  Status prefetched;
+  ParallelFor(chunks.size() + 1, HardwareThreads(), [&](size_t k, size_t) {
+    if (k > 0) {
+      ParseChunk(window, chunks[k - 1]);
+    } else if (!last) {
+      prefetched = windows_.Prefetch(end);
+    }
+  });
+  for (const Chunk& chunk : chunks) HIDO_RETURN_IF_ERROR(chunk.error);
+  HIDO_RETURN_IF_ERROR(prefetched);
+  // No row was short, so every row of the window fit (see above).
+  const size_t first_line = lines_;
+  const size_t first_row = rows_;
+  lines_ += lines;
+  rows_ = max_rows_;
+  if (!encode_) return Status::Ok();
+
+  // A column turns categorical in the window that shows its first
+  // non-numeric field; from there on each window's fields are collected
+  // while the window is at hand. Earlier windows are read again at the end.
+  const size_t index = spans_.size();
+  spans_.push_back({begin, end, first_line, first_row, rows});
+  std::vector<size_t> fields;
+  for (size_t c = 0; c < width; ++c) {
+    for (size_t k = 0; k < chunks.size() && categorical_from_[c] == kNumeric;
+         ++k) {
+      if (!chunks[k].non_numeric.empty() && chunks[k].non_numeric[c] != 0) {
+        categorical_from_[c] = index;
+      }
+    }
+    if (categorical_from_[c] != kNumeric) fields.push_back(c);
+  }
+  return Collect(window, chunks, fields);
+}
+
+void Parser::ParseChunk(std::string_view window, Chunk& chunk) {
   const StopToken* stop = options_.stop;
-  LineReader lines(text_, chunk.begin, chunk.end);
+  LineReader lines(window, chunk.begin, chunk.end);
   std::vector<std::string_view> fields;
   size_t line_no = chunk.first_line;
   size_t row = chunk.first_row;
@@ -394,63 +581,143 @@ Status Parser::ParseRow(std::string_view line, size_t line_no, size_t row,
   return Status::Ok();
 }
 
-// Only the categorical columns are read a second time: their trimmed
-// fields form the sorted dictionary, and each cell becomes its index.
-void Parser::EncodeCategorical(const std::vector<Chunk>& chunks,
-                               const std::vector<size_t>& fields) {
-  const size_t rows = table_.num_rows;
-  std::vector<size_t> columns;
-  for (const size_t c : fields) {
-    columns.push_back(label_ >= 0 && c > static_cast<size_t>(label_) ? c - 1
-                                                                      : c);
-  }
+// Gives the cells of `fields` (field indices) in the chunks' rows their
+// provisional codes: each trimmed field's place in its column's dictionary,
+// which grows by the fields it has not seen. A missing cell stays NaN. Only
+// a file that changed since it was parsed can fail this.
+Status Parser::Collect(std::string_view window,
+                       const std::vector<Chunk>& chunks,
+                       const std::vector<size_t>& fields) {
+  if (fields.empty() || chunks.empty()) return Status::Ok();
+  const size_t first_row = chunks.front().first_row;
+  const size_t rows = chunks.back().first_row + chunks.back().rows - first_row;
   std::vector<std::vector<std::string_view>> values(
       fields.size(), std::vector<std::string_view>(rows));
-  const size_t threads = HardwareThreads();
-  ParallelFor(chunks.size(), threads, [&](size_t k, size_t) {
-    LineReader lines(text_, chunks[k].begin, chunks[k].end);
+  std::vector<char> ragged(chunks.size(), 0);
+  ParallelFor(chunks.size(), HardwareThreads(), [&](size_t k, size_t) {
+    LineReader lines(window, chunks[k].begin, chunks[k].end);
     std::vector<std::string_view> split;
-    size_t row = chunks[k].first_row;
+    size_t row = chunks[k].first_row - first_row;
     std::string_view line;
     while (lines.Next(&line)) {
       if (IsBlank(line)) continue;
       SplitFields(line, options_.delimiter, &split);
+      if (split.size() != table_.width) {
+        ragged[k] = 1;
+        return;
+      }
       for (size_t i = 0; i < fields.size(); ++i) {
-        const std::string_view field = Trim(split[fields[i]]);
-        const bool missing = options_.allow_missing && IsMissingToken(field);
-        table_.columns[columns[i]][row] = missing ? kNaN : 0.0;
-        if (!missing) values[i][row] = field;
+        values[i][row] = Trim(split[fields[i]]);
       }
       ++row;
     }
   });
-  table_.categorical = columns;
+  if (std::find(ragged.begin(), ragged.end(), 1) != ragged.end()) {
+    return Status::IoError("csv: the input changed while it was read");
+  }
+  ParallelFor(fields.size(), HardwareThreads(), [&](size_t i, size_t) {
+    std::vector<double>& column = table_.columns[ColumnOf(fields[i])];
+    Dictionary& dictionary = dictionaries_[fields[i]];
+    for (size_t r = 0; r < rows; ++r) {
+      const std::string_view field = values[i][r];
+      double& cell = column[first_row + r];
+      if (options_.allow_missing && IsMissingToken(field)) {
+        cell = kNaN;
+        continue;
+      }
+      auto entry = dictionary.find(field);
+      if (entry == dictionary.end()) {
+        entry = dictionary.emplace(field, dictionary.size()).first;
+      }
+      cell = static_cast<double>(entry->second);
+    }
+  });
+  return Status::Ok();
+}
+
+// A column that turned categorical after the first window still needs the
+// fields of the windows before: those windows are read again (text where
+// it lies, a file from its start, a pipe from the copy it was opened to
+// keep), and only for such columns.
+Status Parser::CollectEarlierWindows() {
+  size_t windows = 0;
+  for (const size_t from : categorical_from_) {
+    if (from != kNumeric) windows = std::max(windows, from);
+  }
+  if (windows == 0) return Status::Ok();
+  HIDO_RETURN_IF_ERROR(windows_.Rewind());
+  for (size_t index = 0; index < windows; ++index) {
+    const WindowSpan& span = spans_[index];
+    const std::string_view window = windows_.current();
+    if (window.size() < span.end) {
+      return Status::IoError("csv: the input changed while it was read");
+    }
+    const std::vector<Chunk> chunks = CountedChunks(
+        window, span.begin, span.end, span.first_line, span.first_row);
+    size_t rows = 0;
+    for (const Chunk& chunk : chunks) rows += chunk.rows;
+    if (rows != span.rows) {
+      return Status::IoError("csv: the input changed while it was read");
+    }
+    std::vector<size_t> fields;
+    for (size_t c = 0; c < categorical_from_.size(); ++c) {
+      if (categorical_from_[c] != kNumeric && categorical_from_[c] > index) {
+        fields.push_back(c);
+      }
+    }
+    HIDO_RETURN_IF_ERROR(Collect(window, chunks, fields));
+    if (index + 1 < windows) {
+      HIDO_RETURN_IF_ERROR(windows_.Prefetch(span.end));
+      windows_.Advance();
+    }
+  }
+  return Status::Ok();
+}
+
+// Sorts each categorical column's dictionary and turns its provisional
+// codes into ranks: the code of a value is its index in the sorted
+// distinct values.
+void Parser::EncodeCategorical() {
+  std::vector<size_t> fields;
+  for (size_t c = 0; c < categorical_from_.size(); ++c) {
+    if (categorical_from_[c] != kNumeric) {
+      fields.push_back(c);
+      table_.categorical.push_back(ColumnOf(c));
+    }
+  }
   table_.dictionaries.resize(fields.size());
-  ParallelFor(fields.size(), threads, [&](size_t i, size_t) {
-    std::vector<double>& column = table_.columns[columns[i]];
-    std::vector<std::string_view> distinct;
-    for (size_t r = 0; r < rows; ++r) {
-      if (!std::isnan(column[r])) distinct.push_back(values[i][r]);
+  ParallelFor(fields.size(), HardwareThreads(), [&](size_t i, size_t) {
+    const Dictionary& dictionary = dictionaries_[fields[i]];
+    std::vector<double> rank(dictionary.size());
+    std::vector<std::string>& values = table_.dictionaries[i];
+    values.reserve(dictionary.size());
+    for (const auto& [value, code] : dictionary) {
+      rank[code] = static_cast<double>(values.size());
+      values.push_back(value);
     }
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    for (size_t r = 0; r < rows; ++r) {
-      if (std::isnan(column[r])) continue;
-      column[r] = static_cast<double>(
-          std::lower_bound(distinct.begin(), distinct.end(), values[i][r]) -
-          distinct.begin());
+    for (double& cell : table_.columns[table_.categorical[i]]) {
+      if (!std::isnan(cell)) cell = rank[static_cast<size_t>(cell)];
     }
-    table_.dictionaries[i].assign(distinct.begin(), distinct.end());
   });
 }
 
 }  // namespace
 
-Result<CsvTable> ParseCsv(std::string_view text,
+Result<CsvTable> ParseCsv(const CsvSource& source,
                           const CsvReadOptions& options,
-                          bool encode_categorical) {
-  return Parser(text, options, encode_categorical).Run();
+                          bool encode_categorical, size_t window_bytes) {
+  HIDO_CHECK_MSG(window_bytes > 0 && window_bytes % kCsvChunkBytes == 0,
+                 "window of %zu bytes", window_bytes);
+  if (source.path == nullptr) {
+    Windows windows(source.text, window_bytes);
+    return Parser(windows, options, encode_categorical).Run();
+  }
+  // Only an encoding read may look at earlier windows again.
+  Result<SequentialFile> file =
+      SequentialFile::Open(*source.path, /*rewindable=*/encode_categorical);
+  if (!file.ok()) return file.status();
+  Windows windows(&file.value(), window_bytes);
+  return Parser(windows, options, encode_categorical).Run();
 }
 
 }  // namespace internal

@@ -4,11 +4,14 @@
 // The one CSV parser behind ReadCsv and ReadCsvEncoded. Callers outside
 // src/data/ use those entry points (data/csv.h, data/encoding.h).
 //
-// The text is parsed where it lies: chunks of whole lines (see
-// kCsvChunkBytes) run on the shared thread pool, and std::from_chars
-// writes each value straight into its column. Chunk boundaries depend on
-// the bytes alone and the first error in line order is the one reported,
-// so the result is the same at any pool width.
+// The input is parsed one window at a time (see kCsvWindowBytes): in-memory
+// text where it lies, a file or pipe in two reused buffers, the next read
+// while the current window parses. Within a window, chunks of whole lines
+// (see kCsvChunkBytes) run on the shared thread pool, and std::from_chars
+// writes each value straight into its column, which grows by the window's
+// rows. Window and chunk boundaries depend on the bytes alone and the
+// first error in line order is the one reported, so the result is the same
+// at any pool width and any window size.
 
 #include <cstddef>
 #include <cstdint>
@@ -18,6 +21,7 @@
 
 #include "common/status.h"
 #include "data/csv.h"
+#include "data/encoding.h"
 
 namespace hido {
 namespace internal {
@@ -39,12 +43,33 @@ struct CsvTable {
   std::vector<std::vector<std::string>> dictionaries;
 };
 
-/// Parses CSV `text` under `options`. With `encode_categorical`, a column
-/// holding any field that is neither a number nor a missing token is
+/// What a read parses: the file, pipe or FIFO at `*path`, or with no path
+/// the in-memory `text`.
+struct CsvSource {
+  const std::string* path = nullptr;  ///< the input to read, or null
+  std::string_view text;              ///< the input when `path` is null
+};
+
+/// Parses `source` under `options` in windows of `window_bytes`, a
+/// multiple of kCsvChunkBytes. With `encode_categorical`, a column holding
+/// any field that is neither a number nor a missing token is
 /// ordinal-encoded instead of failing the read.
-Result<CsvTable> ParseCsv(std::string_view text,
+Result<CsvTable> ParseCsv(const CsvSource& source,
                           const CsvReadOptions& options,
-                          bool encode_categorical);
+                          bool encode_categorical,
+                          size_t window_bytes = kCsvWindowBytes);
+
+/// ReadCsv (or ReadCsvString, without a path) in windows of
+/// `window_bytes`; tests read at small windows so that inputs of a few MiB
+/// span several.
+Result<Dataset> ReadCsvWindowed(const CsvSource& source,
+                                const CsvReadOptions& options,
+                                size_t window_bytes);
+
+/// ReadCsvEncoded (or ReadCsvEncodedString) in windows of `window_bytes`.
+Result<EncodedDataset> ReadCsvEncodedWindowed(const CsvSource& source,
+                                              const CsvReadOptions& options,
+                                              size_t window_bytes);
 
 }  // namespace internal
 }  // namespace hido

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/file_util.h"
 #include "common/string_util.h"
 #include "data/csv_parser.h"
 #include "obs/metrics.h"
@@ -19,12 +18,15 @@ std::string EncodedDataset::Decode(size_t column, double code) const {
   return "";
 }
 
-Result<EncodedDataset> ReadCsvEncodedString(std::string_view text,
-                                            const CsvReadOptions& options) {
-  Result<internal::CsvTable> parsed =
-      internal::ParseCsv(text, options, /*encode_categorical=*/true);
+namespace internal {
+
+Result<EncodedDataset> ReadCsvEncodedWindowed(const CsvSource& source,
+                                              const CsvReadOptions& options,
+                                              size_t window_bytes) {
+  Result<CsvTable> parsed =
+      ParseCsv(source, options, /*encode_categorical=*/true, window_bytes);
   if (!parsed.ok()) return parsed.status();
-  internal::CsvTable& table = parsed.value();
+  CsvTable& table = parsed.value();
 
   // Columns are named after the header, or "c<field index>" without one.
   std::vector<std::string> names;
@@ -48,11 +50,18 @@ Result<EncodedDataset> ReadCsvEncodedString(std::string_view text,
   return out;
 }
 
+}  // namespace internal
+
+Result<EncodedDataset> ReadCsvEncodedString(std::string_view text,
+                                            const CsvReadOptions& options) {
+  return internal::ReadCsvEncodedWindowed({nullptr, text}, options,
+                                          kCsvWindowBytes);
+}
+
 Result<EncodedDataset> ReadCsvEncoded(const std::string& path,
                                       const CsvReadOptions& options) {
-  const Result<FileBytes> bytes = ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  return ReadCsvEncodedString(bytes.value().view(), options);
+  return internal::ReadCsvEncodedWindowed({&path, {}}, options,
+                                          kCsvWindowBytes);
 }
 
 }  // namespace hido

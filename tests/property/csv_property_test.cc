@@ -1,11 +1,18 @@
 // Round-trip property: for randomized datasets (shape, missing cells,
 // labels), Write -> Read reproduces the dataset exactly (values via %.17g,
 // masks, names, labels). Differential property: on damaged input, small
-// or spanning many parse chunks, ReadCsvString returns exactly what the
-// sequential oracle returns.
+// or spanning many parse chunks or read windows, ReadCsvString (and
+// ReadCsv from a file or a FIFO, and the encoded reads) return exactly
+// what the sequential oracle returns.
+
+#include <sys/stat.h>
 
 #include <cmath>
+#include <csignal>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <thread>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -13,6 +20,8 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "data/csv.h"
+#include "data/csv_parser.h"
+#include "data/encoding.h"
 #include "data/generators/synthetic.h"
 #include "testing/csv_oracle.h"
 
@@ -47,6 +56,95 @@ void ExpectSameRead(const Result<Dataset>& got, const Result<Dataset>& want) {
     }
   }
   EXPECT_EQ(a.labels(), b.labels());
+}
+
+// The encoded read's counterpart: the same Status, or the same data and
+// the same categorical columns with the same dictionaries.
+void ExpectSameEncodedRead(const Result<EncodedDataset>& got,
+                           const Result<EncodedDataset>& want) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << "got " << got.status().ToString() << ", oracle "
+      << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  ExpectSameRead(got.value().data, want.value().data);
+  const std::vector<CategoricalMapping>& a = got.value().categorical;
+  const std::vector<CategoricalMapping>& b = want.value().categorical;
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].column, b[i].column);
+    EXPECT_EQ(a[i].values, b[i].values) << "column " << a[i].column;
+  }
+}
+
+// A path unique to the running test, under the test temp directory.
+std::string TestPath(const std::string& suffix) {
+  std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  for (char& c : name) {
+    if (c == '/') c = '_';
+  }
+  return ::testing::TempDir() + "/hido_csv_property_" + name + suffix;
+}
+
+// How a windowed read gets its bytes.
+enum class Via { kText, kFile, kFifo };
+
+// Reads `text` through `read` (a windowed entry point taking a source)
+// from memory, from a regular file or from a FIFO a writer thread fills.
+template <typename Read>
+auto ReadVia(Via via, const std::string& text, Read read) {
+  if (via == Via::kText) return read(internal::CsvSource{nullptr, text});
+  const std::string path = TestPath(via == Via::kFile ? ".csv" : ".fifo");
+  std::remove(path.c_str());
+  if (via == Via::kFile) {
+    std::ofstream(path, std::ios::binary) << text;
+    auto result = read(internal::CsvSource{&path, {}});
+    std::remove(path.c_str());
+    return result;
+  }
+  EXPECT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  // A read that fails early closes the FIFO before the writer is done:
+  // the writer then sees EPIPE instead of a fatal SIGPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&] { std::ofstream(path, std::ios::binary) << text; });
+  auto result = read(internal::CsvSource{&path, {}});
+  writer.join();
+  std::remove(path.c_str());
+  return result;
+}
+
+// Small read windows: a few MiB of text span several of them.
+constexpr size_t kTestWindowBytes = 2 * kCsvChunkBytes;
+
+// Every windowed read of `text` (numeric and encoded; from memory, a file
+// and a FIFO) agrees with the oracle.
+void ExpectWindowedReadsMatchOracle(const std::string& text,
+                                    const CsvReadOptions& opts) {
+  const Result<Dataset> want = oracle::ReadCsvString(text, opts);
+  const Result<EncodedDataset> want_encoded =
+      oracle::ReadCsvEncodedString(text, opts);
+  for (const Via via : {Via::kText, Via::kFile, Via::kFifo}) {
+    SCOPED_TRACE(via == Via::kText ? "text" : via == Via::kFile ? "file"
+                                                                : "fifo");
+    ExpectSameRead(
+        ReadVia(via, text,
+                [&](const internal::CsvSource& source) {
+                  return internal::ReadCsvWindowed(source, opts,
+                                                   kTestWindowBytes);
+                }),
+        want);
+    ExpectSameEncodedRead(
+        ReadVia(via, text,
+                [&](const internal::CsvSource& source) {
+                  return internal::ReadCsvEncodedWindowed(source, opts,
+                                                          kTestWindowBytes);
+                }),
+        want_encoded);
+  }
 }
 
 // (rows, cols, missing_permille, with_labels, seed)
@@ -191,6 +289,26 @@ TEST_P(CsvMutationProperty, ReaderMatchesSequentialOracle) {
   }
 }
 
+// The encoded reads, from memory and from a file, agree with the encoded
+// oracle on the same damaged inputs: garbage bytes turn columns
+// categorical, which the numeric read refuses.
+TEST_P(CsvMutationProperty, EncodedReaderMatchesOracle) {
+  const std::string text = MutatedCsv(GetParam());
+  for (const bool header : {true, false}) {
+    CsvReadOptions opts;
+    opts.has_header = header;
+    opts.label_column = GetParam() % 3 == 0 ? 1 : -1;
+    opts.skip_blank_lines = GetParam() % 2 == 0;
+    const Result<EncodedDataset> want =
+        oracle::ReadCsvEncodedString(text, opts);
+    ExpectSameEncodedRead(ReadCsvEncodedString(text, opts), want);
+    const std::string path = TestPath(".csv");
+    std::ofstream(path, std::ios::binary) << text;
+    ExpectSameEncodedRead(ReadCsvEncoded(path, opts), want);
+    std::remove(path.c_str());
+  }
+}
+
 // Multi-chunk inputs: several MiB of rows in the formats the reader
 // meets (%.17g, integers, signs, padding, missing tokens, CRLF, blank
 // lines), with damage placed a few bytes before and after chunk
@@ -284,6 +402,188 @@ TEST_P(CsvChunkBoundaryProperty, ReaderMatchesSequentialOracle) {
 
   ExpectSameRead(ReadCsvString(text, opts), oracle::ReadCsvString(text, opts));
 }
+
+// Inputs of three to five read windows (at kTestWindowBytes) in the
+// formats the reader meets, now and then with a categorical column or a
+// numeric one whose first word comes in the last window, damaged within
+// 48 bytes of where windows are cut or start. Each seed also builds some of
+// the shapes that stress the carry-over (seed % 5 picks one for sure): a
+// CRLF split across a cut, a header ending exactly on one, a line longer
+// than a window, blank lines at a window start, no trailing newline.
+class CsvWindowBoundaryProperty : public ::testing::TestWithParam<uint64_t> {
+};
+
+// Where the reader cuts `text` into windows of kTestWindowBytes: each
+// window's raw end and, when it differs, the line start the next window
+// opens with (a window that holds no line end grows to twice its size).
+std::vector<size_t> WindowCuts(const std::string& text) {
+  std::vector<size_t> cuts;
+  size_t start = 0;
+  size_t capacity = kTestWindowBytes;
+  while (start + capacity < text.size()) {
+    const size_t cut = start + capacity;
+    const size_t newline = text.rfind('\n', cut - 1);
+    const size_t next =
+        newline == std::string::npos || newline < start ? start : newline + 1;
+    cuts.push_back(cut);
+    if (next != start && next != cut) cuts.push_back(next);
+    capacity = std::max(kTestWindowBytes, 2 * (cut - next));
+    start = next;
+  }
+  return cuts;
+}
+
+// A window cut of `text` picked by `rng`, or 0 for a text of one window.
+size_t SomeCut(const std::string& text, Rng& rng) {
+  const std::vector<size_t> cuts = WindowCuts(text);
+  return cuts.empty() ? 0 : cuts[rng.UniformIndex(cuts.size())];
+}
+
+// The start of the line holding text[pos].
+size_t LineStart(const std::string& text, size_t pos) {
+  const size_t newline = pos == 0 ? std::string::npos : text.rfind('\n', pos - 1);
+  return newline == std::string::npos ? 0 : newline + 1;
+}
+
+TEST_P(CsvWindowBoundaryProperty, WindowedReadsMatchOracle) {
+  Rng rng(GetParam());
+  const size_t shape = GetParam() % 5;
+  const bool crlf_split = shape == 0 || rng.Bernoulli(0.3);
+  const bool header_on_cut = shape == 1 || rng.Bernoulli(0.3);
+  const bool long_line = shape == 2 || rng.Bernoulli(0.3);
+  const bool blank_at_cut = shape == 3 || rng.Bernoulli(0.3);
+  const bool no_final_newline = shape == 4 || rng.Bernoulli(0.3);
+
+  CsvReadOptions opts;
+  opts.has_header = header_on_cut || rng.Bernoulli(0.7);
+  // No trailing newline also comes as a lone '\r' after the last CRLF,
+  // which must not read as a (blank) line.
+  opts.skip_blank_lines = shape != 4 && rng.Bernoulli(0.8);
+  opts.delimiter = rng.Bernoulli(0.8) ? ',' : ';';
+  if (rng.Bernoulli(0.3)) opts.max_field_bytes = 64;
+  if (crlf_split) opts.max_field_bytes = 4096;  // room for the padding
+  if (long_line && rng.Bernoulli(0.5)) opts.max_field_bytes = 0;
+  if (header_on_cut) opts.max_field_bytes = 0;  // a window-long name
+  const size_t cols = 2 + rng.UniformIndex(6);
+  if (rng.Bernoulli(0.4)) {
+    opts.label_column = static_cast<int>(rng.UniformIndex(cols));
+  }
+  const std::string eol =
+      crlf_split || shape == 4 || rng.Bernoulli(0.3) ? "\r\n" : "\n";
+  const size_t categorical = rng.Bernoulli(0.4) ? rng.UniformIndex(cols) : cols;
+  const size_t late_word = rng.Bernoulli(0.5) ? rng.UniformIndex(cols) : cols;
+  static const char* const kWords[] = {"red", " teal ", "?", "ochre", "Red"};
+
+  std::string text;
+  if (opts.has_header) {
+    std::string header;
+    for (size_t c = 0; c < cols; ++c) {
+      if (c > 0) header.push_back(opts.delimiter);
+      header += " name" + std::to_string(c);
+    }
+    if (header_on_cut) {
+      // The header's line end is the first window's last byte.
+      header.insert(0, kTestWindowBytes - header.size() - eol.size(), 'h');
+    }
+    text = header + eol;
+  }
+  const size_t target =
+      text.size() + 3 * kTestWindowBytes + rng.UniformIndex(2 * kTestWindowBytes);
+  bool late_word_written = false;
+  while (text.size() < target) {
+    if (opts.skip_blank_lines && rng.Bernoulli(0.002)) text += eol;
+    for (size_t c = 0; c < cols; ++c) {
+      if (c > 0) text.push_back(opts.delimiter);
+      if (static_cast<int>(c) == opts.label_column) {
+        text += std::to_string(rng.UniformInt(-3, 3));
+      } else if (c == categorical) {
+        text += kWords[rng.UniformIndex(5)];
+      } else if (c == late_word && !late_word_written &&
+                 text.size() + kTestWindowBytes / 2 > target) {
+        text += "late";
+        late_word_written = true;
+      } else {
+        text += RandomField(rng);
+      }
+    }
+    text += eol;
+  }
+
+  if (crlf_split) {
+    // Pad the last line ending before a cut so that its '\r' is the
+    // window's last byte and its '\n' the next window's first.
+    const size_t cut = SomeCut(text, rng);
+    const size_t crlf = text.rfind("\r\n", cut - 2);
+    if (cut > 0 && crlf != std::string::npos && crlf + 1 < cut &&
+        LineStart(text, crlf) > 0) {
+      text.insert(crlf, cut - 1 - crlf, ' ');
+    }
+  }
+  if (long_line) {
+    // A row whose first field alone is longer than a window.
+    const size_t at = LineStart(text, SomeCut(text, rng));
+    if (at > 0) {
+      std::string row = "1." + std::string(kTestWindowBytes +
+                                           rng.UniformIndex(kTestWindowBytes),
+                                           '0');
+      for (size_t c = 1; c < cols; ++c) {
+        row += opts.delimiter;
+        row += static_cast<int>(c) == opts.label_column ? "1" : "2";
+      }
+      text.insert(at, row + eol);
+    }
+  }
+  if (blank_at_cut) {
+    const size_t at = LineStart(text, SomeCut(text, rng));
+    if (at > 0) text.insert(at, rng.Bernoulli(0.5) ? eol + eol : "  " + eol);
+  }
+
+  // Half the inputs stay whole, so that reads also succeed.
+  const size_t damages = rng.Bernoulli(0.5) ? 0 : 1 + rng.UniformIndex(3);
+  for (size_t m = 0; m < damages; ++m) {
+    const size_t cut = SomeCut(text, rng);
+    if (cut < 48) continue;
+    const size_t pos = std::min(text.size() - 1, cut - 48 + rng.UniformIndex(96));
+    switch (rng.UniformIndex(7)) {
+      case 0:
+        text.insert(text.begin() + static_cast<ptrdiff_t>(pos), '\0');
+        break;
+      case 1:
+        text[pos] = "x,\n;9-"[rng.UniformIndex(6)];
+        break;
+      case 2:
+        text.insert(text.begin() + static_cast<ptrdiff_t>(pos),
+                    opts.delimiter);
+        break;
+      case 3:
+        text.erase(pos, 1);
+        break;
+      case 4:
+        text.insert(pos, "\n\n");
+        break;
+      case 5:
+        text.insert(pos, std::string(100, '7'));
+        break;
+      case 6:
+        text.insert(pos, "4294967297");
+        break;
+    }
+  }
+  if (no_final_newline) {
+    while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
+      text.pop_back();
+    }
+    if (eol == "\r\n" && (shape == 4 || rng.Bernoulli(0.5))) {
+      text += "\r\n\r";
+    }
+  }
+  ASSERT_GE(text.size(), 3 * kTestWindowBytes);
+
+  ExpectWindowedReadsMatchOracle(text, opts);
+}
+
+INSTANTIATE_TEST_SUITE_P(DamagedAtWindowCuts, CsvWindowBoundaryProperty,
+                         ::testing::Range<uint64_t>(1, 33));
 
 INSTANTIATE_TEST_SUITE_P(DamagedAtBoundaries, CsvChunkBoundaryProperty,
                          ::testing::Range<uint64_t>(1, 25));

@@ -3,13 +3,16 @@
 
 // The CSV-reading oracle for tests: a line-at-a-time, single-threaded
 // reader that stages every line, field and row as its own string or
-// vector. It shares no code with the chunked parser behind ReadCsv beyond
-// the string helpers, so the two agreeing on a Status (code and message)
-// or a Dataset checks the parallel reader, its chunk stitching and its
-// first-error order end to end.
+// vector. It shares no code with the windowed, chunked parser behind
+// ReadCsv and ReadCsvEncoded beyond the string helpers, so the two agreeing
+// on a Status (code and message), a Dataset, or codes and dictionaries
+// checks the parallel reader, its window and chunk stitching, its
+// dictionaries and its first-error order end to end.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "common/string_util.h"
 #include "data/csv.h"
 #include "data/dataset.h"
+#include "data/encoding.h"
 
 namespace hido {
 namespace oracle {
@@ -59,9 +63,24 @@ inline Status CheckCsvFields(const std::vector<std::string>& fields,
   return Status::Ok();
 }
 
-/// ReadCsvString, one line at a time on the calling thread.
-inline Result<Dataset> ReadCsvString(const std::string& text,
-                                     const CsvReadOptions& options = {}) {
+/// One read's rows as the oracle sees them, before any encoding.
+struct CsvRows {
+  std::vector<std::string> header;  ///< trimmed; empty without a header
+  size_t width = 0;                 ///< fields per line, label included
+  std::vector<std::vector<double>> values;  ///< per row, label excluded
+  /// Encoding only: per row, the raw non-label fields.
+  std::vector<std::vector<std::string>> fields;
+  /// Encoding only: per non-label column, did a field fail as a number.
+  std::vector<char> non_numeric;
+  std::vector<int32_t> labels;  ///< per row, with a label column
+};
+
+/// The reader's checks and values, one line at a time on the calling
+/// thread. With `encode`, a field that is neither a number nor a missing
+/// token marks its column instead of failing the read.
+inline Status ReadCsvRows(const std::string& text,
+                          const CsvReadOptions& options, bool encode,
+                          CsvRows* out) {
   constexpr size_t kPollStride = 1024;
   const std::vector<std::string> lines = SplitCsvLines(text);
   size_t line_idx = 0;
@@ -70,7 +89,7 @@ inline Result<Dataset> ReadCsvString(const std::string& text,
     return StopStatus(*options.stop, "csv read");
   }
 
-  std::vector<std::string> header;
+  std::vector<std::string>& header = out->header;
   if (options.has_header) {
     while (line_idx < lines.size() && options.skip_blank_lines &&
            Trim(lines[line_idx]).empty()) {
@@ -86,11 +105,10 @@ inline Result<Dataset> ReadCsvString(const std::string& text,
     ++line_idx;
   }
 
-  size_t width = header.size();  // 0 when no header: inferred from row 1
+  size_t& width = out->width;
+  width = header.size();  // 0 when no header: inferred from row 1
   const int label_col = options.label_column;
 
-  std::vector<std::vector<double>> rows;
-  std::vector<int32_t> labels;
   for (; line_idx < lines.size(); ++line_idx) {
     if (options.stop != nullptr &&
         line_idx % kPollStride == kPollStride - 1 &&
@@ -120,6 +138,7 @@ inline Result<Dataset> ReadCsvString(const std::string& text,
                     line_idx + 1, fields.size(), width));
     }
     std::vector<double> row;
+    std::vector<std::string> raw;
     for (size_t c = 0; c < fields.size(); ++c) {
       if (label_col >= 0 && c == static_cast<size_t>(label_col)) {
         const Result<int64_t> label = ParseInt(fields[c]);
@@ -134,14 +153,21 @@ inline Result<Dataset> ReadCsvString(const std::string& text,
               StrFormat("csv: line %zu: label '%s' out of range",
                         line_idx + 1, fields[c].c_str()));
         }
-        labels.push_back(static_cast<int32_t>(label.value()));
+        out->labels.push_back(static_cast<int32_t>(label.value()));
         continue;
       }
+      if (encode) raw.push_back(fields[c]);
       if (options.allow_missing && IsMissingToken(fields[c])) {
         row.push_back(std::numeric_limits<double>::quiet_NaN());
         continue;
       }
       const Result<double> value = ParseDouble(fields[c]);
+      if (!value.ok() && encode) {
+        out->non_numeric.resize(width, 0);
+        out->non_numeric[row.size()] = 1;
+        row.push_back(std::numeric_limits<double>::quiet_NaN());
+        continue;
+      }
       if (!value.ok()) {
         return Status::ParseError(
             StrFormat("csv: line %zu column %zu: %s", line_idx + 1, c + 1,
@@ -149,22 +175,71 @@ inline Result<Dataset> ReadCsvString(const std::string& text,
       }
       row.push_back(value.value());
     }
-    rows.push_back(std::move(row));
+    out->values.push_back(std::move(row));
+    if (encode) out->fields.push_back(std::move(raw));
   }
 
   if (label_col >= 0 && width > 0 &&
       static_cast<size_t>(label_col) >= width) {
     return Status::InvalidArgument("csv: label_column out of range");
   }
+  return Status::Ok();
+}
 
+/// ReadCsvString, one line at a time on the calling thread.
+inline Result<Dataset> ReadCsvString(const std::string& text,
+                                     const CsvReadOptions& options = {}) {
+  CsvRows rows;
+  const Status read = ReadCsvRows(text, options, /*encode=*/false, &rows);
+  if (!read.ok()) return read;
+  const int label_col = options.label_column;
   std::vector<std::string> names;
-  for (size_t c = 0; c < header.size(); ++c) {
+  for (size_t c = 0; c < rows.header.size(); ++c) {
     if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
-    names.push_back(header[c]);
+    names.push_back(rows.header[c]);
   }
-  Dataset ds = Dataset::FromRows(rows, std::move(names));
-  if (label_col >= 0) ds.SetLabels(std::move(labels));
+  Dataset ds = Dataset::FromRows(rows.values, std::move(names));
+  if (label_col >= 0) ds.SetLabels(std::move(rows.labels));
   return ds;
+}
+
+/// ReadCsvEncodedString, the plain way: the numeric oracle's rows, then
+/// each column with a non-numeric field holds, per row, the index of its
+/// trimmed field among the column's sorted distinct trimmed fields (a
+/// missing token stays missing).
+inline Result<EncodedDataset> ReadCsvEncodedString(
+    const std::string& text, const CsvReadOptions& options = {}) {
+  CsvRows rows;
+  const Status read = ReadCsvRows(text, options, /*encode=*/true, &rows);
+  if (!read.ok()) return read;
+  const int label_col = options.label_column;
+  EncodedDataset out;
+  for (size_t column = 0; column < rows.non_numeric.size(); ++column) {
+    if (rows.non_numeric[column] == 0) continue;
+    std::set<std::string> distinct;
+    for (const std::vector<std::string>& fields : rows.fields) {
+      if (options.allow_missing && IsMissingToken(fields[column])) continue;
+      distinct.insert(std::string(Trim(fields[column])));
+    }
+    const std::vector<std::string> values(distinct.begin(), distinct.end());
+    for (size_t r = 0; r < rows.values.size(); ++r) {
+      const std::string& field = rows.fields[r][column];
+      if (options.allow_missing && IsMissingToken(field)) continue;
+      rows.values[r][column] = static_cast<double>(
+          std::lower_bound(values.begin(), values.end(), Trim(field)) -
+          values.begin());
+    }
+    out.categorical.push_back({column, values});
+  }
+  std::vector<std::string> names;
+  for (size_t c = 0; c < rows.width; ++c) {
+    if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
+    names.push_back(c < rows.header.size() ? rows.header[c]
+                                           : StrFormat("c%zu", c));
+  }
+  out.data = Dataset::FromRows(rows.values, std::move(names));
+  if (label_col >= 0) out.data.SetLabels(std::move(rows.labels));
+  return out;
 }
 
 }  // namespace oracle

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -89,9 +90,16 @@ int ParseOrReport(FlagParser& flags, const std::vector<std::string>& args) {
 // subcommand hands an empty dataset to code that requires rows.
 Result<Dataset> LoadInput(const FlagParser& flags,
                           const StopToken* stop = nullptr) {
+  const int64_t label_column = flags.GetInt("label-column");
+  if (label_column < -1 || label_column > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(StrFormat(
+        "--label-column must be -1 (none) or in [0, %d], got %lld",
+        std::numeric_limits<int>::max(),
+        static_cast<long long>(label_column)));
+  }
   CsvReadOptions options;
   options.has_header = flags.GetBool("header");
-  options.label_column = static_cast<int>(flags.GetInt("label-column"));
+  options.label_column = static_cast<int>(label_column);
   options.stop = stop;  // Ctrl-C aborts a long load instead of hanging it
   Result<Dataset> data = [&]() -> Result<Dataset> {
     if (!flags.GetBool("encode-categorical")) {
@@ -435,6 +443,11 @@ int RunDetect(const std::vector<std::string>& args) {
   // pipeline, not just the search phase.
   const ScopedRunControl control(flags.GetDouble("deadline"));
 
+  // The root of the timing tree opens before the load and closes once the
+  // detection is done, so load_input sits beside grid_build,
+  // evolutionary_search and postprocess under one span that covers the run.
+  std::optional<obs::TraceSpan> root;
+  root.emplace("detect");
   Result<Dataset> data = [&] {
     const obs::TraceSpan span("load_input");
     return LoadInput(flags, &control.token());
@@ -464,10 +477,9 @@ int RunDetect(const std::vector<std::string>& args) {
     if (!layered.ok()) return Fail(layered);
 
     const ensemble::EnsembleDetector detector(ensemble_config);
-    const ensemble::EnsembleDetectionResult result = [&] {
-      const obs::TraceSpan span("detect");
-      return detector.Detect(data.value());
-    }();
+    const ensemble::EnsembleDetectionResult result =
+        detector.Detect(data.value());
+    root.reset();
     control.ReportIfStopped();
 
     const serve::ModelSnapshot snapshot =
@@ -527,10 +539,8 @@ int RunDetect(const std::vector<std::string>& args) {
   const OutlierDetector detector(config);
   const Status resumable = detector.CheckResume(data.value());
   if (!resumable.ok()) return Fail(resumable);
-  const DetectionResult result = [&] {
-    const obs::TraceSpan span("detect");
-    return detector.Detect(data.value());
-  }();
+  const DetectionResult result = detector.Detect(data.value());
+  root.reset();
   control.ReportIfStopped();
 
   std::printf("detected with phi=%zu, k=%zu (%s) in %.3fs%s: "
@@ -628,6 +638,9 @@ int RunFit(const std::vector<std::string>& args) {
   if (parse_outcome >= 0) return parse_outcome;
 
   const ScopedRunControl control(flags.GetDouble("deadline"));
+  // One root span covers the load and the fit, as in `detect`.
+  std::optional<obs::TraceSpan> root;
+  root.emplace("fit");
   Result<Dataset> data = [&] {
     const obs::TraceSpan span("load_input");
     return LoadInput(flags, &control.token());
@@ -653,19 +666,16 @@ int RunFit(const std::vector<std::string>& args) {
         EnsembleConfigFromFlags(flags, config, &ensemble_config);
     if (!layered.ok()) return Fail(layered);
     const ensemble::EnsembleDetector detector(ensemble_config);
-    const ensemble::EnsembleDetectionResult result = [&] {
-      const obs::TraceSpan span("fit");
-      return detector.Detect(data.value());
-    }();
+    const ensemble::EnsembleDetectionResult result =
+        detector.Detect(data.value());
+    root.reset();
     snapshot = serve::MakeEnsembleSnapshot(result, data.value(), config.seed);
     completed = result.completed;
     stop_cause = result.stop_cause;
   } else {
     const OutlierDetector detector(config);
-    const DetectionResult result = [&] {
-      const obs::TraceSpan span("fit");
-      return detector.Detect(data.value());
-    }();
+    const DetectionResult result = detector.Detect(data.value());
+    root.reset();
     snapshot = serve::MakeSnapshot(result, data.value(), config.seed);
     completed = result.completed;
     stop_cause = result.stop_cause;
