@@ -315,7 +315,6 @@ class Parser {
   struct WindowSpan {
     size_t begin = 0;
     size_t end = 0;
-    size_t first_line = 0;
     size_t first_row = 0;
     size_t rows = 0;
   };
@@ -468,7 +467,8 @@ Status Parser::ParseWindow(std::string_view window, size_t begin, size_t end,
   // and the first short row is among the first bytes / width + 1: the
   // columns never grow by more, whatever the input claims.
   const size_t width = table_.width;
-  max_rows_ = rows_ + (width == 0 ? 0 : std::min(rows, (end - begin) / width + 1));
+  max_rows_ =
+      rows_ + (width == 0 ? 0 : std::min(rows, (end - begin) / width + 1));
   for (std::vector<double>& column : table_.columns) column.resize(max_rows_);
   if (label_ >= 0) table_.labels.resize(max_rows_);
 
@@ -483,9 +483,8 @@ Status Parser::ParseWindow(std::string_view window, size_t begin, size_t end,
   for (const Chunk& chunk : chunks) HIDO_RETURN_IF_ERROR(chunk.error);
   HIDO_RETURN_IF_ERROR(prefetched);
   // No row was short, so every row of the window fit (see above).
-  const size_t first_line = lines_;
-  const size_t first_row = rows_;
   lines_ += lines;
+  const size_t first_row = rows_;
   rows_ = max_rows_;
   if (!encode_) return Status::Ok();
 
@@ -493,7 +492,7 @@ Status Parser::ParseWindow(std::string_view window, size_t begin, size_t end,
   // non-numeric field; from there on each window's fields are collected
   // while the window is at hand. Earlier windows are read again at the end.
   const size_t index = spans_.size();
-  spans_.push_back({begin, end, first_line, first_row, rows});
+  spans_.push_back({begin, end, first_row, rows});
   std::vector<size_t> fields;
   for (size_t c = 0; c < width; ++c) {
     for (size_t k = 0; k < chunks.size() && categorical_from_[c] == kNumeric;
@@ -652,8 +651,9 @@ Status Parser::CollectEarlierWindows() {
     if (window.size() < span.end) {
       return Status::IoError("csv: the input changed while it was read");
     }
-    const std::vector<Chunk> chunks = CountedChunks(
-        window, span.begin, span.end, span.first_line, span.first_row);
+    const std::vector<Chunk> chunks =
+        CountedChunks(window, span.begin, span.end, /*first_line=*/0,
+                      span.first_row);
     size_t rows = 0;
     for (const Chunk& chunk : chunks) rows += chunk.rows;
     if (rows != span.rows) {

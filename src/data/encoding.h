@@ -45,6 +45,9 @@ struct EncodedDataset {
 /// treats every column containing one as categorical and ordinal-encodes
 /// it. Missing tokens stay missing in either column kind. Options'
 /// label_column semantics match ReadCsv (labels must still be integers).
+/// A column whose first non-numeric field comes after the first window has
+/// its earlier windows read again; a pipe or FIFO is therefore copied, as
+/// it is read, into an unlinked temporary file (in /tmp).
 Result<EncodedDataset> ReadCsvEncoded(const std::string& path,
                                       const CsvReadOptions& options = {});
 

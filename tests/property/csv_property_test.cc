@@ -441,7 +441,8 @@ size_t SomeCut(const std::string& text, Rng& rng) {
 
 // The start of the line holding text[pos].
 size_t LineStart(const std::string& text, size_t pos) {
-  const size_t newline = pos == 0 ? std::string::npos : text.rfind('\n', pos - 1);
+  const size_t newline =
+      pos == 0 ? std::string::npos : text.rfind('\n', pos - 1);
   return newline == std::string::npos ? 0 : newline + 1;
 }
 
@@ -487,8 +488,8 @@ TEST_P(CsvWindowBoundaryProperty, WindowedReadsMatchOracle) {
     }
     text = header + eol;
   }
-  const size_t target =
-      text.size() + 3 * kTestWindowBytes + rng.UniformIndex(2 * kTestWindowBytes);
+  const size_t target = text.size() + 3 * kTestWindowBytes +
+                        rng.UniformIndex(2 * kTestWindowBytes);
   bool late_word_written = false;
   while (text.size() < target) {
     if (opts.skip_blank_lines && rng.Bernoulli(0.002)) text += eol;
@@ -543,7 +544,8 @@ TEST_P(CsvWindowBoundaryProperty, WindowedReadsMatchOracle) {
   for (size_t m = 0; m < damages; ++m) {
     const size_t cut = SomeCut(text, rng);
     if (cut < 48) continue;
-    const size_t pos = std::min(text.size() - 1, cut - 48 + rng.UniformIndex(96));
+    const size_t pos =
+        std::min(text.size() - 1, cut - 48 + rng.UniformIndex(96));
     switch (rng.UniformIndex(7)) {
       case 0:
         text.insert(text.begin() + static_cast<ptrdiff_t>(pos), '\0');
