@@ -469,7 +469,9 @@ Status Parser::ParseWindow(std::string_view window, size_t begin, size_t end,
   const size_t width = table_.width;
   max_rows_ =
       rows_ + (width == 0 ? 0 : std::min(rows, (end - begin) / width + 1));
-  for (std::vector<double>& column : table_.columns) column.resize(max_rows_);
+  // Growing a column copies it and faults in its new pages: one task each.
+  ParallelFor(table_.columns.size(), HardwareThreads(),
+              [&](size_t j, size_t) { table_.columns[j].resize(max_rows_); });
   if (label_ >= 0) table_.labels.resize(max_rows_);
 
   Status prefetched;
