@@ -469,7 +469,13 @@ Status Parser::ParseWindow(std::string_view window, size_t begin, size_t end,
   const size_t width = table_.width;
   max_rows_ =
       rows_ + (width == 0 ? 0 : std::min(rows, (end - begin) / width + 1));
-  // Growing a column copies it and faults in its new pages: one task each.
+  // Capacity grows here, fourfold, so a read copies a value about a third
+  // of a time and allocates in one malloc arena (growth on the workers,
+  // each allocating in its own arena, left more memory behind). The pool
+  // then zero-fills the new rows, faulting their pages in.
+  for (std::vector<double>& column : table_.columns) {
+    if (column.capacity() < max_rows_) column.reserve(4 * max_rows_);
+  }
   ParallelFor(table_.columns.size(), HardwareThreads(),
               [&](size_t j, size_t) { table_.columns[j].resize(max_rows_); });
   if (label_ >= 0) table_.labels.resize(max_rows_);
