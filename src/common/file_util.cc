@@ -160,6 +160,7 @@ Result<SequentialFile> SequentialFile::Open(const std::string& path,
   const Result<int> opened = OpenForReading(path, &info);
   if (!opened.ok()) return opened.status();
   SequentialFile file(path, opened.value(), S_ISREG(info.st_mode));
+  if (file.positional_) file.size_ = static_cast<size_t>(info.st_size);
   if (rewindable && !file.positional_) {
     file.spool_ = std::tmpfile();
     if (file.spool_ == nullptr) {
@@ -178,7 +179,8 @@ SequentialFile::SequentialFile(SequentialFile&& other) noexcept
       positional_(other.positional_),
       spool_(std::exchange(other.spool_, nullptr)),
       rewound_(other.rewound_),
-      offset_(other.offset_) {}
+      offset_(other.offset_),
+      size_(other.size_) {}
 
 SequentialFile::~SequentialFile() {
   if (fd_ >= 0) ::close(fd_);

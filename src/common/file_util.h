@@ -66,6 +66,9 @@ class SequentialFile {
   /// Reads from the first byte again. Precondition: opened rewindable.
   void Rewind();
 
+  /// A regular file's size when it was opened; 0 for a pipe or FIFO.
+  size_t size() const { return size_; }
+
  private:
   SequentialFile(std::string path, int fd, bool positional);
 
@@ -75,6 +78,7 @@ class SequentialFile {
   std::FILE* spool_ = nullptr;  // a rewindable pipe's bytes so far
   bool rewound_ = false;        // reading spool_ back with pread
   size_t offset_ = 0;           // bytes read since the first or a rewind
+  size_t size_ = 0;             // see size()
 };
 
 /// Writes `content` to `path` via a temporary sibling file followed by a
