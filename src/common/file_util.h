@@ -53,7 +53,7 @@ class SequentialFile {
   /// FIFO also copies every byte it reads into an unlinked temporary file
   /// that Rewind replays (a regular file is simply read again).
   static Result<SequentialFile> Open(const std::string& path,
-                                     bool rewindable = false);
+                                     bool rewindable);
 
   SequentialFile(SequentialFile&& other) noexcept;  ///< takes the file over
   SequentialFile& operator=(SequentialFile&& other) = delete;

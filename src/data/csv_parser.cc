@@ -512,8 +512,9 @@ Status Parser::ParseWindow(std::string_view window, size_t begin, size_t end,
               static_cast<double>(windows_.size()) /
               static_cast<double>(consumed_) +
           static_cast<double>(max_rows_ - rows_);
-      capacity = std::clamp(static_cast<size_t>(projected), max_rows_,
-                            16 * max_rows_);
+      capacity = std::max(
+          max_rows_, static_cast<size_t>(std::min(
+                         projected, 16.0 * static_cast<double>(max_rows_))));
     }
     for (std::vector<double>& column : table_.columns) {
       column.reserve(capacity);

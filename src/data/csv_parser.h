@@ -56,8 +56,7 @@ struct CsvSource {
 /// ordinal-encoded instead of failing the read.
 Result<CsvTable> ParseCsv(const CsvSource& source,
                           const CsvReadOptions& options,
-                          bool encode_categorical,
-                          size_t window_bytes = kCsvWindowBytes);
+                          bool encode_categorical, size_t window_bytes);
 
 /// ReadCsv (or ReadCsvString, without a path) in windows of
 /// `window_bytes`; tests read at small windows so that inputs of a few MiB
