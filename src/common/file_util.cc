@@ -4,16 +4,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <utility>
-#include <vector>
-
-#include "common/parallel.h"
 
 namespace hido {
 
@@ -21,79 +18,6 @@ namespace {
 
 // First buffer size for a read whose length is unknown up front.
 constexpr size_t kUnsizedReadBytes = size_t{64} << 10;
-
-// Closes a file descriptor when it goes out of scope.
-struct FdCloser {
-  explicit FdCloser(int descriptor) : fd(descriptor) {}
-  ~FdCloser() { ::close(fd); }
-  FdCloser(const FdCloser&) = delete;
-  FdCloser& operator=(const FdCloser&) = delete;
-  const int fd;
-};
-
-// Fills buffer[0, length) from the file at `offset`. A file that ends
-// first shrank after its size was taken: that is an error, never a buffer
-// with a hole in it.
-Status ReadSlice(int fd, const std::string& path, char* buffer,
-                 size_t offset, size_t length) {
-  size_t done = 0;
-  while (done < length) {
-    const ssize_t got = ::pread(fd, buffer + done, length - done,
-                                static_cast<off_t>(offset + done));
-    if (got == 0) {
-      return Status::IoError("file shrank while being read: " + path);
-    }
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("read failure: " + path);
-    }
-    done += static_cast<size_t>(got);
-  }
-  return Status::Ok();
-}
-
-// Reads from the descriptor's offset to end of file into `*buffer`, which
-// holds `*size` bytes and has room for `*capacity`; it doubles when full.
-Status ReadToEnd(int fd, const std::string& path,
-                 std::unique_ptr<char[]>* buffer, size_t* capacity,
-                 size_t* size) {
-  while (true) {
-    if (*size == *capacity) {
-      std::unique_ptr<char[]> grown =
-          std::make_unique_for_overwrite<char[]>(2 * *capacity);
-      std::memcpy(grown.get(), buffer->get(), *size);
-      *buffer = std::move(grown);
-      *capacity *= 2;
-    }
-    const ssize_t got = ::read(fd, buffer->get() + *size, *capacity - *size);
-    if (got == 0) return Status::Ok();
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("read failure: " + path);
-    }
-    *size += static_cast<size_t>(got);
-  }
-}
-
-// Opens `path` for reading and describes it into `*info`; a directory is
-// an IoError.
-Result<int> OpenForReading(const std::string& path, struct stat* info) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  Status failure = Status::Ok();
-  if (::fstat(fd, info) != 0) {
-    failure = Status::IoError("read failure: " + path);
-  } else if (S_ISDIR(info->st_mode)) {
-    failure = Status::IoError("is a directory: " + path);
-  }
-  if (!failure.ok()) {
-    ::close(fd);
-    return failure;
-  }
-  return fd;
-}
 
 std::atomic<int> g_write_failpoint{
     static_cast<int>(internal::WriteFailStep::kNone)};
@@ -118,54 +42,46 @@ void ArmWriteFailpointForTest(WriteFailStep step) {
 }  // namespace internal
 
 Result<FileBytes> ReadFile(const std::string& path) {
-  struct stat info = {};
-  const Result<int> opened = OpenForReading(path, &info);
+  Result<SequentialFile> opened = SequentialFile::Open(path, /*rewindable=*/false);
   if (!opened.ok()) return opened.status();
-  const int fd = opened.value();
-  const FdCloser closer(fd);
+  SequentialFile& file = opened.value();
+  // A regular file's buffer has one spare byte, so that end of file shows
+  // without growing it; a pipe or FIFO has no size up front.
+  size_t capacity = file.size() == 0 ? kUnsizedReadBytes : file.size() + 1;
   FileBytes bytes;
-  size_t capacity = kUnsizedReadBytes;
-  if (S_ISREG(info.st_mode)) {
-    // Sized from the file, with one spare byte so that end of file shows
-    // without growing the buffer. The slices are read in parallel.
-    const size_t size = static_cast<size_t>(info.st_size);
-    capacity = size + 1;
-    bytes.data_ = std::make_unique_for_overwrite<char[]>(capacity);
-    const size_t slices = (size + kReadSliceBytes - 1) / kReadSliceBytes;
-    std::vector<Status> slice_status(slices, Status::Ok());
-    ParallelFor(slices, HardwareThreads(), [&](size_t slice, size_t) {
-      const size_t offset = slice * kReadSliceBytes;
-      slice_status[slice] =
-          ReadSlice(fd, path, bytes.data_.get() + offset, offset,
-                    std::min(kReadSliceBytes, size - offset));
-    });
-    for (const Status& status : slice_status) HIDO_RETURN_IF_ERROR(status);
-    bytes.size_ = size;
-    // Bytes appended since the fstat are read on to end of file.
-    if (::lseek(fd, static_cast<off_t>(size), SEEK_SET) < 0) {
-      return Status::IoError("read failure: " + path);
-    }
-  } else {
-    // A pipe or FIFO has no size up front.
-    bytes.data_ = std::make_unique_for_overwrite<char[]>(capacity);
+  bytes.data_ = std::make_unique_for_overwrite<char[]>(capacity);
+  while (true) {
+    const Result<size_t> got =
+        file.Read(bytes.data_.get() + bytes.size_, capacity - bytes.size_);
+    if (!got.ok()) return got.status();
+    bytes.size_ += got.value();
+    if (bytes.size_ < capacity) return bytes;
+    std::unique_ptr<char[]> grown =
+        std::make_unique_for_overwrite<char[]>(2 * capacity);
+    std::memcpy(grown.get(), bytes.data_.get(), bytes.size_);
+    bytes.data_ = std::move(grown);
+    capacity *= 2;
   }
-  HIDO_RETURN_IF_ERROR(
-      ReadToEnd(fd, path, &bytes.data_, &capacity, &bytes.size_));
-  return bytes;
 }
 
 Result<SequentialFile> SequentialFile::Open(const std::string& path,
                                             bool rewindable) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open for reading: " + path);
   struct stat info = {};
-  const Result<int> opened = OpenForReading(path, &info);
-  if (!opened.ok()) return opened.status();
-  SequentialFile file(path, opened.value(), S_ISREG(info.st_mode));
+  const bool described = ::fstat(fd, &info) == 0;
+  SequentialFile file(path, fd, described && S_ISREG(info.st_mode));
+  if (!described) return Status::IoError("read failure: " + path);
+  if (S_ISDIR(info.st_mode)) return Status::IoError("is a directory: " + path);
   if (file.positional_) file.size_ = static_cast<size_t>(info.st_size);
   if (rewindable && !file.positional_) {
-    file.spool_ = std::tmpfile();
-    if (file.spool_ == nullptr) {
-      return Status::IoError("cannot create a temporary copy of " + path);
-    }
+    const char* dir = std::getenv("TMPDIR");
+    std::string name = std::string(dir != nullptr && *dir != '\0'
+                                       ? dir
+                                       : P_tmpdir) +
+                       "/hido-copy-XXXXXX";
+    file.copy_ = ::mkstemp(name.data());
+    if (file.copy_ >= 0) ::unlink(name.c_str());
   }
   return file;
 }
@@ -177,18 +93,23 @@ SequentialFile::SequentialFile(SequentialFile&& other) noexcept
     : path_(std::move(other.path_)),
       fd_(std::exchange(other.fd_, -1)),
       positional_(other.positional_),
-      spool_(std::exchange(other.spool_, nullptr)),
+      copy_(std::exchange(other.copy_, -1)),
       rewound_(other.rewound_),
       offset_(other.offset_),
       size_(other.size_) {}
 
 SequentialFile::~SequentialFile() {
   if (fd_ >= 0) ::close(fd_);
-  if (spool_ != nullptr) std::fclose(spool_);
+  DropCopy();
+}
+
+void SequentialFile::DropCopy() {
+  if (copy_ >= 0) ::close(copy_);
+  copy_ = -1;
 }
 
 Result<size_t> SequentialFile::Read(char* buffer, size_t length) {
-  const int fd = rewound_ ? ::fileno(spool_) : fd_;
+  const int fd = rewound_ ? copy_ : fd_;
   const bool positional = positional_ || rewound_;
   size_t done = 0;
   while (done < length) {
@@ -204,22 +125,26 @@ Result<size_t> SequentialFile::Read(char* buffer, size_t length) {
     done += static_cast<size_t>(got);
   }
   offset_ += done;
-  for (size_t kept = 0; spool_ != nullptr && !rewound_ && kept < done;) {
-    const ssize_t put = ::write(::fileno(spool_), buffer + kept, done - kept);
-    if (put < 0 && errno == EINTR) continue;
-    if (put <= 0) {
-      return Status::IoError("cannot keep a temporary copy of " + path_);
+  for (size_t kept = 0; copy_ >= 0 && !rewound_ && kept < done;) {
+    const ssize_t put = ::write(copy_, buffer + kept, done - kept);
+    if (put > 0) {
+      kept += static_cast<size_t>(put);
+    } else if (put == 0 || errno != EINTR) {
+      DropCopy();  // no room or no file: reading goes on without a copy
     }
-    kept += static_cast<size_t>(put);
   }
   return done;
 }
 
-void SequentialFile::Rewind() {
-  HIDO_CHECK_MSG(positional_ || spool_ != nullptr,
-                 "Rewind of a pipe opened without rewindable");
-  rewound_ = spool_ != nullptr;
+Status SequentialFile::Rewind() {
+  if (!positional_ && copy_ < 0) {
+    return Status::IoError(
+        "cannot read " + path_ +
+        " again: no temporary copy of it was kept (TMPDIR not writable?)");
+  }
+  rewound_ = !positional_;
   offset_ = 0;
+  return Status::Ok();
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& content) {

@@ -6,7 +6,6 @@
 // into the caller's buffers, and crash-tolerant atomic writes.
 
 #include <cstddef>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -30,17 +29,10 @@ class FileBytes {
   size_t size_ = 0;
 };
 
-/// ReadFile reads a regular file in slices of this many bytes, one task
-/// each on the shared pool: large enough that each pread's fixed cost
-/// vanishes, small enough that an 80 MB file keeps every worker busy.
-inline constexpr size_t kReadSliceBytes = size_t{4} << 20;
-
-/// Reads the entire file (binary, no translation). A regular file is read
-/// straight into a buffer of its `fstat` size, in kReadSliceBytes slices
-/// in parallel, then on to end of file should it have grown; a slice that
-/// comes up short (the file shrank meanwhile) is an IoError. A pipe or
-/// FIFO is read to its end into a doubling buffer. A directory is an
-/// IoError.
+/// Reads the entire file (binary, no translation) through SequentialFile:
+/// a regular file into a buffer of its `fstat` size plus one byte, then on
+/// to end of file should it have grown; a pipe or FIFO into a doubling
+/// buffer. A directory is an IoError.
 Result<FileBytes> ReadFile(const std::string& path);
 
 /// A file, pipe or FIFO read front to back into buffers the caller owns,
@@ -50,8 +42,11 @@ Result<FileBytes> ReadFile(const std::string& path);
 class SequentialFile {
  public:
   /// Opens `path`; a directory is an IoError. With `rewindable`, a pipe or
-  /// FIFO also copies every byte it reads into an unlinked temporary file
-  /// that Rewind replays (a regular file is simply read again).
+  /// FIFO also tries to copy every byte it reads into an unlinked
+  /// temporary file in `$TMPDIR` (else P_tmpdir) that Rewind replays; a
+  /// regular file is simply read again. The copy is best effort: when it
+  /// cannot be created or written, it is dropped and reading goes on, and
+  /// only a Rewind fails.
   static Result<SequentialFile> Open(const std::string& path,
                                      bool rewindable);
 
@@ -63,8 +58,10 @@ class SequentialFile {
   /// read: fewer than `length` only at end of file.
   Result<size_t> Read(char* buffer, size_t length);
 
-  /// Reads from the first byte again. Precondition: opened rewindable.
-  void Rewind();
+  /// Reads from the first byte again; a pipe or FIFO replays its copy,
+  /// which ends where reading had got to. An IoError for a pipe or FIFO
+  /// whose copy was not kept (not asked for, or dropped).
+  Status Rewind();
 
   /// A regular file's size when it was opened; 0 for a pipe or FIFO.
   size_t size() const { return size_; }
@@ -72,13 +69,16 @@ class SequentialFile {
  private:
   SequentialFile(std::string path, int fd, bool positional);
 
+  // Ends the copy: it stays incomplete, so Rewind can no longer replay it.
+  void DropCopy();
+
   std::string path_;
-  int fd_ = -1;                 // the open file, pipe or FIFO
-  bool positional_ = false;     // fd_ is read with pread at offset_
-  std::FILE* spool_ = nullptr;  // a rewindable pipe's bytes so far
-  bool rewound_ = false;        // reading spool_ back with pread
-  size_t offset_ = 0;           // bytes read since the first or a rewind
-  size_t size_ = 0;             // see size()
+  int fd_ = -1;              // the open file, pipe or FIFO
+  bool positional_ = false;  // fd_ is read with pread at offset_
+  int copy_ = -1;            // a rewindable pipe's bytes so far, or -1
+  bool rewound_ = false;     // reading copy_ back with pread
+  size_t offset_ = 0;        // bytes read since the first or a rewind
+  size_t size_ = 0;          // see size()
 };
 
 /// Writes `content` to `path` via a temporary sibling file followed by a

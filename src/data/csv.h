@@ -8,7 +8,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/file_util.h"
 #include "common/run_control.h"
 #include "common/status.h"
 #include "data/dataset.h"
@@ -52,11 +51,15 @@ struct CsvWriteOptions {
 
 /// Bytes of input the reader holds at once, twice over: it parses one
 /// window while it reads the next into a second buffer, and both buffers
-/// are reused, so a read's memory is its columns plus these two windows
-/// (more only while a single line is longer than half a window). A window
-/// starts at a line start and ends, for parsing, at its last line end;
-/// the partial line after it opens the next window.
-inline constexpr size_t kCsvWindowBytes = 2 * kReadSliceBytes;
+/// are reused, so a read's memory is its columns plus these two windows.
+/// A window starts at a line start and ends, for parsing, at its last line
+/// end; the partial line after it opens the next window. A partial line
+/// longer than half a window makes the next one twice its length, so a
+/// single long line costs up to twice its length in windows: an input with
+/// no '\n' at all (CR-only line ends, a binary file) grows both windows
+/// toward the file's size before the field or column cap rejects its first
+/// line.
+inline constexpr size_t kCsvWindowBytes = size_t{8} << 20;
 
 /// Byte stride of the reader's parse chunks: chunk k of a window's data
 /// lines starts at the first line start at or after k * kCsvChunkBytes

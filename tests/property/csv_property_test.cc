@@ -7,9 +7,11 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <thread>
@@ -582,6 +584,104 @@ TEST_P(CsvWindowBoundaryProperty, WindowedReadsMatchOracle) {
   ASSERT_GE(text.size(), 3 * kTestWindowBytes);
 
   ExpectWindowedReadsMatchOracle(text, opts);
+}
+
+// Three windows (at kTestWindowBytes) of rows whose column b is numeric
+// up to the last row, which holds a word. Fewer than 1024 lines: a read's
+// first pass polls a stop token once, at its start.
+std::string LateWordText() {
+  std::string text = "a,b\n";
+  const std::string padding(2000, ' ');
+  while (text.size() < 3 * kTestWindowBytes) text += padding + "0.5,1\n";
+  return text + "2,late\n";
+}
+
+std::string NumericText() {
+  std::string text = "a,b\n";
+  for (int i = 0; text.size() < 3 * kTestWindowBytes; ++i) {
+    text += std::to_string(i) + ".25," + std::to_string(i % 7) + "\n";
+  }
+  return text;
+}
+
+Result<EncodedDataset> ReadEncodedVia(Via via, const std::string& text,
+                                      const CsvReadOptions& opts) {
+  return ReadVia(via, text, [&](const internal::CsvSource& source) {
+    return internal::ReadCsvEncodedWindowed(source, opts, kTestWindowBytes);
+  });
+}
+
+// The copy an encoded read keeps of a pipe is best effort: where none can
+// be made, a pipe whose columns are categorical from the first window on
+// (or never) reads as before, and only a column whose first word comes
+// later fails the read. A file needs no copy.
+TEST(CsvWindowedReadTest, PipeWithoutCopyFailsOnlyWhenItMustReadAgain) {
+  const char* old_tmpdir = std::getenv("TMPDIR");
+  const std::string saved = old_tmpdir == nullptr ? "" : old_tmpdir;
+  ASSERT_EQ(::setenv("TMPDIR", TestPath(".no-such-dir").c_str(), 1), 0);
+  const CsvReadOptions opts;
+  const std::string numeric = NumericText();
+  ExpectSameEncodedRead(ReadEncodedVia(Via::kFifo, numeric, opts),
+                        oracle::ReadCsvEncodedString(numeric, opts));
+  const std::string late = LateWordText();
+  ExpectSameEncodedRead(ReadEncodedVia(Via::kFile, late, opts),
+                        oracle::ReadCsvEncodedString(late, opts));
+  const Result<EncodedDataset> piped = ReadEncodedVia(Via::kFifo, late, opts);
+  EXPECT_EQ(piped.status().code(), StatusCode::kIoError);
+  EXPECT_NE(piped.status().message().find("no temporary copy"),
+            std::string::npos)
+      << piped.status().ToString();
+  if (old_tmpdir == nullptr) {
+    ::unsetenv("TMPDIR");
+  } else {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  }
+}
+
+// Reading earlier windows again for a late categorical column polls the
+// stop token once per window: a stop that fires there ends the read.
+TEST(CsvWindowedReadTest, StopPolledWhileEarlierWindowsAreReadAgain) {
+  const std::string text = LateWordText();
+  ASSERT_LT(std::count(text.begin(), text.end(), '\n'), 1023);
+  for (const Via via : {Via::kText, Via::kFile, Via::kFifo}) {
+    SCOPED_TRACE(static_cast<int>(via));
+    StopToken unarmed;
+    CsvReadOptions opts;
+    opts.stop = &unarmed;
+    ExpectSameEncodedRead(ReadEncodedVia(via, text, opts),
+                          oracle::ReadCsvEncodedString(text, {}));
+    EXPECT_GT(unarmed.polls(), 2u);
+    StopToken token;
+    token.ArmFailpoint(2);  // the first poll after the first pass
+    opts.stop = &token;
+    const Result<EncodedDataset> read = ReadEncodedVia(via, text, opts);
+    EXPECT_EQ(read.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(read.status().message(), "csv read stopped (failpoint)");
+    EXPECT_EQ(token.polls(), 2u);
+  }
+}
+
+// The column cap is checked on a line's delimiter count before the line
+// is split. Its error is the oracle's, also where a NUL byte comes first in
+// the line and on an input with no '\n' that spans several windows.
+TEST(CsvWindowedReadTest, ColumnCapMatchesOracle) {
+  std::string cr_only = "a,b,c\r";
+  while (cr_only.size() < 3 * kTestWindowBytes) cr_only += "1.5,2,3\r";
+  const std::vector<std::string> texts = {
+      "a,b,c\n1,2,3\n",   "a,b,c,d\n1,2,3,4\n", "a,b\n1,2\n,,,\n",
+      std::string("a,b\n1\0,2,3,4\n", 13), ",,,\n", cr_only};
+  for (const size_t cap : {1, 2, 3, 4, 1000}) {
+    for (const std::string& text : texts) {
+      for (const bool header : {true, false}) {
+        SCOPED_TRACE(StrFormat("cap %zu, header %d, %zu bytes", cap,
+                               header ? 1 : 0, text.size()));
+        CsvReadOptions opts;
+        opts.max_columns = cap;
+        opts.has_header = header;
+        ExpectWindowedReadsMatchOracle(text, opts);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(DamagedAtWindowCuts, CsvWindowBoundaryProperty,

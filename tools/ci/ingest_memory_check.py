@@ -8,6 +8,13 @@ with it false, and on /dev/stdin fed by a pipe. Each child's peak RSS
 of columns, the reader's two windows and some slack. A reader that holds
 the whole file peaks at 110-131 MB on this input.
 
+An encoding read of a pipe (--encode-categorical is on by default) keeps a
+copy of the input in an unlinked file in $TMPDIR, in case a column turns
+categorical after the first window; ru_maxrss does not count it, even on a
+tmpfs. The pipe case therefore runs with TMPDIR naming a directory that
+does not exist: no copy can be made, the all-numeric input must read
+without one, and the peak counts all the memory the read holds.
+
 usage: ingest_memory_check.py --hido PATH --hido-gen PATH --dir DIR
                               [--limit-mb 75]
 """
@@ -18,14 +25,15 @@ import subprocess
 import sys
 
 
-def peak_rss_mb(command, stdin_path=None):
+def peak_rss_mb(command, stdin_path=None, env=None):
     """Runs `command` to completion; returns (exit code, peak RSS in MB)."""
     feeder = None
     stdin = None
     if stdin_path is not None:
         feeder = subprocess.Popen(["cat", stdin_path], stdout=subprocess.PIPE)
         stdin = feeder.stdout
-    child = subprocess.Popen(command, stdin=stdin, stdout=subprocess.DEVNULL)
+    child = subprocess.Popen(command, stdin=stdin, stdout=subprocess.DEVNULL,
+                             env=env)
     if feeder is not None:
         feeder.stdout.close()
     # wait4 gives this child's own usage, not the feeder's or the script's.
@@ -47,20 +55,22 @@ def main():
     subprocess.run([args.hido_gen, "subspace", "--rows", "100000",
                     "--dims", "40", "--seed", "1", "--out", csv],
                    stdout=subprocess.DEVNULL, check=True)
+    no_copy = dict(os.environ,
+                   TMPDIR=os.path.join(args.dir, "ingest_memory_check.none"))
     runs = [
         ("file, --encode-categorical=true", ["--input", csv,
                                              "--encode-categorical=true"],
-         None),
+         None, None),
         ("file, --encode-categorical=false", ["--input", csv,
                                               "--encode-categorical=false"],
-         None),
-        ("pipe", ["--input", "/dev/stdin"], csv),
+         None, None),
+        ("pipe, no temporary copy", ["--input", "/dev/stdin"], csv, no_copy),
     ]
     failed = False
     try:
-        for name, flags, stdin_path in runs:
+        for name, flags, stdin_path, env in runs:
             code, peak = peak_rss_mb([args.hido, "describe"] + flags,
-                                     stdin_path)
+                                     stdin_path, env)
             ok = code == 0 and peak <= args.limit_mb
             failed |= not ok
             print("%-34s exit %d, peak RSS %.1f MB (limit %.0f MB)%s"
