@@ -44,7 +44,7 @@ Result<GridModel> GridModel::Build(const Dataset& data,
   const size_t phi = options.phi;
   GridModel model;
   model.num_points_ = n;
-  model.cells_.resize(d);
+  model.num_dims_ = d;
   model.range_bits_.resize(d * phi);
   model.range_cardinality_.resize(d * phi);
 
@@ -63,20 +63,13 @@ Result<GridModel> GridModel::Build(const Dataset& data,
   ParallelFor(d, num_threads, [&](size_t dim, size_t) {
     if (should_stop()) return;
     Quantizer::ColumnFit fit = Quantizer::FitColumn(data, dim, qopts);
-    std::vector<uint32_t>& cells = model.cells_[dim];
-    cells.resize(n);
     DynamicBitset* const bits = &model.range_bits_[dim * phi];
     for (size_t cell = 0; cell < phi; ++cell) bits[cell] = DynamicBitset(n);
     const std::vector<double>& column = data.Column(dim);
     for (size_t row = 0; row < n; ++row) {
       if (row % kPollStride == kPollStride - 1 && should_stop()) return;
-      if (data.IsMissing(row, dim)) {
-        cells[row] = kMissingCell;
-        continue;
-      }
-      const uint32_t cell = Quantizer::CountCutsAtMost(fit.cuts, column[row]);
-      cells[row] = cell;
-      bits[cell].Set(row);
+      if (data.IsMissing(row, dim)) continue;
+      bits[Quantizer::CountCutsAtMost(fit.cuts, column[row])].Set(row);
     }
     for (size_t cell = 0; cell < phi; ++cell) {
       model.range_cardinality_[dim * phi + cell] = bits[cell].Count();
@@ -107,7 +100,7 @@ Result<GridModel> GridModel::Build(const Dataset& data,
 }
 
 size_t GridModel::IndexOf(size_t dim, uint32_t cell) const {
-  HIDO_CHECK(dim < cells_.size());
+  HIDO_CHECK(dim < num_dims_);
   HIDO_CHECK(cell < phi());
   return dim * phi() + cell;
 }
@@ -126,12 +119,19 @@ double GridModel::RangeFraction(size_t dim, uint32_t cell) const {
          static_cast<double>(num_points_);
 }
 
+uint32_t GridModel::Cell(size_t row, size_t dim) const {
+  HIDO_CHECK(row < num_points_);
+  for (uint32_t cell = 0; cell < phi(); ++cell) {
+    if (RangeBits(dim, cell).Test(row)) return cell;
+  }
+  return kMissingCell;
+}
+
 bool GridModel::Covers(size_t row,
                        const std::vector<DimRange>& conditions) const {
   HIDO_CHECK(row < num_points_);
   for (const DimRange& cond : conditions) {
-    HIDO_DCHECK(cond.dim < cells_.size());
-    if (cells_[cond.dim][row] != cond.cell) return false;
+    if (!RangeBits(cond.dim, cond.cell).Test(row)) return false;
   }
   return true;
 }

@@ -1,15 +1,16 @@
 #ifndef HIDO_GRID_GRID_MODEL_H_
 #define HIDO_GRID_GRID_MODEL_H_
 
-// The discretized view of a dataset plus the per-range membership indexes
-// that make cube counting fast.
+// The discretized view of a dataset: the fitted quantizer plus one
+// membership bitmap per (dimension, range).
 //
 // For every (dimension, range) pair the model stores one bitmap over the
-// points, with the range's cardinality beside it. Counting the points
-// inside a k-dimensional cube — the single hot operation of both the
-// brute-force and the evolutionary search — is then one fused AND+popcount
-// over k bitmaps through the SIMD counting kernels
-// (common/bitset_kernels.h).
+// points, with the range's cardinality beside it. The bitmaps are the
+// model's only per-row state: d * phi * ceil(N/64) * 8 bytes. A row's cell
+// is the range whose bitmap holds it. Counting the points inside a
+// k-dimensional cube — the single hot operation of both the brute-force
+// and the evolutionary search — is one fused AND+popcount over k bitmaps
+// through the SIMD counting kernels (common/bitset_kernels.h).
 
 #include <cstdint>
 #include <limits>
@@ -72,14 +73,12 @@ class GridModel {
                                  const StopToken* stop, size_t num_threads);
 
   size_t num_points() const { return num_points_; }  ///< indexed rows n
-  size_t num_dims() const { return cells_.size(); }   ///< attributes d
+  size_t num_dims() const { return num_dims_; }       ///< attributes d
   size_t phi() const { return quantizer_.num_ranges(); }  ///< ranges per dim
 
-  /// Discretized cell of a point (kMissingCell when the value is missing).
-  uint32_t Cell(size_t row, size_t dim) const {
-    HIDO_DCHECK(dim < cells_.size() && row < num_points_);
-    return cells_[dim][row];
-  }
+  /// Discretized cell of a point: the range whose bitmap holds the row, or
+  /// kMissingCell when the value is missing. O(phi); no search calls it.
+  uint32_t Cell(size_t row, size_t dim) const;
 
   /// Bitmap over the points whose `dim` coordinate lies in `cell`.
   const DynamicBitset& RangeBits(size_t dim, uint32_t cell) const;
@@ -91,7 +90,8 @@ class GridModel {
   /// skewed under ties. Used by the empirical expectation model.
   double RangeFraction(size_t dim, uint32_t cell) const;
 
-  /// True when a point satisfies all conditions (missing never matches).
+  /// True when a point satisfies all conditions (missing never matches):
+  /// one bit test per condition.
   bool Covers(size_t row, const std::vector<DimRange>& conditions) const;
 
   /// Sorted ids of the points satisfying all `conditions`: the AND of their
@@ -104,9 +104,8 @@ class GridModel {
 
  private:
   size_t num_points_ = 0;
+  size_t num_dims_ = 0;
   Quantizer quantizer_;
-  // cells_[dim][row]: discretized coordinate (kMissingCell when missing).
-  std::vector<std::vector<uint32_t>> cells_;
   // range_bits_[dim * phi + cell]: membership bitmap of the range, and
   // range_cardinality_ at the same index its number of set bits.
   std::vector<DynamicBitset> range_bits_;

@@ -15,13 +15,15 @@ namespace {
 
 struct Fixture {
   Fixture(size_t n, size_t d, size_t phi, uint64_t seed)
-      : grid(GridModel::Build(GenerateUniform(n, d, seed),
+      : data(GenerateUniform(n, d, seed)),
+        grid(GridModel::Build(data,
                               [&] {
                                 GridModel::Options o;
                                 o.phi = phi;
                                 return o;
                               }())),
         objective(grid) {}
+  Dataset data;
   GridModel grid;
   SparsityObjective objective;
 };
@@ -60,7 +62,7 @@ TEST(BruteForceTest, MatchesNaiveEnumerationOptimum) {
             static_cast<size_t>(BruteForceSearchSpace(5, 2, 3)));
   std::vector<double> sparsities;
   for (const auto& cube : cubes) {
-    const size_t count = CountByScan(f.grid, cube);
+    const size_t count = CountByScan(f.data, f.grid, cube);
     if (count > 0) {
       sparsities.push_back(f.objective.model().Coefficient(count, 2));
     }
@@ -198,7 +200,7 @@ TEST(BruteForceTest, CounterStatsInvariantSurvivesCountUncached) {
   // counts on its carried bitset and leaves the tally as it was.
   Fixture f(300, 6, 4, 24);
   const std::vector<DimRange> cube = {{0, 1}, {2, 0}};
-  const size_t expected = CountByScan(f.grid, cube);
+  const size_t expected = CountByScan(f.data, f.grid, cube);
   SparsityObjective worker(f.grid);
   EXPECT_EQ(f.objective.EvaluateConditions(cube).count, expected);
   EXPECT_EQ(f.objective.EvaluateConditions(cube).count, expected);  // no memo

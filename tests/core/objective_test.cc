@@ -13,10 +13,14 @@
 namespace hido {
 namespace {
 
-GridModel MakeGrid(size_t n, size_t d, size_t phi, uint64_t seed) {
+GridModel MakeGrid(const Dataset& data, size_t phi) {
   GridModel::Options opts;
   opts.phi = phi;
-  return GridModel::Build(GenerateUniform(n, d, seed), opts);
+  return GridModel::Build(data, opts);
+}
+
+GridModel MakeGrid(size_t n, size_t d, size_t phi, uint64_t seed) {
+  return MakeGrid(GenerateUniform(n, d, seed), phi);
 }
 
 std::vector<DimRange> RandomConditions(const GridModel& grid, size_t k,
@@ -32,25 +36,27 @@ std::vector<DimRange> RandomConditions(const GridModel& grid, size_t k,
 }
 
 TEST(SparsityObjectiveTest, EvaluateMatchesManualComputation) {
-  const GridModel grid = MakeGrid(500, 4, 5, 1);
+  const Dataset data = GenerateUniform(500, 4, 1);
+  const GridModel grid = MakeGrid(data, 5);
   SparsityObjective objective(grid);
   Projection p(4);
   p.Specify(0, 1);
   p.Specify(2, 3);
   const CubeEvaluation eval = objective.Evaluate(p);
-  const size_t count = CountByScan(grid, p.Conditions());
+  const size_t count = CountByScan(data, grid, p.Conditions());
   EXPECT_EQ(eval.count, count);
   EXPECT_NEAR(eval.sparsity, objective.model().Coefficient(count, 2), 1e-12);
 }
 
 TEST(SparsityObjectiveTest, ScoreWrapsEvaluate) {
-  const GridModel grid = MakeGrid(500, 4, 5, 1);
+  const Dataset data = GenerateUniform(500, 4, 1);
+  const GridModel grid = MakeGrid(data, 5);
   SparsityObjective objective(grid);
   Projection p(4);
   p.Specify(1, 0);
   const ScoredProjection scored = objective.Score(p);
   EXPECT_EQ(scored.projection, p);
-  EXPECT_EQ(scored.count, CountByScan(grid, p.Conditions()));
+  EXPECT_EQ(scored.count, CountByScan(data, grid, p.Conditions()));
 }
 
 TEST(SparsityObjectiveTest, CountsEvaluations) {
@@ -235,7 +241,7 @@ TEST(SparsityObjectiveTest, CountsMatchOracleUpToTenConditions) {
         const std::vector<DimRange> conditions =
             trial % 2 == 0 ? RandomConditions(grid, k, rng)
                            : ConditionsThroughRow(grid, k, rng);
-        const size_t expected = CountByScan(grid, conditions);
+        const size_t expected = CountByScan(*shape.data, grid, conditions);
         EXPECT_EQ(objective.EvaluateConditions(conditions).count, expected)
             << "k=" << k;
         ++counted;

@@ -143,7 +143,7 @@ TEST(GridModelTest, CoveredPointsMatchCount) {
            static_cast<uint32_t>(rng.UniformIndex(grid.phi()))});
     }
     const std::vector<uint32_t> covered = grid.CoveredPoints(conditions);
-    EXPECT_EQ(covered.size(), CountByScan(grid, conditions));
+    EXPECT_EQ(covered.size(), CountByScan(ds, grid, conditions));
     for (uint32_t row : covered) {
       EXPECT_TRUE(grid.Covers(row, conditions));
     }

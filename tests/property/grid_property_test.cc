@@ -209,7 +209,7 @@ TEST_P(GridProperty, CountingStrategiesAgreeOnRandomCubes) {
           {static_cast<uint32_t>(dim),
            static_cast<uint32_t>(rng.UniformIndex(phi_))});
     }
-    const size_t expected = CountByScan(grid_, conditions);
+    const size_t expected = CountByScan(data_, grid_, conditions);
     EXPECT_EQ(objective.EvaluateConditions(conditions).count, expected);
     EXPECT_EQ(grid_.CoveredPoints(conditions).size(), expected);
   }

@@ -65,8 +65,8 @@ class SearchConsistency : public ::testing::TestWithParam<Instance> {
     model_ = instance.model;
     GridModel::Options gopts;
     gopts.phi = instance.phi;
-    grid_ = GridModel::Build(
-        GenerateUniform(instance.n, instance.d, instance.seed), gopts);
+    data_ = GenerateUniform(instance.n, instance.d, instance.seed);
+    grid_ = GridModel::Build(data_, gopts);
     objective_ = std::make_unique<SparsityObjective>(grid_, model_);
   }
 
@@ -83,6 +83,7 @@ class SearchConsistency : public ::testing::TestWithParam<Instance> {
 
   size_t k_ = 0;
   ExpectationModel model_ = ExpectationModel::kUniform;
+  Dataset data_;
   GridModel grid_;
   std::unique_ptr<SparsityObjective> objective_;
 };
@@ -166,7 +167,7 @@ TEST_P(SearchConsistency, ReportedCountsAreTruthful) {
   for (const ScoredProjection& s : result.best) {
     // Recount and rescore through an independent path.
     const std::vector<DimRange> conditions = s.projection.Conditions();
-    const size_t count = CountByScan(grid_, conditions);
+    const size_t count = CountByScan(data_, grid_, conditions);
     EXPECT_EQ(count, s.count);
     EXPECT_NEAR(s.sparsity,
                 SparsityByDefinition(grid_, conditions, count, model_),
