@@ -11,15 +11,26 @@ namespace hido {
 namespace {
 
 // Shared run state: evaluates candidates, feeds the best set, and enforces
-// the evaluation budget.
+// the evaluation budget and the stop token.
 class Driver {
  public:
   Driver(SparsityObjective& objective, const LocalSearchOptions& options,
          BestSet& best)
       : objective_(objective), options_(options), best_(best) {}
 
-  bool BudgetLeft() const {
-    return stats_.evaluations < options_.max_evaluations;
+  // True while evaluations remain and no stop has fired. Polls the token
+  // once per kStopPollStride evaluations, at the first call that reaches
+  // the next poll point.
+  bool BudgetLeft() {
+    if (!stats_.completed ||
+        stats_.evaluations >= options_.max_evaluations) {
+      return false;
+    }
+    if (options_.stop != nullptr && stats_.evaluations >= next_poll_) {
+      next_poll_ = stats_.evaluations + LocalSearchOptions::kStopPollStride;
+      if (options_.stop->ShouldStop()) stats_.completed = false;
+    }
+    return stats_.completed;
   }
 
   // Evaluates `candidate` (must be k-dimensional), offers it to the best
@@ -78,6 +89,7 @@ class Driver {
   const LocalSearchOptions& options_;
   BestSet& best_;
   LocalSearchStats stats_;
+  uint64_t next_poll_ = 0;  // evaluation count of the next stop poll
 };
 
 void RunRandomSearch(Driver& driver, Rng& rng) {
@@ -110,6 +122,7 @@ void RunHillClimbing(Driver& driver, const LocalSearchOptions& options,
 
 void RunSimulatedAnnealing(Driver& driver,
                            const LocalSearchOptions& options, Rng& rng) {
+  if (!driver.BudgetLeft()) return;
   Projection current = driver.RandomSolution(rng);
   double current_sparsity = driver.Evaluate(current);
   double temperature = options.initial_temperature;

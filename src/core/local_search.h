@@ -19,6 +19,7 @@
 
 #include <cstdint>
 
+#include "common/run_control.h"
 #include "core/best_set.h"
 #include "core/objective.h"
 #include "core/projection.h"
@@ -48,6 +49,14 @@ struct LocalSearchOptions {
   double cooling = 0.9995;           ///< geometric cooling factor
   bool require_non_empty = true;     ///< skip empty-cube projections
   uint64_t seed = 42;                ///< RNG seed
+  /// Optional cooperative stop (deadline/SIGINT/failpoint), polled before
+  /// the first evaluation and every kStopPollStride evaluations after it.
+  /// A fired token ends the run with its best-so-far result
+  /// (`stats.completed == false`). Nullable; must outlive the call.
+  const StopToken* stop = nullptr;
+
+  /// Evaluations between two polls of `stop`.
+  static constexpr uint64_t kStopPollStride = 256;
 };
 
 /// Outcome counters.
@@ -56,6 +65,7 @@ struct LocalSearchStats {
   size_t restarts = 0;       ///< hill climbing restarts taken
   uint64_t accepted_moves = 0;  ///< neighbour moves accepted
   double seconds = 0.0;         ///< wall-clock spent searching
+  bool completed = true;  ///< false when `stop` fired before the budget ran out
 };
 
 /// Result of a run.

@@ -184,7 +184,9 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
         lopts.num_projections = base.num_projections;
         lopts.max_evaluations = options.local_evaluations;
         lopts.seed = member.seed;
+        lopts.stop = base.stop;
         LocalSearchResult search = LocalSearch(objective, lopts);
+        member.completed = search.stats.completed;
         member.evaluations = search.stats.evaluations;
         member.projections = std::move(search.best);
         break;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/run_control.h"
 #include "core/brute_force.h"
 #include "data/generators/synthetic.h"
 
@@ -81,6 +82,63 @@ TEST_P(LocalSearchMethods, FindsOptimumOnTinySpace) {
   ASSERT_FALSE(result.best.empty());
   EXPECT_NEAR(result.best.front().sparsity, brute.best.front().sparsity,
               1e-9);
+}
+
+// The token is polled before the first evaluation and every
+// kStopPollStride evaluations after it, so a token that fires at its n-th
+// poll ends the run after exactly (n - 1) strides, with what it found.
+TEST_P(LocalSearchMethods, FiredTokenStopsWithinOnePollStride) {
+  Fixture f(GenerateUniform(300, 6, 4), 4);
+  LocalSearchOptions opts;
+  opts.method = GetParam();
+  opts.target_dim = 2;
+  opts.max_evaluations = 100000;
+  opts.seed = 21;
+  constexpr uint64_t kStride = LocalSearchOptions::kStopPollStride;
+
+  StopToken cancelled;
+  cancelled.RequestCancel();
+  opts.stop = &cancelled;
+  const LocalSearchResult none = LocalSearch(f.objective, opts);
+  EXPECT_FALSE(none.stats.completed);
+  EXPECT_EQ(none.stats.evaluations, 0u);
+  EXPECT_TRUE(none.best.empty());
+
+  StopToken failpoint;
+  failpoint.ArmFailpoint(3);
+  opts.stop = &failpoint;
+  const LocalSearchResult some = LocalSearch(f.objective, opts);
+  EXPECT_FALSE(some.stats.completed);
+  EXPECT_EQ(failpoint.cause(), StopCause::kFailpoint);
+  EXPECT_EQ(failpoint.polls(), 3u);
+  EXPECT_EQ(some.stats.evaluations, 2 * kStride);
+  EXPECT_FALSE(some.best.empty());
+}
+
+// A token that never fires changes nothing: same cubes, same evaluations.
+TEST_P(LocalSearchMethods, UnfiredTokenLeavesTheRunUnchanged) {
+  Fixture f(GenerateUniform(300, 6, 4), 4);
+  LocalSearchOptions opts;
+  opts.method = GetParam();
+  opts.target_dim = 2;
+  opts.num_projections = 8;
+  opts.max_evaluations = 3000;
+  opts.seed = 23;
+  const LocalSearchResult plain = LocalSearch(f.objective, opts);
+  StopToken token;
+  opts.stop = &token;
+  const LocalSearchResult polled = LocalSearch(f.objective, opts);
+  EXPECT_TRUE(polled.stats.completed);
+  EXPECT_EQ(polled.stats.evaluations, plain.stats.evaluations);
+  EXPECT_EQ(polled.stats.restarts, plain.stats.restarts);
+  EXPECT_EQ(polled.stats.accepted_moves, plain.stats.accepted_moves);
+  ASSERT_EQ(polled.best.size(), plain.best.size());
+  for (size_t i = 0; i < plain.best.size(); ++i) {
+    EXPECT_EQ(polled.best[i].projection, plain.best[i].projection);
+    EXPECT_EQ(polled.best[i].count, plain.best[i].count);
+  }
+  EXPECT_EQ(token.polls(), (3000 + LocalSearchOptions::kStopPollStride - 1) /
+                               LocalSearchOptions::kStopPollStride);
 }
 
 INSTANTIATE_TEST_SUITE_P(

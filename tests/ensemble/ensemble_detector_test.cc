@@ -13,6 +13,7 @@
 
 #include "common/run_control.h"
 #include "common/string_util.h"
+#include "core/local_search.h"
 #include "data/generators/synthetic.h"
 #include "obs/metrics.h"
 
@@ -148,8 +149,8 @@ TEST(EnsembleDetectorTest, StopDegradesToBestSoFarEnsemble) {
   StopToken token;
   // Budget chosen to trip after the grid build but before the last member:
   // polls come from the grid build, the GA (~one per generation), the
-  // member loop (one per member), and random-subspace (one per 256 evals)
-  // — the local-search members never poll, so the total is a few dozen.
+  // member loop (one per member), and the random-subspace, hill-climb and
+  // anneal members (one per 256 evaluations), a few dozen in all.
   token.ArmFailpoint(20);
   config.base.stop = &token;
   const EnsembleDetectionResult result =
@@ -160,6 +161,59 @@ TEST(EnsembleDetectorTest, StopDegradesToBestSoFarEnsemble) {
   // Whatever completed before the stop is still combined and ranked.
   EXPECT_EQ(result.scores.size(), data.num_rows());
   EXPECT_EQ(result.ranked_rows.size(), data.num_rows());
+}
+
+// A stop that fires as a hill-climb or anneal member starts, or inside
+// it, ends that member within one poll stride. The members before it are
+// kept as they were, the stopped one keeps its best-so-far cubes, and the
+// run is incomplete.
+TEST(EnsembleDetectorTest, StopInsideLocalMemberKeepsEarlierMembers) {
+  const Dataset data = MakeData();
+  EnsembleConfig ga_config = MakeConfig(1);
+  ga_config.ensemble.num_members = 1;
+  ga_config.ensemble.mix = {MemberKind::kGa};
+  StopToken counting;
+  ga_config.base.stop = &counting;
+  const EnsembleDetectionResult ga_only =
+      EnsembleDetector(ga_config).Detect(data);
+  ASSERT_TRUE(ga_only.completed);
+  // A two-member run repeats those polls, then polls once in the member
+  // loop and once per 256 evaluations of the local member: the failpoint
+  // fires at that member's first or second poll.
+  for (const uint64_t local_poll : {1u, 2u}) {
+    for (const MemberKind local :
+         {MemberKind::kHillClimb, MemberKind::kAnneal}) {
+      SCOPED_TRACE(StrFormat("%s, poll %llu", MemberKindToString(local),
+                             static_cast<unsigned long long>(local_poll)));
+      EnsembleConfig config = MakeConfig(1);
+      StopToken token;
+      token.ArmFailpoint(counting.polls() + 1 + local_poll);
+      config.base.stop = &token;
+      config.ensemble.num_members = 2;
+      config.ensemble.mix = {MemberKind::kGa, local};
+      const EnsembleDetectionResult result =
+          EnsembleDetector(config).Detect(data);
+      EXPECT_FALSE(result.completed);
+      EXPECT_EQ(result.stop_cause, StopCause::kFailpoint);
+      ASSERT_EQ(result.members.size(), 2u);
+      EXPECT_TRUE(result.members[0].completed);
+      EXPECT_EQ(result.members[0].evaluations,
+                ga_only.members[0].evaluations);
+      ASSERT_EQ(result.members[0].projections.size(),
+                ga_only.members[0].projections.size());
+      for (size_t i = 0; i < ga_only.members[0].projections.size(); ++i) {
+        EXPECT_EQ(result.members[0].projections[i].projection,
+                  ga_only.members[0].projections[i].projection);
+      }
+      const uint64_t evaluations =
+          (local_poll - 1) * LocalSearchOptions::kStopPollStride;
+      EXPECT_EQ(result.members[1].kind, local);
+      EXPECT_FALSE(result.members[1].completed);
+      EXPECT_EQ(result.members[1].evaluations, evaluations);
+      EXPECT_EQ(result.members[1].projections.empty(), evaluations == 0);
+      EXPECT_EQ(result.scores.size(), data.num_rows());
+    }
+  }
 }
 
 TEST(EnsembleDetectorTest, ZeroMembersClampsToOne) {
