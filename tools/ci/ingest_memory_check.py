@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Checks that `hido describe` reads a large CSV in bounded memory.
+"""Checks that `hido describe` reads a large CSV in bounded memory, and
+that a detect or fit on it peaks where the read does.
 
 Generates the benchmark's 100k x 40 input (about 80 MB) with hido-gen and
 runs `hido describe` on it three times: with --encode-categorical true,
@@ -7,6 +8,12 @@ with it false, and on /dev/stdin fed by a pipe. Each child's peak RSS
 (ru_maxrss, read through os.wait4) must stay under --limit-mb: the 32 MB
 of columns, the reader's two windows and some slack. A reader that holds
 the whole file peaks at 110-131 MB on this input.
+
+It then runs `hido detect --threads 4` and `hido fit --threads 4` on the
+same file. Each must peak within FIT_SLACK_MB of the first describe run:
+the grid adds only its range bitmaps (5 MB at the default phi), allocated
+after the read has unmapped its windows. A grid that also kept a cell id
+per row and dimension (16 MB here) peaks 6.5 MB above the read.
 
 An encoding read of a pipe (--encode-categorical is on by default) keeps a
 copy of the input in an unlinked file in $TMPDIR, in case a column turns
@@ -23,6 +30,8 @@ import argparse
 import os
 import subprocess
 import sys
+
+FIT_SLACK_MB = 3.0
 
 
 def peak_rss_mb(command, stdin_path=None, env=None):
@@ -66,18 +75,33 @@ def main():
          None, None),
         ("pipe, no temporary copy", ["--input", "/dev/stdin"], csv, no_copy),
     ]
+    snapshot = os.path.join(args.dir, "ingest_memory_check.snapshot")
+    searches = [
+        ("detect --threads 4", ["detect", "--input", csv, "--threads", "4"]),
+        ("fit --threads 4", ["fit", "--input", csv, "--threads", "4",
+                             "--out", snapshot]),
+    ]
     failed = False
+    read_peaks = []
     try:
         for name, flags, stdin_path, env in runs:
             code, peak = peak_rss_mb([args.hido, "describe"] + flags,
                                      stdin_path, env)
             ok = code == 0 and peak <= args.limit_mb
             failed |= not ok
+            read_peaks.append(peak)
             print("%-34s exit %d, peak RSS %.1f MB (limit %.0f MB)%s"
                   % (name, code, peak, args.limit_mb,
                      "" if ok else "  FAILED"))
+        limit = read_peaks[0] + FIT_SLACK_MB
+        for name, command in searches:
+            code, peak = peak_rss_mb([args.hido] + command)
+            ok = code == 0 and peak <= limit
+            failed |= not ok
+            print("%-34s exit %d, peak RSS %.1f MB (limit %.1f MB)%s"
+                  % (name, code, peak, limit, "" if ok else "  FAILED"))
     finally:
-        for path in (csv, csv + ".truth"):
+        for path in (csv, csv + ".truth", snapshot):
             if os.path.exists(path):
                 os.remove(path)
     return 1 if failed else 0

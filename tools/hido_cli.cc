@@ -178,6 +178,18 @@ int EmitTelemetry(const FlagParser& flags, const char* tool,
   return 0;
 }
 
+// Range-checks --deadline for every subcommand that reads it: 0 means
+// none. A negative value would otherwise mean "no deadline" silently.
+Status CheckDeadline(const FlagParser& flags) {
+  const double deadline = flags.GetDouble("deadline");
+  if (!(deadline >= 0.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "--deadline must be 0 (none) or a positive number of seconds, got %g",
+        deadline));
+  }
+  return Status::Ok();
+}
+
 // Cancellation shared by the long-running subcommands: one token fed by an
 // optional --deadline and by Ctrl-C, installed for the duration of the run.
 // Either source degrades the run to a valid best-so-far report instead of
@@ -284,6 +296,11 @@ Status CheckThreads(const FlagParser& flags) {
 Status SearchConfigFromFlags(const FlagParser& flags,
                              DetectorConfig* config) {
   HIDO_RETURN_IF_ERROR(CheckPhiAndS(flags));
+  if (flags.GetInt("k") < 0) {
+    return Status::InvalidArgument(
+        StrFormat("--k must be 0 (the k* rule) or at least 1, got %lld",
+                  static_cast<long long>(flags.GetInt("k"))));
+  }
   if (flags.GetInt("m") < 1) {
     return Status::InvalidArgument(
         StrFormat("--m must be at least 1, got %lld",
@@ -438,6 +455,8 @@ int RunDetect(const std::vector<std::string>& args) {
   const int parse_outcome = ParseOrReport(flags, args);
   if (parse_outcome >= 0) return parse_outcome;
 
+  const Status deadline_ok = CheckDeadline(flags);
+  if (!deadline_ok.ok()) return Fail(deadline_ok);
   // Installed before the load: CSV parsing and grid construction poll the
   // same token as the search, so Ctrl-C / --deadline interrupt the whole
   // pipeline, not just the search phase.
@@ -637,6 +656,8 @@ int RunFit(const std::vector<std::string>& args) {
   const int parse_outcome = ParseOrReport(flags, args);
   if (parse_outcome >= 0) return parse_outcome;
 
+  const Status deadline_ok = CheckDeadline(flags);
+  if (!deadline_ok.ok()) return Fail(deadline_ok);
   const ScopedRunControl control(flags.GetDouble("deadline"));
   // One root span covers the load and the fit, as in `detect`.
   std::optional<obs::TraceSpan> root;
@@ -799,6 +820,8 @@ int RunServe(const std::vector<std::string>& args) {
         StrFormat("--request-deadline must be non-negative, got %g",
                   flags.GetDouble("request-deadline"))));
   }
+  const Status deadline_ok = CheckDeadline(flags);
+  if (!deadline_ok.ok()) return Fail(deadline_ok);
   const ScopedRunControl control(flags.GetDouble("deadline"));
 
   serve::ScoreServiceOptions service_options;
@@ -1413,20 +1436,23 @@ int RunAdvise(const std::vector<std::string>& args) {
 
 // ------------------------------------------------------------- baselines --
 
-// kNN needs 1 <= k < rows, LOF 1 <= MinPts < rows, and both flag at
-// least one row.
+// kNN needs 1 <= k < rows, LOF 1 <= MinPts < rows, DB(k, lambda)
+// 0 <= k < rows, and each method flags at least one row.
 Status CheckBaselineCounts(const FlagParser& flags, size_t rows) {
   if (flags.GetInt("top") < 1) {
     return Status::InvalidArgument(
         StrFormat("--top must be at least 1, got %lld",
                   static_cast<long long>(flags.GetInt("top"))));
   }
-  for (const char* count : {"knn-k", "lof-minpts"}) {
+  const std::pair<const char*, int64_t> counts[] = {
+      {"knn-k", 1}, {"lof-minpts", 1}, {"db-max-neighbors", 0}};
+  for (const auto& [count, min] : counts) {
     const int64_t value = flags.GetInt(count);
-    if (value < 1 || static_cast<uint64_t>(value) >= rows) {
+    if (value < min || static_cast<uint64_t>(value) >= rows) {
       return Status::InvalidArgument(StrFormat(
-          "--%s must be at least 1 and below the %zu input rows, got %lld",
-          count, rows, static_cast<long long>(value)));
+          "--%s must be at least %lld and below the %zu input rows, got %lld",
+          count, static_cast<long long>(min), rows,
+          static_cast<long long>(value)));
     }
   }
   return Status::Ok();
@@ -1454,6 +1480,8 @@ int RunBaselines(const std::vector<std::string>& args) {
   if (parse_outcome >= 0) return parse_outcome;
   const Status threads_ok = CheckThreads(flags);
   if (!threads_ok.ok()) return Fail(threads_ok);
+  const Status deadline_ok = CheckDeadline(flags);
+  if (!deadline_ok.ok()) return Fail(deadline_ok);
   const ScopedRunControl control(flags.GetDouble("deadline"));
   Result<Dataset> data = [&] {
     const obs::TraceSpan span("load_input");
