@@ -31,7 +31,6 @@ class ThreadPool {
  public:
   /// Starts `num_workers` background threads (0 is allowed: every
   /// ParallelFor then runs inline on the calling thread).
-  /// Starts `num_workers` worker threads.
   explicit ThreadPool(size_t num_workers);
   /// Drains outstanding work and joins the workers.
   ~ThreadPool();
