@@ -22,7 +22,7 @@ std::vector<size_t> DbOutliers(const DistanceMetric& metric,
   const obs::TraceSpan span("db_outliers");
   obs::Counter& points_judged =
       obs::MetricsRegistry::Global().GetCounter("baseline.db.points_judged");
-  StopPoller poller(options.stop, nullptr, 0.0);
+  StopPoller poller(options.stop);
 
   std::optional<VpTree> tree;
   if (options.use_vptree) tree.emplace(metric);

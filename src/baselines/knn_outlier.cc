@@ -55,7 +55,7 @@ std::vector<KnnOutlier> TopNKnnOutliers(const DistanceMetric& metric,
   std::optional<VpTree> tree;
   if (options.use_vptree) tree.emplace(metric);
 
-  StopPoller poller(options.stop, nullptr, 0.0);
+  StopPoller poller(options.stop);
 
   // Shared abandonment cutoff. Any worker's local n-th largest score is a
   // lower bound on the final n-th largest (it ranks a subset of the

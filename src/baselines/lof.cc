@@ -26,7 +26,7 @@ std::vector<double> ComputeLof(const DistanceMetric& metric,
   const obs::TraceSpan span("lof");
   obs::Counter& points_scored =
       obs::MetricsRegistry::Global().GetCounter("baseline.lof.points_scored");
-  StopPoller poller(options.stop, nullptr, 0.0);
+  StopPoller poller(options.stop);
   const double nan = std::numeric_limits<double>::quiet_NaN();
 
   // Three passes, each a barrier for the next. Under cancellation a value

@@ -9,7 +9,9 @@
 // accepts a StopToken and polls it at a coarse, documented granularity
 // (per restart / generation / leaf batch / point). When the token fires the
 // entry point does not abort: it returns a *valid best-so-far result*
-// marked `completed = false` together with a structured StopCause.
+// marked `completed = false` together with a structured StopCause. The
+// caller's token is the only thing that stops a run early: no option
+// struct carries a deadline, work budget or clock of its own.
 //
 // Three stop sources feed one token:
 //   * a deadline measured against an injectable Clock (so expiry paths are
@@ -182,51 +184,39 @@ struct RunStatus {
   StopCause stop_cause = StopCause::kNone;  ///< why it stopped early
 };
 
-/// The single polling contract used by the searches: combines an optional
-/// caller-supplied token with a run-local deadline (the options' legacy
-/// `time_budget_seconds`) on an injectable clock. Sticky and thread-safe:
-/// once any source fires, every subsequent ShouldStop() returns true
-/// without re-polling.
+/// The single polling contract used by the searches and baselines: latches
+/// the caller's optional token for one run. Sticky and thread-safe: once the
+/// token fires, every subsequent ShouldStop() returns true without
+/// re-polling it.
 class StopPoller {
  public:
-  /// `external` (nullable) is the caller's token; `clock` (nullable,
-  /// null = Clock::Real()) drives the local `budget_seconds` deadline
-  /// (<= 0 = none).
-  StopPoller(const StopToken* external, const Clock* clock,
-             double budget_seconds)
-      : external_(external), local_(clock) {
-    local_.SetDeadline(budget_seconds);
-  }
+  /// `stop` (nullable) is the caller's token; null never stops.
+  explicit StopPoller(const StopToken* stop) : stop_(stop) {}
 
-  /// True once the external token or the local budget fired; latches.
+  /// True once the token fired; latches.
   bool ShouldStop() const {
     if (stopped_.load(std::memory_order_acquire)) return true;
-    if ((external_ != nullptr && external_->ShouldStop()) ||
-        local_.ShouldStop()) {
+    if (stop_ != nullptr && stop_->ShouldStop()) {
       stopped_.store(true, std::memory_order_release);
       return true;
     }
     return false;
   }
 
-  /// Has a stop been latched?
+  /// Has this run latched a stop?
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
 
-  /// The cause that fired (the external token wins when both did); kNone
-  /// while still running.
+  /// The token's cause once this run latched the stop; kNone otherwise,
+  /// even when the token fired after the run's last poll.
   StopCause cause() const {
-    if (external_ != nullptr && external_->cause() != StopCause::kNone) {
-      return external_->cause();
-    }
-    return local_.cause();
+    return stopped() ? stop_->cause() : StopCause::kNone;
   }
 
   /// The status a finished run should report.
   RunStatus status() const { return {!stopped(), cause()}; }
 
  private:
-  const StopToken* external_;
-  StopToken local_;
+  const StopToken* stop_;
   mutable std::atomic<bool> stopped_{false};
 };
 

@@ -1,7 +1,6 @@
 #include "core/brute_force.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -17,15 +16,12 @@ namespace hido {
 
 namespace {
 
-// Budget state shared by all workers.
+// Run state shared by all workers: the options and the stop latch.
 struct Shared {
   explicit Shared(const BruteForceOptions& opts)
-      : options(opts),
-        poller(opts.stop, opts.clock, opts.time_budget_seconds) {}
+      : options(opts), poller(opts.stop) {}
   const BruteForceOptions& options;
   StopPoller poller;
-  std::atomic<uint64_t> cubes{0};
-  std::atomic<bool> aborted{false};
   StopWatch watch;
 };
 
@@ -54,10 +50,7 @@ class Worker {
   void ProcessRoot(size_t dim, uint32_t cell) {
     // Root granularity: poll even when subtrees are smaller than the
     // in-subtree polling stride.
-    if (shared_.poller.ShouldStop()) {
-      shared_.aborted.store(true, std::memory_order_relaxed);
-    }
-    if (shared_.aborted.load(std::memory_order_relaxed)) return;
+    if (shared_.poller.ShouldStop()) return;
     const size_t k = shared_.options.target_dim;
     conditions_.push_back({static_cast<uint32_t>(dim), cell});
     const double probability = grid_.RangeFraction(dim, cell);
@@ -75,24 +68,15 @@ class Worker {
       }
     }
     conditions_.pop_back();
-    FlushBudget();
   }
 
   BestSet& best() { return best_; }
   const BruteForceStats& stats() const { return stats_; }
 
-  // Publishes any leaves still unflushed when the worker stops — e.g. work
-  // done between the last periodic flush and an abort — so the shared
-  // budget counter agrees with the merged per-worker statistics.
-  void Finish() { FlushBudget(); }
-
  private:
   // Scores a k-cube whose range fractions multiply to `probability`.
   void ScoreLeaf(size_t count, double probability) {
     ++stats_.cubes_evaluated;
-    // With a cube budget in force, publish eagerly so the overshoot stays
-    // within one leaf per worker.
-    if (shared_.options.max_cubes != 0) FlushBudget();
     const double sparsity = objective_.Sparsity(
         count, shared_.options.target_dim, probability);
     if ((count > 0 || !shared_.options.require_non_empty) &&
@@ -106,28 +90,11 @@ class Worker {
     }
   }
 
-  // Periodically publishes local work into the shared budget and honours
-  // abort requests from other workers.
-  void FlushBudget() {
-    const uint64_t delta = stats_.cubes_evaluated - published_cubes_;
-    if (delta == 0) return;
-    const uint64_t total =
-        shared_.cubes.fetch_add(delta, std::memory_order_relaxed) + delta;
-    published_cubes_ = stats_.cubes_evaluated;
-    if (shared_.options.max_cubes != 0 &&
-        total >= shared_.options.max_cubes) {
-      shared_.aborted.store(true, std::memory_order_relaxed);
-    }
-  }
-
-  bool ShouldStop() {
-    if ((stats_.nodes_visited & 1023u) == 0) {
-      FlushBudget();
-      if (shared_.poller.ShouldStop()) {
-        shared_.aborted.store(true, std::memory_order_relaxed);
-      }
-    }
-    return shared_.aborted.load(std::memory_order_relaxed);
+  // Polls the token every 1024 visited nodes; in between, reads the latch
+  // another worker may have set.
+  bool ShouldStop() const {
+    return (stats_.nodes_visited & 1023u) == 0 ? shared_.poller.ShouldStop()
+                                               : shared_.poller.stopped();
   }
 
   // The bitset of the current partial cube at `depth` conditions.
@@ -182,7 +149,6 @@ class Worker {
   std::vector<DimRange> conditions_;
   const DynamicBitset* root_bits_ = nullptr;  ///< the root range's bitmap
   std::vector<DynamicBitset> level_bits_;     ///< prefixes of 2..k-1 conditions
-  uint64_t published_cubes_ = 0;
 };
 
 }  // namespace
@@ -224,7 +190,6 @@ BruteForceResult BruteForceSearch(const SparsityObjective& objective,
   BruteForceResult result;
   BestSet best(options.num_projections, options.require_non_empty);
   for (Worker& worker : workers) {
-    worker.Finish();
     for (const ScoredProjection& scored : worker.best().Sorted()) {
       best.Offer(scored);
     }
@@ -232,9 +197,7 @@ BruteForceResult BruteForceSearch(const SparsityObjective& objective,
     result.stats.nodes_visited += worker.stats().nodes_visited;
     result.stats.subtrees_pruned += worker.stats().subtrees_pruned;
   }
-  result.stats.cubes_published =
-      shared.cubes.load(std::memory_order_relaxed);
-  result.stats.completed = !shared.aborted.load(std::memory_order_relaxed);
+  result.stats.completed = !shared.poller.stopped();
   result.stats.stop_cause = shared.poller.cause();
   result.stats.seconds = shared.watch.ElapsedSeconds();
   result.best = best.Sorted();

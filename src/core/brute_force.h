@@ -38,20 +38,12 @@ struct BruteForceOptions {
   size_t num_projections = 20; ///< m: cubes to report
   bool require_non_empty = true;    ///< skip empty-cube projections
   bool prune_empty_subtrees = true; ///< skip subtrees under empty prefixes
-  /// Abort after this many seconds and report the best found so far
-  /// (0 = unlimited). The paper could not finish musk (160 dims) this way.
-  double time_budget_seconds = 0.0;
-  /// Abort after evaluating this many cubes (0 = unlimited).
-  uint64_t max_cubes = 0;
   /// Optional cooperative stop (deadline/SIGINT/failpoint), polled at root
-  /// granularity and every 1024 visited nodes within a subtree. Combined
-  /// with `time_budget_seconds` into one polling contract; whichever fires
-  /// first stops the run with a best-so-far result. Nullable; must outlive
+  /// granularity and every 1024 visited nodes within a subtree; the only
+  /// thing that ends the run early, with a best-so-far result. The paper
+  /// could not finish musk (160 dims) without one. Nullable; must outlive
   /// the call.
   const StopToken* stop = nullptr;
-  /// Time source for `time_budget_seconds` (null = real steady clock).
-  /// Injectable so expiry paths are testable without real sleeps.
-  const Clock* clock = nullptr;
   /// Worker threads. The enumeration partitions at the root level (lowest
   /// condition of each cube), which is embarrassingly parallel; workers
   /// keep private best-sets that are merged at the end. Because BestSet
@@ -63,16 +55,10 @@ struct BruteForceOptions {
 /// Outcome counters for the scaling study.
 struct BruteForceStats {
   uint64_t cubes_evaluated = 0;   ///< k-dimensional leaves scored
-  /// Leaves published into the shared cube budget. Workers publish lazily
-  /// while running, but every worker flushes its remainder before the
-  /// merge, so this always equals cubes_evaluated in the returned stats.
-  uint64_t cubes_published = 0;
   uint64_t nodes_visited = 0;     ///< partial cubes expanded
   uint64_t subtrees_pruned = 0;   ///< empty partial cubes not expanded
-  bool completed = false;         ///< false when a budget expired
-  /// Why the run stopped early: kDeadline for the time budget/deadline,
-  /// kCancelled/kFailpoint for an external stop. kNone with
-  /// completed == false means the cube budget (`max_cubes`) expired.
+  bool completed = false;         ///< false when the stop token fired
+  /// The token's cause when completed == false (kNone otherwise).
   StopCause stop_cause = StopCause::kNone;  ///< why the run stopped early
   double seconds = 0.0;                     ///< wall-clock for the run
 };

@@ -53,19 +53,15 @@ EvolutionaryOptions EvolutionOptions(const DetectorConfig& config,
   options.target_dim = target_dim;
   options.num_projections = config.num_projections;
   options.seed = config.seed;
-  if (config.num_threads != 0) options.num_threads = config.num_threads;
-  if (config.stop != nullptr) options.stop = config.stop;
+  options.num_threads = SearchThreads(config);
+  options.stop = config.stop;
   return options;
 }
 
 }  // namespace
 
 size_t SearchThreads(const DetectorConfig& config) {
-  if (config.num_threads != 0) return config.num_threads;
-  const size_t own = config.algorithm == SearchAlgorithm::kEvolutionary
-                         ? config.evolution.num_threads
-                         : config.brute_force.num_threads;
-  return own == 0 ? HardwareThreads() : own;
+  return config.num_threads == 0 ? HardwareThreads() : config.num_threads;
 }
 
 OutlierDetector::OutlierDetector() : config_() {}
@@ -120,8 +116,8 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
     BruteForceOptions bopts = config_.brute_force;
     bopts.target_dim = result.target_dim;
     bopts.num_projections = config_.num_projections;
-    if (config_.num_threads != 0) bopts.num_threads = config_.num_threads;
-    if (config_.stop != nullptr) bopts.stop = config_.stop;
+    bopts.num_threads = SearchThreads(config_);
+    bopts.stop = config_.stop;
     BruteForceResult search = BruteForceSearch(objective, bopts);
     result.brute_force_stats = search.stats;
     result.completed = search.stats.completed;

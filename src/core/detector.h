@@ -40,28 +40,27 @@ struct DetectorConfig {
   SearchAlgorithm algorithm = SearchAlgorithm::kEvolutionary;  ///< search to run
   BinningMode binning = BinningMode::kEquiDepth;  ///< discretization mode
   ExpectationModel expectation = ExpectationModel::kUniform;  ///< E[count] model
-  /// Evolutionary knobs; target_dim/num_projections/seed are overridden
-  /// from the fields above.
+  /// Evolutionary knobs; target_dim/num_projections/seed/num_threads/stop
+  /// are overwritten from the fields here.
   EvolutionaryOptions evolution;
-  /// Brute-force knobs; target_dim/num_projections are overridden.
+  /// Brute-force knobs; target_dim/num_projections/num_threads/stop are
+  /// overwritten from the fields here.
   BruteForceOptions brute_force;
   uint64_t seed = 42;  ///< master RNG seed for the whole run
-  /// Worker threads for whichever search runs. 0 keeps the per-algorithm
-  /// settings in `evolution` / `brute_force` untouched; any other value
-  /// overrides both. The evolutionary determinism contract (same seed ⇒
-  /// same result for any thread count) applies — see EvolutionaryOptions.
-  size_t num_threads = 0;
-  /// Cooperative stop for whichever search runs (nullable; when set,
-  /// overrides the per-algorithm `stop` fields in `evolution` /
-  /// `brute_force`). A fired token degrades Detect to a valid best-so-far
-  /// report with `DetectionResult::completed == false`. Must outlive the
-  /// Detect call.
+  /// Worker threads for the grid build and whichever search runs (0 = all
+  /// hardware threads); the only width, written into every search's
+  /// options. The evolutionary determinism contract (same seed ⇒ same
+  /// result for any thread count) applies — see EvolutionaryOptions.
+  size_t num_threads = 1;
+  /// Cooperative stop for the grid build and whichever search runs
+  /// (nullable); the only stop, written into every search's options. A
+  /// fired token degrades Detect to a valid best-so-far report with
+  /// `DetectionResult::completed == false`. Must outlive the Detect call.
   const StopToken* stop = nullptr;
 };
 
-/// Worker threads the search of `config` runs on: `num_threads` when set,
-/// else the chosen algorithm's own setting, 0 meaning all hardware
-/// threads. The grid build runs at the same width.
+/// Worker threads the grid build and search of `config` run on:
+/// `num_threads`, 0 meaning all hardware threads.
 size_t SearchThreads(const DetectorConfig& config);
 
 /// Everything produced by one detection run.
@@ -73,12 +72,11 @@ struct DetectionResult {
   size_t target_dim = 0;   ///< projection dimensionality actually used
   SearchAlgorithm algorithm = SearchAlgorithm::kEvolutionary;  ///< as run
   double seconds = 0.0;    ///< total wall-clock of Detect
-  /// False when the search stopped early (deadline, cancel, or an
-  /// exhausted cube budget); the report then ranks everything found up to
-  /// that point and every listed projection/outlier is still valid.
+  /// False when `stop` fired before the search finished; the report then
+  /// ranks everything found up to that point and every listed
+  /// projection/outlier is still valid.
   bool completed = true;
-  /// Which stop source fired when completed == false (kNone for a plain
-  /// budget exhaustion).
+  /// Which stop source fired when completed == false (kNone otherwise).
   StopCause stop_cause = StopCause::kNone;
   EvolutionStats evolution_stats;    ///< valid for kEvolutionary
   BruteForceStats brute_force_stats; ///< valid for kBruteForce

@@ -349,10 +349,9 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
   const size_t threads =
       options.num_threads == 0 ? HardwareThreads() : options.num_threads;
 
-  // One polling contract for the whole batch: the caller's StopToken plus
-  // the options' time budget on the injectable clock, both sticky.
-  StopPoller poller(options.stop, options.clock,
-                    options.time_budget_seconds);
+  // One polling contract for the whole batch: the caller's StopToken,
+  // latched.
+  StopPoller poller(options.stop);
 
   const EvolutionCheckpoint* resume = options.resume;
   if (resume != nullptr) {

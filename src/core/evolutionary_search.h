@@ -5,8 +5,8 @@
 // projection strings is refined by rank-roulette selection, crossover
 // (two-point or optimized), and dimensionality-preserving mutation, while a
 // BestSet tracks the m most abnormally sparse cubes ever encountered. The
-// run terminates on De Jong convergence, generation/time budgets, or
-// stagnation of the best set.
+// run terminates on De Jong convergence, the generation cap, stagnation of
+// the best set, or the caller's stop token.
 
 #include <cstdint>
 #include <functional>
@@ -52,24 +52,18 @@ struct EvolutionaryOptions {
   /// restarts are an engineering extension that recovers coverage when the
   /// population converges onto a single sparse region while several
   /// unrelated regions exist (common once m is large). Each restart reseeds
-  /// the population; budgets below apply to the whole batch.
+  /// the population; the stop token below applies to the whole batch.
   size_t restarts = 1;
   /// Elitism (engineering extension, 0 = off = paper-faithful): the e best
   /// individuals of each generation survive into the next unchanged,
   /// replacing its worst members — selection/crossover/mutation can then
   /// never lose the current best string. Must be < population_size.
   size_t elitism = 0;
-  /// Abort after this many seconds (0 = unlimited).
-  double time_budget_seconds = 0.0;
   /// Optional cooperative stop (deadline/SIGINT/failpoint), polled at
-  /// restart entry and at every generation boundary. Combined with
-  /// `time_budget_seconds` into one polling contract; whichever fires first
-  /// stops the run with a best-so-far result (`stats.completed == false`).
-  /// Nullable; must outlive the call.
+  /// restart entry and at every generation boundary; the only thing that
+  /// ends the batch early, with a best-so-far result
+  /// (`stats.completed == false`). Nullable; must outlive the call.
   const StopToken* stop = nullptr;
-  /// Time source for `time_budget_seconds` (null = real steady clock).
-  /// Injectable so expiry paths are testable without real sleeps.
-  const Clock* clock = nullptr;
   /// When non-empty, periodically writes a resumable snapshot of the whole
   /// search (per-restart RNG states, populations, best sets, stats) to this
   /// path with an atomic write-rename. Snapshots are taken at generation
@@ -93,14 +87,14 @@ struct EvolutionaryOptions {
   /// tasks, and within a restart the population's fitness evaluations fan
   /// out over one SparsityObjective per worker.
   ///
-  /// Determinism contract: with time_budget_seconds == 0, a fixed seed
-  /// yields a bit-identical `EvolutionResult::best` (projections, counts,
-  /// sparsity coefficients) for every value of num_threads. Each restart
-  /// draws from its own RNG stream (Rng::ForStream(seed, run)), owns its
-  /// BestSet, and the per-restart sets are merged in restart order; the
-  /// parallel fitness evaluations are pure, so scheduling cannot leak into
-  /// the result. A nonzero time budget is inherently wall-clock-dependent
-  /// and voids the contract.
+  /// Determinism contract: unless a stop fires, a fixed seed yields a
+  /// bit-identical `EvolutionResult::best` (projections, counts, sparsity
+  /// coefficients) for every value of num_threads. Each restart draws from
+  /// its own RNG stream (Rng::ForStream(seed, run)), owns its BestSet, and
+  /// the per-restart sets are merged in restart order; the parallel fitness
+  /// evaluations are pure, so scheduling cannot leak into the result. A
+  /// deadline is inherently wall-clock-dependent and voids the contract
+  /// when it fires.
   size_t num_threads = 1;
 };
 
@@ -109,8 +103,8 @@ enum class StopReason {
   kConverged,
   kMaxGenerations,
   kStagnation,
-  kTimeBudget,
-  kCancelled,  ///< external StopToken cancel (SIGINT, failpoint, caller)
+  kTimeBudget,  ///< the StopToken's deadline expired
+  kCancelled,   ///< StopToken cancel (SIGINT, failpoint, caller)
 };
 
 /// Outcome counters. Aggregated over every restart and every worker

@@ -161,8 +161,8 @@ EnsembleDetectionResult EnsembleDetector::Detect(const Dataset& data) const {
         eopts.target_dim = result.target_dim;
         eopts.num_projections = base.num_projections;
         eopts.seed = member.seed;
-        if (base.num_threads != 0) eopts.num_threads = base.num_threads;
-        if (base.stop != nullptr) eopts.stop = base.stop;
+        eopts.num_threads = SearchThreads(base);
+        eopts.stop = base.stop;
         EvolutionResult search = EvolutionarySearch(objective, eopts);
         member.completed = search.stats.completed;
         member.evaluations = search.stats.evaluations;

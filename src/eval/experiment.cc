@@ -30,8 +30,11 @@ SearchRun RunBruteForceExperiment(const Dataset& data,
   BruteForceOptions options;
   options.target_dim = params.target_dim;
   options.num_projections = params.num_projections;
-  options.time_budget_seconds = params.brute_force_budget_seconds;
   options.num_threads = params.brute_force_threads;
+  // Armed after the grid build, so the budget times the search alone.
+  StopToken deadline;
+  deadline.SetDeadline(params.brute_force_budget_seconds);
+  options.stop = &deadline;
   const BruteForceResult result = BruteForceSearch(objective, options);
 
   SearchRun run;

@@ -27,7 +27,7 @@ struct SearchRun {
   /// Cubes scored: exhaustive leaves for brute force, objective evaluations
   /// for the evolutionary algorithm.
   uint64_t cubes_examined = 0;
-  /// False when a time/work budget expired first (brute force on musk).
+  /// False when the brute-force budget expired first (brute force on musk).
   bool completed = true;
   std::vector<ScoredProjection> best;  ///< best set found by the run
 };

@@ -79,10 +79,6 @@ ServeRequest ScoreService::MakeRequest(std::string line) const {
   ServeRequest request;
   request.line = std::move(line);
   request.arrival_seconds = clock_->NowSeconds();
-  if (options_.request_deadline_seconds > 0.0) {
-    request.stop = std::make_unique<StopToken>(clock_);
-    request.stop->SetDeadline(options_.request_deadline_seconds);
-  }
   return request;
 }
 
@@ -121,7 +117,9 @@ std::string ScoreService::HandleOne(const ServeRequest& request) {
     // The deadline is checked when a worker picks the request up: a batch
     // stuck behind a slow consumer sheds its expired tail instead of
     // scoring stale work.
-    if (request.stop != nullptr && request.stop->ShouldStop()) {
+    if (options_.request_deadline_seconds > 0.0 &&
+        clock_->NowSeconds() >=
+            start + options_.request_deadline_seconds) {
       timeouts_->Add();
       response = "err deadline";
     } else {

@@ -4,8 +4,8 @@
 // The transport-independent online scoring service behind `hido serve`:
 // holds the current ModelSnapshot behind an RCU-style atomic shared_ptr,
 // answers line-protocol requests, batches score work onto the shared
-// ThreadPool, and enforces a per-request cooperative deadline built on
-// StopToken.
+// ThreadPool, and enforces a per-request deadline: a request picked up at or
+// after its arrival time plus `request_deadline_seconds` is shed.
 //
 // Lifecycle split (DESIGN.md "Serving"): `hido fit` runs the expensive
 // offline search once and freezes the result into a snapshot; scoring a
@@ -71,13 +71,11 @@ struct ScoreServiceOptions {
   const Clock* clock = nullptr;
 };
 
-/// One request in flight: the raw line plus the arrival-armed StopToken
-/// that carries its deadline. Move-only.
+/// One request in flight: the raw line plus its arrival time, from which
+/// its deadline is measured.
 struct ServeRequest {
   std::string line;              ///< the raw protocol line, no terminator
   double arrival_seconds = 0.0;  ///< clock reading at MakeRequest time
-  /// Null when no deadline is configured.
-  std::unique_ptr<StopToken> stop;
 };
 
 /// The transport-independent request handler behind `hido serve`: parses
@@ -114,8 +112,7 @@ class ScoreService {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  /// Stamps a raw line with its arrival time and (when configured) a
-  /// deadline-armed StopToken.
+  /// Stamps a raw line with its arrival time.
   ServeRequest MakeRequest(std::string line) const;
 
   /// Handles one batch: responses[i] answers batch[i]. Score requests fan

@@ -98,7 +98,7 @@ TEST(StopTokenTest, PollCountObservable) {
 }
 
 TEST(StopPollerTest, NoSourcesNeverStops) {
-  StopPoller poller(nullptr, nullptr, 0.0);
+  StopPoller poller(nullptr);
   EXPECT_FALSE(poller.ShouldStop());
   EXPECT_FALSE(poller.stopped());
   const RunStatus status = poller.status();
@@ -108,7 +108,9 @@ TEST(StopPollerTest, NoSourcesNeverStops) {
 
 TEST(StopPollerTest, LocalBudgetExpiresOnInjectedClock) {
   FakeClock clock(0.0, 1.0);  // +1s per read
-  StopPoller poller(nullptr, &clock, 2.5);
+  StopToken token(&clock);
+  token.SetDeadline(2.5);
+  StopPoller poller(&token);
   // SetDeadline reads once (t=0 -> deadline 2.5); polls read t=1, 2, 3.
   EXPECT_FALSE(poller.ShouldStop());
   EXPECT_FALSE(poller.ShouldStop());
@@ -118,22 +120,27 @@ TEST(StopPollerTest, LocalBudgetExpiresOnInjectedClock) {
   EXPECT_EQ(status.stop_cause, StopCause::kDeadline);
 }
 
-TEST(StopPollerTest, ExternalCauseWinsOverLocal) {
-  FakeClock clock(0.0, 10.0);
-  StopToken external(&clock);
-  external.RequestCancel(StopCause::kCancelled);
-  StopPoller poller(&external, &clock, 0.001);  // local would also expire
-  EXPECT_TRUE(poller.ShouldStop());
-  EXPECT_EQ(poller.cause(), StopCause::kCancelled);
-}
-
 TEST(StopPollerTest, StickyAfterFirstStop) {
   StopToken external;
-  StopPoller poller(&external, nullptr, 0.0);
+  StopPoller poller(&external);
   external.RequestCancel();
   EXPECT_TRUE(poller.ShouldStop());
   EXPECT_TRUE(poller.stopped());
   EXPECT_TRUE(poller.ShouldStop());
+}
+
+TEST(StopPollerTest, TokenFiredAfterLastPollLeavesRunCompleted) {
+  // A run that polled to its end without seeing a stop finished all of its
+  // work; a token that fires afterwards must not mark it interrupted.
+  StopToken token;
+  StopPoller poller(&token);
+  EXPECT_FALSE(poller.ShouldStop());
+  token.RequestCancel();
+  EXPECT_FALSE(poller.stopped());
+  EXPECT_EQ(poller.cause(), StopCause::kNone);
+  const RunStatus status = poller.status();
+  EXPECT_TRUE(status.completed);
+  EXPECT_EQ(status.stop_cause, StopCause::kNone);
 }
 
 TEST(SigintCancelTest, RaiseCancelsInstalledToken) {

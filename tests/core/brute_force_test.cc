@@ -134,51 +134,6 @@ TEST(BruteForceTest, EmptyCubesReportedWhenAllowed) {
               f.objective.model().EmptyCubeCoefficient(3), 1e-12);
 }
 
-TEST(BruteForceTest, MaxCubesBudgetStopsEarly) {
-  Fixture f(200, 8, 5, 6);
-  BruteForceOptions opts;
-  opts.target_dim = 3;
-  opts.num_projections = 5;
-  opts.max_cubes = 100;
-  const BruteForceResult result = BruteForceSearch(f.objective, opts);
-  EXPECT_FALSE(result.stats.completed);
-  EXPECT_LE(result.stats.cubes_evaluated, 100u);
-}
-
-TEST(BruteForceTest, PublishedBudgetMatchesEvaluatedCubes) {
-  // The shared budget counter the workers publish into must agree with the
-  // per-worker statistics merged into the result — every leaf is flushed
-  // before the merge, including work done between the last periodic flush
-  // and an abort.
-  Fixture f(400, 10, 4, 23);
-
-  // Run to completion, serial and parallel.
-  for (size_t threads : {1u, 4u}) {
-    BruteForceOptions opts;
-    opts.target_dim = 3;
-    opts.num_projections = 5;
-    opts.num_threads = threads;
-    const BruteForceResult result = BruteForceSearch(f.objective, opts);
-    EXPECT_TRUE(result.stats.completed);
-    EXPECT_EQ(result.stats.cubes_published, result.stats.cubes_evaluated)
-        << "threads=" << threads;
-  }
-
-  // Aborted mid-subtree by the cube budget, serial and parallel.
-  for (size_t threads : {1u, 4u}) {
-    BruteForceOptions opts;
-    opts.target_dim = 3;
-    opts.num_projections = 5;
-    opts.max_cubes = 50;
-    opts.num_threads = threads;
-    const BruteForceResult result = BruteForceSearch(f.objective, opts);
-    EXPECT_FALSE(result.stats.completed);
-    EXPECT_GT(result.stats.cubes_evaluated, 0u);
-    EXPECT_EQ(result.stats.cubes_published, result.stats.cubes_evaluated)
-        << "threads=" << threads;
-  }
-}
-
 TEST(BruteForceTest, OversizedThreadCountIsClampedNotAllocated) {
   // One Worker (with its own scratch bitsets) is allocated per thread; an
   // oversized request such as -1 cast to size_t must be clamped to usable
@@ -266,7 +221,9 @@ TEST(BruteForceTest, ParallelRespectsTimeBudget) {
   opts.target_dim = 4;
   opts.num_projections = 5;
   opts.num_threads = 4;
-  opts.time_budget_seconds = 0.05;
+  StopToken deadline;
+  deadline.SetDeadline(0.05);
+  opts.stop = &deadline;
   const BruteForceResult result = BruteForceSearch(f.objective, opts);
   EXPECT_FALSE(result.stats.completed);
   EXPECT_LT(result.stats.seconds, 5.0);
@@ -314,17 +271,16 @@ TEST(BruteForceTest, DeadlineExpiryOnInjectedClockReturnsValidPartial) {
   // a deterministic number of polls — no wall-clock sleeps involved.
   Fixture f(300, 10, 4, 9);
   FakeClock clock(0.0, 0.1);
+  StopToken deadline(&clock);
+  deadline.SetDeadline(0.5);  // expires on the 5th poll
   BruteForceOptions opts;
   opts.target_dim = 3;
   opts.num_projections = 5;
-  opts.time_budget_seconds = 0.5;  // expires on the 5th poll
-  opts.clock = &clock;
+  opts.stop = &deadline;
   const BruteForceResult result = BruteForceSearch(f.objective, opts);
 
   EXPECT_FALSE(result.stats.completed);
   EXPECT_EQ(result.stats.stop_cause, StopCause::kDeadline);
-  // Accounting invariants hold even on the abort path.
-  EXPECT_EQ(result.stats.cubes_published, result.stats.cubes_evaluated);
   // Genuinely partial: the full space is C(10,3) * 4^3 = 7680 leaves.
   EXPECT_LT(result.stats.cubes_evaluated, 7680u);
   // What was found is still a valid, sorted best-so-far report.
@@ -350,7 +306,6 @@ TEST(BruteForceTest, PreCancelledTokenStopsBeforeAnyWork) {
   EXPECT_FALSE(result.stats.completed);
   EXPECT_EQ(result.stats.stop_cause, StopCause::kCancelled);
   EXPECT_EQ(result.stats.cubes_evaluated, 0u);
-  EXPECT_EQ(result.stats.cubes_published, 0u);
 }
 
 TEST(BruteForceSearchSpaceTest, PaperExample) {

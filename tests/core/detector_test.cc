@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "data/generators/synthetic.h"
 #include "eval/metrics.h"
 
@@ -141,6 +142,41 @@ TEST(DetectorTest, PreCancelledTokenYieldsIncompleteResult) {
   const DetectionResult result = OutlierDetector(dconfig).Detect(data);
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.stop_cause, StopCause::kCancelled);
+}
+
+TEST(DetectorTest, NestedSearchStopIsOverwrittenByConfigStop) {
+  // `DetectorConfig::stop` is the only stop: a token left in a search's own
+  // options, even a fired one, is overwritten when the config's is null.
+  const Dataset data = GenerateUniform(300, 8, 23);
+  StopToken cancelled;
+  cancelled.RequestCancel();
+  DetectorConfig dconfig;
+  dconfig.target_dim = 2;
+  dconfig.phi = 5;
+  dconfig.seed = 8;
+  dconfig.evolution.stop = &cancelled;
+  dconfig.brute_force.stop = &cancelled;
+  for (const SearchAlgorithm algorithm :
+       {SearchAlgorithm::kEvolutionary, SearchAlgorithm::kBruteForce}) {
+    dconfig.algorithm = algorithm;
+    const DetectionResult result = OutlierDetector(dconfig).Detect(data);
+    EXPECT_TRUE(result.completed);
+    EXPECT_EQ(result.stop_cause, StopCause::kNone);
+    EXPECT_FALSE(result.report.projections.empty());
+  }
+}
+
+TEST(DetectorTest, SearchThreadsIsTheConfigWidth) {
+  DetectorConfig dconfig;
+  EXPECT_EQ(SearchThreads(dconfig), 1u);
+  dconfig.evolution.num_threads = 3;
+  dconfig.brute_force.num_threads = 5;
+  dconfig.num_threads = 4;
+  EXPECT_EQ(SearchThreads(dconfig), 4u);
+  dconfig.algorithm = SearchAlgorithm::kBruteForce;
+  EXPECT_EQ(SearchThreads(dconfig), 4u);
+  dconfig.num_threads = 0;
+  EXPECT_EQ(SearchThreads(dconfig), HardwareThreads());
 }
 
 TEST(DetectorTest, ReportedOutliersActuallyCoverProjections) {

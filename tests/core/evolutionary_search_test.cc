@@ -207,7 +207,9 @@ TEST(EvolutionarySearchTest, StopsOnTimeBudget) {
   opts.population_size = 200;
   opts.max_generations = 1000000;
   opts.stagnation_generations = 0;  // disabled
-  opts.time_budget_seconds = 0.2;
+  StopToken deadline;
+  deadline.SetDeadline(0.2);
+  opts.stop = &deadline;
   opts.seed = 4;
   const EvolutionResult result = EvolutionarySearch(f.objective, opts);
   EXPECT_EQ(result.stats.stop_reason, StopReason::kTimeBudget);
@@ -215,11 +217,13 @@ TEST(EvolutionarySearchTest, StopsOnTimeBudget) {
 }
 
 TEST(EvolutionarySearchTest, DeadlineExpiryOnInjectedClockReturnsValidPartial) {
-  // The injected clock steps a fixed amount per read, so the budget expires
+  // The injected clock steps a fixed amount per read, so the deadline expires
   // after a deterministic number of generation-boundary polls — the expiry
   // path is covered without any real sleeping or wall-clock dependence.
   Fixture f(GenerateUniform(300, 8, 2), 4);
   FakeClock clock(0.0, 0.1);
+  StopToken deadline(&clock);
+  deadline.SetDeadline(1.0);  // expires on the 10th poll
   EvolutionaryOptions opts;
   opts.target_dim = 2;
   opts.num_projections = 5;
@@ -228,8 +232,7 @@ TEST(EvolutionarySearchTest, DeadlineExpiryOnInjectedClockReturnsValidPartial) {
   opts.stagnation_generations = 0;
   opts.restarts = 4;
   opts.seed = 3;
-  opts.time_budget_seconds = 1.0;  // expires on the 10th poll
-  opts.clock = &clock;
+  opts.stop = &deadline;
   const EvolutionResult result = EvolutionarySearch(f.objective, opts);
 
   EXPECT_FALSE(result.stats.completed);
@@ -305,7 +308,6 @@ TEST(EvolutionarySearchTest, StopsOnStagnation) {
   opts.max_generations = 100000;
   opts.stagnation_generations = 5;
   opts.convergence_threshold = 1.01;  // unreachable: isolate stagnation
-  opts.time_budget_seconds = 0.0;
   opts.seed = 5;
   const EvolutionResult result = EvolutionarySearch(f.objective, opts);
   EXPECT_EQ(result.stats.stop_reason, StopReason::kStagnation);

@@ -167,6 +167,18 @@ TEST(ScoreServiceTest, ExpiredDeadlineAnswersErrDeadline) {
 
   // A fresh request after the advance is still inside its own budget.
   EXPECT_EQ(service.Handle(line).substr(0, 8), "ok score");
+
+  // The boundary: a request picked up exactly at arrival + deadline has
+  // expired; one picked up just before it still scores.
+  std::vector<ServeRequest> at_deadline;
+  at_deadline.push_back(service.MakeRequest(line));  // arrival t=110
+  clock.Advance(5.0);                                // t=115
+  EXPECT_EQ(service.Process(std::move(at_deadline)).front(), "err deadline");
+  std::vector<ServeRequest> before_deadline;
+  before_deadline.push_back(service.MakeRequest(line));  // arrival t=115
+  clock.Advance(4.999);                                  // t=119.999
+  EXPECT_EQ(service.Process(std::move(before_deadline)).front().substr(0, 8),
+            "ok score");
 }
 
 TEST(ScoreServiceTest, SwapPublishesNewGenerationZeroDowntime) {
