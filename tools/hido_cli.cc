@@ -1243,6 +1243,39 @@ int RunLoadgen(const std::vector<std::string>& args) {
     return Fail(Status::InvalidArgument(
         "--expect evicted requires --mode slow-reader"));
   }
+  // Counts and delays are range-checked before the request list is sized
+  // or a socket opened: a count sizes memory, and the retry and delay
+  // values are cast to int, where a value out of range would wrap into a
+  // silently different one.
+  constexpr int64_t kMaxCount = int64_t{1} << 20;
+  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+  constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+  struct Range {
+    const char* name;
+    int64_t min;
+    int64_t max;
+  };
+  const Range ranges[] = {
+      {"requests", 1, kMaxCount},      {"passes", 1, kMaxCount},
+      {"max-retries", 0, kMaxInt},     {"backoff-base-ms", 0, kMaxInt},
+      {"backoff-max-ms", 0, kMaxInt},  {"read-delay-ms", 0, kMaxInt},
+      {"disconnect-every", 1, kMaxInt64},
+  };
+  for (const Range& range : ranges) {
+    const int64_t value = flags.GetInt(range.name);
+    if (value < range.min || value > range.max) {
+      return Fail(Status::InvalidArgument(StrFormat(
+          "--%s must be in [%lld, %lld], got %lld", range.name,
+          static_cast<long long>(range.min),
+          static_cast<long long>(range.max),
+          static_cast<long long>(value))));
+    }
+  }
+  if (!(flags.GetDouble("timeout") > 0.0)) {
+    return Fail(Status::InvalidArgument(
+        StrFormat("--timeout must be a positive number of seconds, got %g",
+                  flags.GetDouble("timeout"))));
+  }
 
   LoadgenConfig config;
   config.host = flags.GetString("host");
@@ -1254,8 +1287,8 @@ int RunLoadgen(const std::vector<std::string>& args) {
   config.read_delay_ms =
       mode == "slow-reader" ? static_cast<int>(flags.GetInt("read-delay-ms"))
                             : 0;
-  config.disconnect_every = std::max<size_t>(
-      1, static_cast<size_t>(flags.GetInt("disconnect-every")));
+  config.disconnect_every =
+      static_cast<size_t>(flags.GetInt("disconnect-every"));
 
   // Build the request list: `score <row>` lines cycled from --input (their
   // responses differ row to row, so reordering is detectable), or bare
@@ -1302,8 +1335,7 @@ int RunLoadgen(const std::vector<std::string>& args) {
     }
   }
 
-  const size_t passes =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("passes")));
+  const size_t passes = static_cast<size_t>(flags.GetInt("passes"));
   Status run = Status::Ok();
   for (size_t pass = 0; pass < passes && run.ok(); ++pass) {
     if (expect == "evicted") {

@@ -11,12 +11,14 @@
 // The sidecar `<out>.truth` lists the planted anomaly rows one per line
 // (empty for `uniform`).
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/flags.h"
+#include "common/string_util.h"
 #include "data/csv.h"
 #include "data/generators/arrhythmia_like.h"
 #include "data/generators/housing_like.h"
@@ -36,6 +38,36 @@ Status WriteTruth(const std::vector<size_t>& rows, const std::string& path) {
   for (size_t row : rows) out << row << "\n";
   out.flush();
   if (!out) return Status::IoError("write failure: " + path);
+  return Status::Ok();
+}
+
+// Largest table a workload may ask for: 2^28 values, 2 GiB of doubles.
+constexpr int64_t kMaxValues = int64_t{1} << 28;
+
+// Range-checks --rows and --dims for workload `kind`, which needs at least
+// `min_dims` columns, so a bad size ends in an error message instead of an
+// abort, an allocation without bound, or a table with no columns.
+Status CheckShape(const FlagParser& flags, const std::string& kind,
+                  int64_t min_dims) {
+  const int64_t rows = flags.GetInt("rows");
+  const int64_t dims = flags.GetInt("dims");
+  if (rows < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "--rows must be at least 1, got %lld", static_cast<long long>(rows)));
+  }
+  if (dims < min_dims) {
+    return Status::InvalidArgument(
+        StrFormat("--dims must be at least %lld for %s, got %lld",
+                  static_cast<long long>(min_dims), kind.c_str(),
+                  static_cast<long long>(dims)));
+  }
+  if (rows > kMaxValues / dims) {
+    return Status::InvalidArgument(StrFormat(
+        "--rows times --dims must be at most %lld values (2 GiB of doubles), "
+        "got %lld x %lld",
+        static_cast<long long>(kMaxValues), static_cast<long long>(rows),
+        static_cast<long long>(dims)));
+  }
   return Status::Ok();
 }
 
@@ -78,6 +110,16 @@ int Main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
 
   if (kind == "subspace") {
+    // The generator plants dims / 4 correlated groups and needs at least one.
+    const Status shape = CheckShape(flags, kind, 4);
+    if (!shape.ok()) return Fail(shape);
+    const int64_t outliers = flags.GetInt("outliers");
+    if (outliers < 0 || outliers > flags.GetInt("rows")) {
+      return Fail(Status::InvalidArgument(StrFormat(
+          "--outliers must be in [0, %lld] (the row count), got %lld",
+          static_cast<long long>(flags.GetInt("rows")),
+          static_cast<long long>(outliers))));
+    }
     SubspaceOutlierConfig config;
     config.num_points = static_cast<size_t>(flags.GetInt("rows"));
     config.num_dims = static_cast<size_t>(flags.GetInt("dims"));
@@ -98,6 +140,8 @@ int Main(int argc, char** argv) {
     return Emit(g.data, g.contrarian_rows, out);
   }
   if (kind == "uniform") {
+    const Status shape = CheckShape(flags, kind, 1);
+    if (!shape.ok()) return Fail(shape);
     const Dataset data =
         GenerateUniform(static_cast<size_t>(flags.GetInt("rows")),
                         static_cast<size_t>(flags.GetInt("dims")), seed);
