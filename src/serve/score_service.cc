@@ -58,13 +58,18 @@ ScoreService::ScoreService(ScoreServiceOptions options)
 
 uint64_t ScoreService::Publish(std::shared_ptr<ModelSnapshot> snapshot) {
   HIDO_CHECK(snapshot != nullptr);
-  MutexLock lock(publish_mu_);
-  const uint64_t gen = generation_.load(std::memory_order_relaxed) + 1;
-  snapshot->generation = gen;
-  snapshot_.store(std::shared_ptr<const ModelSnapshot>(std::move(snapshot)),
-                  std::memory_order_release);
-  generation_.store(gen, std::memory_order_release);
-  generation_gauge_->Set(static_cast<int64_t>(gen));
+  uint64_t gen = 0;
+  std::shared_ptr<const ModelSnapshot> replaced;
+  {
+    MutexLock lock(mu_);
+    gen = generation_.load(std::memory_order_relaxed) + 1;
+    snapshot->generation = gen;
+    replaced = std::exchange(snapshot_, std::move(snapshot));
+    generation_.store(gen, std::memory_order_release);
+    generation_gauge_->Set(static_cast<int64_t>(gen));
+  }
+  // The old snapshot is released here, outside the lock, unless an
+  // in-flight request still holds it.
   return gen;
 }
 

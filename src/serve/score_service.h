@@ -2,7 +2,7 @@
 #define HIDO_SERVE_SCORE_SERVICE_H_
 
 // The transport-independent online scoring service behind `hido serve`:
-// holds the current ModelSnapshot behind an RCU-style atomic shared_ptr,
+// holds the current ModelSnapshot behind a mutex-guarded shared_ptr,
 // answers line-protocol requests, batches score work onto the shared
 // ThreadPool, and enforces a per-request deadline: a request picked up at or
 // after its arrival time plus `request_deadline_seconds` is shed.
@@ -14,11 +14,15 @@
 // training data and two requests for the same point always produce the
 // same bytes, at any --threads value.
 //
-// Model swap: Publish() atomically replaces the snapshot pointer.
-// In-flight requests finished scoring against the snapshot they loaded
-// (they hold a shared_ptr); new requests see the new one. No lock is held
-// while scoring, so a refit publishes with zero downtime and zero failed
-// requests.
+// Model swap: Publish() replaces the snapshot pointer under the service's
+// mutex, and each request copies the pointer under the same mutex (one
+// short uncontended lock per request). In-flight requests finish scoring
+// against the snapshot they copied (they hold a shared_ptr); new requests
+// see the new one. No lock is held while scoring, so a refit publishes
+// with zero downtime and zero failed requests. (A
+// std::atomic<std::shared_ptr> is not enough under libstdc++ 12: its load
+// releases the internal lock bit with a relaxed store, so nothing orders a
+// reader's copy of the pointer before the next store overwrites it.)
 //
 // Protocol (one request line -> one response line):
 //   score <v1>,<v2>,...   ->  ok score=<s> covering=<n> gen=<g>
@@ -87,9 +91,11 @@ class ScoreService {
   /// Instruments are registered on construction; see obs/metrics.h.
   explicit ScoreService(ScoreServiceOptions options = {});
 
-  /// Publishes a new current snapshot (RCU swap) and returns its assigned
-  /// generation (1-based, monotonic).
-  uint64_t Publish(std::shared_ptr<ModelSnapshot> snapshot);
+  /// Publishes a new current snapshot and returns its assigned generation
+  /// (1-based, monotonic). The replaced snapshot is released after the
+  /// lock, by whichever holder drops it last.
+  uint64_t Publish(std::shared_ptr<ModelSnapshot> snapshot)
+      HIDO_LOCKS_EXCLUDED(mu_);
 
   /// Loads `path` and publishes it. The previous snapshot keeps serving
   /// until the new one is fully loaded and validated.
@@ -97,8 +103,10 @@ class ScoreService {
 
   /// The snapshot new requests will score against (never null after the
   /// first Publish; null before it).
-  std::shared_ptr<const ModelSnapshot> Current() const {
-    return snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<const ModelSnapshot> Current() const
+      HIDO_LOCKS_EXCLUDED(mu_) {
+    MutexLock lock(mu_);
+    return snapshot_;
   }
 
   /// Generation of the latest published snapshot; 0 before any Publish.
@@ -138,12 +146,13 @@ class ScoreService {
   const ScoreServiceOptions options_;
   const Clock* clock_;
 
-  std::atomic<std::shared_ptr<const ModelSnapshot>> snapshot_{nullptr};
+  /// Guards the snapshot pointer, and serializes Publish so generation
+  /// assignment and pointer installation cannot interleave between two
+  /// concurrent swaps.
+  mutable Mutex mu_;
+  std::shared_ptr<const ModelSnapshot> snapshot_ HIDO_GUARDED_BY(mu_);
   std::atomic<uint64_t> generation_{0};
   std::atomic<bool> shutdown_{false};
-  /// Serializes Publish so generation assignment and pointer installation
-  /// cannot interleave between two concurrent swaps.
-  Mutex publish_mu_;
 
   // Cached instrument references (stable for the registry's lifetime),
   // one per endpoint: serve.<endpoint>.requests + .latency_seconds.
