@@ -45,7 +45,9 @@ std::vector<std::vector<DimRange>> MakeQueries(const GridModel& grid,
   queries.reserve(count);
   for (size_t q = 0; q < count; ++q) {
     std::vector<DimRange> conditions;
-    for (size_t d : rng.SampleWithoutReplacement(grid.num_dims(), k)) {
+    std::vector<size_t> dims;
+    rng.SampleWithoutReplacement(grid.num_dims(), k, &dims);
+    for (size_t d : dims) {
       conditions.push_back(
           {static_cast<uint32_t>(d),
            static_cast<uint32_t>(rng.UniformIndex(grid.phi()))});

@@ -43,8 +43,10 @@ void BM_RankSelection(benchmark::State& state) {
   GaFixture fixture;
   Rng rng(1);
   auto population = fixture.MakePopulation(100, 4, rng);
+  std::vector<Individual> selected;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RankRouletteSelection(population, rng));
+    RankRouletteSelection(population, rng, &selected);
+    benchmark::DoNotOptimize(selected.data());
   }
 }
 BENCHMARK(BM_RankSelection);
@@ -54,8 +56,13 @@ void BM_TwoPointCrossover(benchmark::State& state) {
   Rng rng(2);
   const Projection a = Projection::Random(32, 4, 10, rng);
   const Projection b = Projection::Random(32, 4, 10, rng);
+  Projection c1 = a;
+  Projection c2 = b;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TwoPointCrossover(a, b, rng));
+    c1 = a;
+    c2 = b;
+    TwoPointCrossover(c1, c2, rng);
+    benchmark::DoNotOptimize(c1);
   }
 }
 BENCHMARK(BM_TwoPointCrossover);
@@ -66,9 +73,13 @@ void BM_OptimizedCrossover(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const Projection a = Projection::Random(32, k, 10, rng);
   const Projection b = Projection::Random(32, k, 10, rng);
+  Projection c1 = a;
+  Projection c2 = b;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        OptimizedCrossover(a, b, k, fixture.objective));
+    c1 = a;
+    c2 = b;
+    OptimizedCrossover(c1, c2, k, fixture.objective);
+    benchmark::DoNotOptimize(c1);
   }
 }
 BENCHMARK(BM_OptimizedCrossover)->Arg(2)->Arg(4)->Arg(8);
@@ -147,9 +158,11 @@ void BM_FullGeneration(benchmark::State& state) {
   GaFixture fixture;
   Rng rng(6);
   auto population = fixture.MakePopulation(100, 4, rng);
+  std::vector<Individual> offspring;
   MutationOptions mutation;
   for (auto _ : state) {
-    population = RankRouletteSelection(population, rng);
+    RankRouletteSelection(population, rng, &offspring);
+    population.swap(offspring);
     CrossoverPopulation(population, CrossoverKind::kOptimized, 4,
                         fixture.objective, rng);
     MutatePopulation(population, 4, mutation, fixture.objective, rng);

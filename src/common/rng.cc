@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <numeric>
 
 namespace hido {
 
@@ -109,54 +110,45 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t count) {
+void Rng::SampleWithoutReplacement(size_t n, size_t count,
+                                   std::vector<size_t>* out) {
   HIDO_CHECK(count <= n);
-  std::vector<size_t> result;
-  result.reserve(count);
-  if (count == 0) {
-    return result;
-  }
+  out->clear();
+  if (count == 0) return;
   if (count * 2 >= n) {
     // Dense case: shuffle a full index vector and take a prefix.
-    std::vector<size_t> all(n);
-    for (size_t i = 0; i < n; ++i) all[i] = i;
-    Shuffle(all);
-    result.assign(all.begin(), all.begin() + static_cast<ptrdiff_t>(count));
+    out->resize(n);
+    std::iota(out->begin(), out->end(), size_t{0});
+    Shuffle(*out);
+    out->resize(count);
   } else {
-    // Sparse case: Floyd's algorithm — O(count) expected draws.
-    std::vector<bool> taken(n, false);
+    // Sparse case: Floyd's algorithm — O(count) expected draws. Step j
+    // keeps its draw t unless t was picked before, and then j, which no
+    // earlier step could pick.
     for (size_t j = n - count; j < n; ++j) {
-      size_t t = UniformIndex(j + 1);
-      if (taken[t]) t = j;
-      taken[t] = true;
-      result.push_back(t);
+      const size_t t = UniformIndex(j + 1);
+      const bool repeat = std::find(out->begin(), out->end(), t) != out->end();
+      out->push_back(repeat ? j : t);
     }
   }
-  std::sort(result.begin(), result.end());
-  return result;
+  std::sort(out->begin(), out->end());
 }
 
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  HIDO_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    HIDO_CHECK(w >= 0.0);
-    total += w;
-  }
+size_t Rng::WeightedIndex(const std::vector<double>& cumulative) {
+  HIDO_CHECK(!cumulative.empty());
+  HIDO_DCHECK(std::is_sorted(cumulative.begin(), cumulative.end()) &&
+              cumulative.front() >= 0.0);
+  const double total = cumulative.back();
   HIDO_CHECK_MSG(total > 0.0, "WeightedIndex requires positive total weight");
-  double target = UniformDouble() * total;
-  double cumulative = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    cumulative += weights[i];
-    if (target < cumulative) {
-      return i;
-    }
+  const double target = UniformDouble() * total;
+  // The first index whose running sum exceeds the target.
+  auto it = std::upper_bound(cumulative.begin(), cumulative.end(), target);
+  if (it == cumulative.end()) {
+    // Floating-point slack: fall back to the last positive-weight entry,
+    // the first one whose running sum reaches the total.
+    it = std::lower_bound(cumulative.begin(), cumulative.end(), total);
   }
-  // Floating-point slack: fall back to the last positive-weight entry.
-  for (size_t i = weights.size(); i > 0; --i) {
-    if (weights[i - 1] > 0.0) return i - 1;
-  }
-  return weights.size() - 1;
+  return static_cast<size_t>(it - cumulative.begin());
 }
 
 Rng Rng::Split() { return Rng(Next64()); }

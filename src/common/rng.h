@@ -80,16 +80,23 @@ class Rng {
     }
   }
 
-  /// Samples `count` distinct indices from [0, n), in increasing order.
-  /// Precondition: count <= n. O(n) when count is large, reservoir-free
-  /// partial Fisher-Yates otherwise.
-  std::vector<size_t> SampleWithoutReplacement(size_t n, size_t count);
+  /// Replaces `*out` with `count` distinct indices from [0, n), in
+  /// increasing order. Precondition: count <= n. A Fisher-Yates shuffle of
+  /// [0, n) in `*out` when count >= n / 2; otherwise Floyd's algorithm,
+  /// which checks each draw for a repeat by scanning the picks so far
+  /// (O(count^2) comparisons: callers draw a few dimensions or rows). A
+  /// caller that reuses `*out` allocates nothing.
+  void SampleWithoutReplacement(size_t n, size_t count,
+                                std::vector<size_t>* out);
 
-  /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. Preconditions: weights non-empty, all weights >= 0, and
-  /// the total weight > 0. This is the "roulette wheel" used by the paper's
-  /// rank-selection operator.
-  size_t WeightedIndex(const std::vector<double>& weights);
+  /// Samples an index in [0, cumulative.size()) with probability
+  /// proportional to weight i, given the weights' running sums
+  /// (cumulative[i] = w[0] + ... + w[i], added in index order). A binary
+  /// search, so a caller that draws many times from one set of weights
+  /// forms the sums once. Preconditions: non-empty, non-decreasing (every
+  /// weight >= 0; checked in debug builds), total > 0. This is the
+  /// "roulette wheel" used by the paper's rank-selection operator.
+  size_t WeightedIndex(const std::vector<double>& cumulative);
 
   /// Derives an independent child generator (for splitting experiment seeds
   /// into per-component streams without correlation).

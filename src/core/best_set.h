@@ -73,7 +73,12 @@ class BestSet {
   bool require_non_empty_;
   // Ascending by sparsity (index 0 = most negative = best).
   std::vector<ScoredProjection> entries_;
+  // entry_keys_[i] is entries_[i].projection.PackedKey(), kept beside it so
+  // tie comparisons and eviction build no key.
+  std::vector<std::vector<uint64_t>> entry_keys_;
   std::unordered_set<std::vector<uint64_t>, KeyHash> keys_;
+  // The offered candidate's key; reused, copied only on insert.
+  std::vector<uint64_t> candidate_key_;
 };
 
 }  // namespace hido

@@ -34,10 +34,12 @@ StopReason ReasonFromCause(StopCause cause) {
 bool OfferPopulation(const std::vector<Individual>& population,
                      BestSet& best) {
   bool improved = false;
+  // Copy-assigning strings of one length into the same candidate allocates
+  // once per call, not once per offer.
+  ScoredProjection scored;
   for (const Individual& individual : population) {
     if (!individual.feasible) continue;
     if (!best.WouldAccept(individual.sparsity)) continue;
-    ScoredProjection scored;
     scored.projection = individual.projection;
     scored.count = individual.count;
     scored.sparsity = individual.sparsity;
@@ -168,6 +170,9 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
   Rng rng = Rng::ForStream(options.seed, run);
   BestSet best(options.num_projections, options.require_non_empty);
   std::vector<Individual> population;
+  // Selection's output, swapped with `population` every generation so both
+  // buffers keep their strings' storage.
+  std::vector<Individual> offspring;
   size_t start_generation = 0;
   size_t stagnant_generations = 0;
   // Work already accounted by the snapshot being resumed, folded back into
@@ -264,7 +269,8 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
       elites.resize(options.elitism);
     }
 
-    population = RankRouletteSelection(population, rng);
+    RankRouletteSelection(population, rng, &offspring);
+    population.swap(offspring);
     selections += population.size();
     CrossoverPopulation(population, options.crossover, options.target_dim,
                         evals, rng);

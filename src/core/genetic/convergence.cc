@@ -1,5 +1,6 @@
 #include "core/genetic/convergence.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/macros.h"
@@ -26,22 +27,21 @@ double GeneAgreement(const std::vector<Individual>& population, size_t pos) {
 bool PopulationConverged(const std::vector<Individual>& population,
                          double threshold) {
   HIDO_CHECK(!population.empty());
-
-  struct KeyHash {
-    size_t operator()(const std::vector<uint64_t>& key) const {
-      uint64_t h = 1469598103934665603ULL;
-      for (uint64_t v : key) {
-        h ^= v;
-        h *= 1099511628211ULL;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-  std::unordered_map<std::vector<uint64_t>, size_t, KeyHash> counts;
-  size_t modal = 0;
+  // The modal string's multiplicity: sort pointers to the strings so equal
+  // ones are adjacent, then take the longest run.
+  std::vector<const Projection*> strings;
+  strings.reserve(population.size());
   for (const Individual& individual : population) {
-    const size_t count = ++counts[individual.projection.PackedKey()];
-    if (count > modal) modal = count;
+    strings.push_back(&individual.projection);
+  }
+  std::sort(strings.begin(), strings.end(),
+            [](const Projection* a, const Projection* b) { return *a < *b; });
+  size_t modal = 0;
+  for (size_t start = 0; start < strings.size();) {
+    size_t end = start + 1;
+    while (end < strings.size() && *strings[end] == *strings[start]) ++end;
+    modal = std::max(modal, end - start);
+    start = end;
   }
   return static_cast<double>(modal) >=
          threshold * static_cast<double>(population.size());

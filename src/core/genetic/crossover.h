@@ -23,8 +23,6 @@
 //   parent of the first child. Both children are k-dimensional by
 //   construction.
 
-#include <utility>
-
 #include "common/rng.h"
 #include "core/genetic/individual.h"
 #include "core/objective.h"
@@ -40,18 +38,15 @@ enum class CrossoverKind {
 };
 
 /// Unbiased crossover: swaps the segments right of a uniform cut point in
-/// [1, d-1]. Children may be infeasible. Precondition: equal num_dims >= 2.
-std::pair<Projection, Projection> TwoPointCrossover(const Projection& s1,
-                                                    const Projection& s2,
-                                                    Rng& rng);
+/// [1, d-1], turning the parents into the children in place. Children may
+/// be infeasible. Precondition: equal num_dims >= 2.
+void TwoPointCrossover(Projection& s1, Projection& s2, Rng& rng);
 
 /// Deterministic core of TwoPointCrossover with an explicit cut in
 /// [1, d-1]. Exposed so a parallel caller can pre-draw all cut points from
 /// one RNG (fixing the random stream) and then recombine pairs on worker
 /// threads without touching the RNG.
-std::pair<Projection, Projection> TwoPointCrossoverAt(const Projection& s1,
-                                                      const Projection& s2,
-                                                      size_t cut);
+void TwoPointCrossoverAt(Projection& s1, Projection& s2, size_t cut);
 
 /// Tuning knobs for OptimizedCrossover.
 struct OptimizedCrossoverOptions {
@@ -61,10 +56,13 @@ struct OptimizedCrossoverOptions {
   size_t max_enumeration_bits = 12;
 };
 
-/// Optimized crossover (Recombine in Figure 5). Both parents must have
-/// dimensionality `target_k` >= 1; both children are k-dimensional.
-std::pair<Projection, Projection> OptimizedCrossover(
-    const Projection& s1, const Projection& s2, size_t target_k,
+/// Optimized crossover (Recombine in Figure 5), in place: `s1` becomes the
+/// first child and `s2` its complement. Both parents must have
+/// dimensionality `target_k` >= 1; both children are k-dimensional. Its
+/// buffers are per thread and reused, so a call allocates nothing once
+/// they have grown.
+void OptimizedCrossover(
+    Projection& s1, Projection& s2, size_t target_k,
     SparsityObjective& objective,
     const OptimizedCrossoverOptions& options = OptimizedCrossoverOptions());
 

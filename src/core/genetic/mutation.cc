@@ -5,33 +5,59 @@
 
 namespace hido {
 
+namespace {
+
+// The `j`-th position (0-based, ascending) at which `in_list(pos)` holds.
+// Precondition: more than j such positions exist.
+template <typename InList>
+size_t NthPosition(size_t num_dims, size_t j, InList in_list) {
+  for (size_t pos = 0; pos < num_dims; ++pos) {
+    if (in_list(pos) && j-- == 0) return pos;
+  }
+  HIDO_CHECK_MSG(false, "position list shorter than the pick");
+  return num_dims;
+}
+
+}  // namespace
+
 bool MutateProjection(Projection& projection, size_t phi,
                       const MutationOptions& options, Rng& rng) {
   HIDO_CHECK(phi >= 1);
+  const size_t d = projection.num_dims();
+  const size_t num_specified = projection.Dimensionality();
+  const size_t num_stars = d - num_specified;
   bool changed = false;
-  std::vector<size_t> stars;
-  std::vector<size_t> specified;
-  for (size_t pos = 0; pos < projection.num_dims(); ++pos) {
-    (projection.IsSpecified(pos) ? specified : stars).push_back(pos);
-  }
+  // The positions are picked by index into their ascending lists, scanned
+  // from the string instead of stored (see DESIGN.md "The GA hot path").
+  // After a Type I exchange, the specified list Type II picks from is the
+  // one before it with spec_pick's slot holding star_pick.
+  size_t star_pick = d;
+  size_t spec_pick = d;
 
   // Type I: exchange a * position with a specified one (needs one of each).
-  if (!stars.empty() && !specified.empty() && rng.Bernoulli(options.p1)) {
-    const size_t star_pick = stars[rng.UniformIndex(stars.size())];
-    const size_t spec_pick = specified[rng.UniformIndex(specified.size())];
+  if (num_stars > 0 && num_specified > 0 && rng.Bernoulli(options.p1)) {
+    star_pick = NthPosition(d, rng.UniformIndex(num_stars), [&](size_t pos) {
+      return !projection.IsSpecified(pos);
+    });
+    spec_pick = NthPosition(d, rng.UniformIndex(num_specified),
+                            [&](size_t pos) {
+                              return projection.IsSpecified(pos);
+                            });
     projection.Specify(star_pick,
                        static_cast<uint32_t>(rng.UniformIndex(phi)));
     projection.Unspecify(spec_pick);
     changed = true;
-    // Keep the position lists coherent for the Type II step below.
-    for (size_t& pos : specified) {
-      if (pos == spec_pick) pos = star_pick;
-    }
   }
 
   // Type II: re-randomize the range of one specified position.
-  if (!specified.empty() && rng.Bernoulli(options.p2)) {
-    const size_t pick = specified[rng.UniformIndex(specified.size())];
+  if (num_specified > 0 && rng.Bernoulli(options.p2)) {
+    size_t pick = NthPosition(d, rng.UniformIndex(num_specified),
+                              [&](size_t pos) {
+                                return pos == spec_pick ||
+                                       (projection.IsSpecified(pos) &&
+                                        pos != star_pick);
+                              });
+    if (pick == spec_pick) pick = star_pick;
     const uint32_t new_cell = static_cast<uint32_t>(rng.UniformIndex(phi));
     if (new_cell != projection.CellAt(pick)) changed = true;
     projection.Specify(pick, new_cell);

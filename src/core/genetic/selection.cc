@@ -15,10 +15,11 @@ std::vector<double> RankSelectionWeights(size_t population_size) {
   return weights;
 }
 
-std::vector<Individual> RankRouletteSelection(
-    const std::vector<Individual>& population, Rng& rng) {
+void RankRouletteSelection(const std::vector<Individual>& population,
+                           Rng& rng, std::vector<Individual>* selected) {
   const size_t p = population.size();
   HIDO_CHECK_MSG(p >= 2, "rank selection needs a population of >= 2");
+  HIDO_CHECK(selected != &population);
 
   // Rank by sparsity, most negative first; ties broken by original index
   // for determinism.
@@ -28,14 +29,14 @@ std::vector<Individual> RankRouletteSelection(
     return population[a].sparsity < population[b].sparsity;
   });
 
-  const std::vector<double> weights = RankSelectionWeights(p);
-  std::vector<Individual> selected;
-  selected.reserve(p);
+  // The weights' running sums, added in rank order, once per generation:
+  // each draw lands where a walk over the weights would.
+  std::vector<double> cumulative = RankSelectionWeights(p);
+  std::partial_sum(cumulative.begin(), cumulative.end(), cumulative.begin());
+  selected->resize(p);
   for (size_t i = 0; i < p; ++i) {
-    const size_t rank_idx = rng.WeightedIndex(weights);
-    selected.push_back(population[order[rank_idx]]);
+    (*selected)[i] = population[order[rng.WeightedIndex(cumulative)]];
   }
-  return selected;
 }
 
 }  // namespace hido

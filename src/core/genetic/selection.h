@@ -14,11 +14,13 @@
 
 namespace hido {
 
-/// Returns a new population of the same size drawn by rank roulette.
-/// Precondition: population.size() >= 2 (with one string the paper's
-/// weights are all zero).
-std::vector<Individual> RankRouletteSelection(
-    const std::vector<Individual>& population, Rng& rng);
+/// Replaces `*selected` with a population of the same size drawn by rank
+/// roulette, copy-assigning into its storage (a caller that keeps the
+/// buffer across generations allocates nothing). Precondition:
+/// population.size() >= 2 (with one string the paper's weights are all
+/// zero); `selected` is not `&population`.
+void RankRouletteSelection(const std::vector<Individual>& population,
+                           Rng& rng, std::vector<Individual>* selected);
 
 /// The per-rank weights used by RankRouletteSelection (exposed for tests):
 /// weights[i] is the weight of the individual at *sorted* rank i+1.

@@ -2,11 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/timer.h"
 
 namespace hido {
+
+void LocalSearchNeighbor(const Projection& current, size_t phi, Rng& rng,
+                         Projection* next) {
+  *next = current;
+  const size_t k = next->Dimensionality();
+  HIDO_CHECK(k >= 1);
+  // The j-th specified dimension, ascending, scanned from the string.
+  auto nth_specified = [&](size_t j) {
+    size_t dim = 0;
+    while (!next->IsSpecified(dim) || j-- != 0) ++dim;
+    return dim;
+  };
+  const bool can_move = k < next->num_dims();
+  if (can_move && rng.Bernoulli(0.5)) {
+    // Type I: relocate one condition to an unused dimension.
+    size_t new_dim = rng.UniformIndex(next->num_dims());
+    while (next->IsSpecified(new_dim)) {
+      new_dim = rng.UniformIndex(next->num_dims());
+    }
+    const size_t old_dim = nth_specified(rng.UniformIndex(k));
+    next->Unspecify(old_dim);
+    next->Specify(new_dim, static_cast<uint32_t>(rng.UniformIndex(phi)));
+  } else {
+    // Type II: flip one range.
+    const size_t dim = nth_specified(rng.UniformIndex(k));
+    next->Specify(dim, static_cast<uint32_t>(rng.UniformIndex(phi)));
+  }
+}
 
 namespace {
 
@@ -41,45 +71,27 @@ class Driver {
     ++stats_.evaluations;
     if ((eval.count > 0 || !options_.require_non_empty) &&
         best_.WouldAccept(eval.sparsity)) {
-      ScoredProjection scored;
-      scored.projection = candidate;
-      scored.count = eval.count;
-      scored.sparsity = eval.sparsity;
-      best_.Offer(scored);
+      scored_.projection = candidate;
+      scored_.count = eval.count;
+      scored_.sparsity = eval.sparsity;
+      best_.Offer(scored_);
     }
     return eval.sparsity;
   }
 
-  // A uniformly random neighbour: Type II (re-randomize one range) or, when
-  // possible, Type I (move one position to a fresh dimension) with equal
-  // probability. Mirrors the GA's mutation moves.
-  Projection RandomNeighbor(const Projection& current, Rng& rng) {
-    const GridModel& grid = objective_.grid();
-    Projection next = current;
-    const std::vector<size_t> specified = next.SpecifiedDims();
-    const bool can_move = next.Dimensionality() < next.num_dims();
-    if (can_move && rng.Bernoulli(0.5)) {
-      // Type I: relocate one condition to an unused dimension.
-      size_t new_dim = rng.UniformIndex(next.num_dims());
-      while (next.IsSpecified(new_dim)) {
-        new_dim = rng.UniformIndex(next.num_dims());
-      }
-      const size_t old_dim = specified[rng.UniformIndex(specified.size())];
-      next.Unspecify(old_dim);
-      next.Specify(new_dim,
-                   static_cast<uint32_t>(rng.UniformIndex(grid.phi())));
-    } else {
-      // Type II: flip one range.
-      const size_t dim = specified[rng.UniformIndex(specified.size())];
-      next.Specify(dim, static_cast<uint32_t>(rng.UniformIndex(grid.phi())));
-    }
-    return next;
+  void RandomNeighbor(const Projection& current, Projection& next, Rng& rng) {
+    LocalSearchNeighbor(current, objective_.grid().phi(), rng, &next);
   }
 
-  Projection RandomSolution(Rng& rng) {
-    return Projection::Random(objective_.grid().num_dims(),
-                              options_.target_dim, objective_.grid().phi(),
-                              rng);
+  // Overwrites `solution` with a uniformly random k-dimensional string.
+  void RandomSolution(Projection& solution, Rng& rng) {
+    solution.Randomize(options_.target_dim, objective_.grid().phi(), rng,
+                       &dims_);
+  }
+
+  // A string over the grid's dimensions, for the methods' reused buffers.
+  Projection NewSolution() const {
+    return Projection(objective_.grid().num_dims());
   }
 
   LocalSearchStats& stats() { return stats_; }
@@ -90,25 +102,32 @@ class Driver {
   BestSet& best_;
   LocalSearchStats stats_;
   uint64_t next_poll_ = 0;  // evaluation count of the next stop poll
+  // Reused buffers: the offered candidate and RandomSolution's dimensions.
+  ScoredProjection scored_;
+  std::vector<size_t> dims_;
 };
 
 void RunRandomSearch(Driver& driver, Rng& rng) {
+  Projection candidate = driver.NewSolution();
   while (driver.BudgetLeft()) {
-    driver.Evaluate(driver.RandomSolution(rng));
+    driver.RandomSolution(candidate, rng);
+    driver.Evaluate(candidate);
   }
 }
 
 void RunHillClimbing(Driver& driver, const LocalSearchOptions& options,
                      Rng& rng) {
+  Projection current = driver.NewSolution();
+  Projection neighbor = driver.NewSolution();
   while (driver.BudgetLeft()) {
-    Projection current = driver.RandomSolution(rng);
+    driver.RandomSolution(current, rng);
     double current_sparsity = driver.Evaluate(current);
     size_t stall = 0;
     while (driver.BudgetLeft() && stall < options.stall_limit) {
-      const Projection neighbor = driver.RandomNeighbor(current, rng);
+      driver.RandomNeighbor(current, neighbor, rng);
       const double sparsity = driver.Evaluate(neighbor);
       if (sparsity < current_sparsity) {
-        current = neighbor;
+        std::swap(current, neighbor);
         current_sparsity = sparsity;
         stall = 0;
         ++driver.stats().accepted_moves;
@@ -123,11 +142,13 @@ void RunHillClimbing(Driver& driver, const LocalSearchOptions& options,
 void RunSimulatedAnnealing(Driver& driver,
                            const LocalSearchOptions& options, Rng& rng) {
   if (!driver.BudgetLeft()) return;
-  Projection current = driver.RandomSolution(rng);
+  Projection current = driver.NewSolution();
+  Projection neighbor = driver.NewSolution();
+  driver.RandomSolution(current, rng);
   double current_sparsity = driver.Evaluate(current);
   double temperature = options.initial_temperature;
   while (driver.BudgetLeft()) {
-    const Projection neighbor = driver.RandomNeighbor(current, rng);
+    driver.RandomNeighbor(current, neighbor, rng);
     const double sparsity = driver.Evaluate(neighbor);
     const double delta = sparsity - current_sparsity;  // < 0 is better
     bool accept = delta <= 0.0;
@@ -135,7 +156,7 @@ void RunSimulatedAnnealing(Driver& driver,
       accept = rng.Bernoulli(std::exp(-delta / temperature));
     }
     if (accept) {
-      current = neighbor;
+      std::swap(current, neighbor);
       current_sparsity = sparsity;
       ++driver.stats().accepted_moves;
     }
@@ -143,7 +164,7 @@ void RunSimulatedAnnealing(Driver& driver,
     // Re-heat when frozen so long budgets are not wasted in place.
     if (temperature < 1e-6) {
       temperature = options.initial_temperature;
-      current = driver.RandomSolution(rng);
+      driver.RandomSolution(current, rng);
       if (driver.BudgetLeft()) {
         current_sparsity = driver.Evaluate(current);
       }

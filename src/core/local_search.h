@@ -74,6 +74,15 @@ struct LocalSearchResult {
   LocalSearchStats stats;              ///< counters for this run
 };
 
+/// The neighbour move of hill climbing and annealing: overwrites `*next`
+/// with a uniformly random neighbour of `current`, a Type II move
+/// (re-randomize one range in [0, phi)) or, when a don't-care exists, a
+/// Type I move (relocate one condition to an unused dimension) with equal
+/// probability. With `*next` reused at the string's length it allocates
+/// nothing. Precondition: current.Dimensionality() >= 1.
+void LocalSearchNeighbor(const Projection& current, size_t phi, Rng& rng,
+                         Projection* next);
+
 /// Runs the selected single-solution search against `objective`.
 LocalSearchResult LocalSearch(SparsityObjective& objective,
                               const LocalSearchOptions& options);

@@ -36,37 +36,53 @@ SparsityObjective::SparsityObjective(const GridModel& grid,
       expectation_(model) {}
 
 CubeEvaluation SparsityObjective::Evaluate(const Projection& projection) {
-  HIDO_CHECK_MSG(projection.Dimensionality() >= 1,
-                 "cannot evaluate the empty projection");
-  return EvaluateConditions(projection.Conditions());
+  const size_t k = projection.Dimensionality();
+  HIDO_CHECK_MSG(k >= 1, "cannot evaluate the empty projection");
+  // Gather straight from the string, ascending by dimension: the order
+  // Conditions() lists, so the empirical product is the same.
+  sources_.clear();
+  double probability = 1.0;
+  DimRange first{};
+  for (uint32_t dim = 0; sources_.size() < k; ++dim) {
+    if (!projection.IsSpecified(dim)) continue;
+    const DimRange c{dim, projection.CellAt(dim)};
+    HIDO_DCHECK(c.cell < grid_->phi());
+    if (sources_.empty()) first = c;
+    Gather(c, &probability);
+  }
+  return CountGathered(first, probability);
 }
 
 CubeEvaluation SparsityObjective::EvaluateConditions(
     const std::vector<DimRange>& conditions) {
   ValidateConditions(*grid_, conditions);
+  sources_.clear();
+  double probability = 1.0;
+  for (const DimRange& c : conditions) Gather(c, &probability);
+  return CountGathered(conditions.front(), probability);
+}
+
+void SparsityObjective::Gather(const DimRange& c, double* probability) {
+  sources_.push_back(grid_->RangeBits(c.dim, c.cell).words());
+  if (expectation_ == ExpectationModel::kEmpiricalMarginals) {
+    *probability *= grid_->RangeFraction(c.dim, c.cell);
+  }
+}
+
+CubeEvaluation SparsityObjective::CountGathered(const DimRange& first,
+                                                double probability) {
   ++num_evaluations_;
   CubeEvaluation eval;
-  if (conditions.size() == 1) {
-    eval.count =
-        grid_->RangeCardinality(conditions[0].dim, conditions[0].cell);
+  if (sources_.size() == 1) {
+    eval.count = grid_->RangeCardinality(first.dim, first.cell);
   } else {
-    sources_.clear();
-    size_t num_words = 0;  // the same for every bitmap over the grid's points
-    for (const DimRange& c : conditions) {
-      const DynamicBitset& bits = grid_->RangeBits(c.dim, c.cell);
-      sources_.push_back(bits.words());
-      num_words = bits.num_words();
-    }
+    // Every bitmap over the grid's points has the same word count.
+    const size_t num_words =
+        grid_->RangeBits(first.dim, first.cell).num_words();
     eval.count = ActiveKernels().and_count_many(sources_.data(),
                                                 sources_.size(), num_words);
   }
-  double probability = 1.0;
-  if (expectation_ == ExpectationModel::kEmpiricalMarginals) {
-    for (const DimRange& c : conditions) {
-      probability *= grid_->RangeFraction(c.dim, c.cell);
-    }
-  }
-  eval.sparsity = Sparsity(eval.count, conditions.size(), probability);
+  eval.sparsity = Sparsity(eval.count, sources_.size(), probability);
   return eval;
 }
 
@@ -79,15 +95,6 @@ double SparsityObjective::Sparsity(size_t count, size_t k,
   // model; clamp into the open interval.
   probability = std::min(1.0 - 1e-12, std::max(1e-12, probability));
   return model_.CoefficientWithProbability(count, probability);
-}
-
-ScoredProjection SparsityObjective::Score(Projection projection) {
-  const CubeEvaluation eval = Evaluate(projection);
-  ScoredProjection scored;
-  scored.projection = std::move(projection);
-  scored.count = eval.count;
-  scored.sparsity = eval.sparsity;
-  return scored;
 }
 
 }  // namespace hido

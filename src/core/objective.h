@@ -74,9 +74,6 @@ class SparsityObjective {
   /// force carries it down its prefix descent. Counts no evaluation.
   double Sparsity(size_t count, size_t k, double probability) const;
 
-  /// Convenience: wraps Evaluate into a ScoredProjection.
-  ScoredProjection Score(Projection projection);
-
   const SparsityModel& model() const { return model_; }  ///< E[count] model
   const GridModel& grid() const { return *grid_; }       ///< the grid
   ExpectationModel expectation() const { return expectation_; }  ///< as built
@@ -90,6 +87,14 @@ class SparsityObjective {
   void AddEvaluations(uint64_t n) { num_evaluations_ += n; }
 
  private:
+  // Appends condition `c`'s bitmap to sources_ and, under the empirical
+  // model, multiplies its range fraction into `*probability`.
+  void Gather(const DimRange& c, double* probability);
+  // Counts and scores the gathered cube, whose first condition is `first`
+  // (a 1-cube's count is that range's stored cardinality), and counts the
+  // evaluation.
+  CubeEvaluation CountGathered(const DimRange& first, double probability);
+
   const GridModel* grid_;
   SparsityModel model_;
   ExpectationModel expectation_;

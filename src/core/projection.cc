@@ -1,5 +1,7 @@
 #include "core/projection.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace hido {
@@ -8,14 +10,21 @@ Projection::Projection(size_t num_dims) : cells_(num_dims, kDontCare) {}
 
 Projection Projection::Random(size_t num_dims, size_t k, size_t phi,
                               Rng& rng) {
-  HIDO_CHECK(k <= num_dims);
-  HIDO_CHECK(phi >= 1 && phi < kDontCare);
   Projection p(num_dims);
-  const std::vector<size_t> dims = rng.SampleWithoutReplacement(num_dims, k);
-  for (size_t d : dims) {
-    p.Specify(d, static_cast<uint32_t>(rng.UniformIndex(phi)));
-  }
+  std::vector<size_t> dims;
+  p.Randomize(k, phi, rng, &dims);
   return p;
+}
+
+void Projection::Randomize(size_t k, size_t phi, Rng& rng,
+                           std::vector<size_t>* dims) {
+  HIDO_CHECK(k <= cells_.size());
+  HIDO_CHECK(phi >= 1 && phi < kDontCare);
+  Clear();
+  rng.SampleWithoutReplacement(cells_.size(), k, dims);
+  for (size_t d : *dims) {
+    Specify(d, static_cast<uint32_t>(rng.UniformIndex(phi)));
+  }
 }
 
 Projection Projection::FromConditions(
@@ -39,6 +48,11 @@ void Projection::Unspecify(size_t dim) {
   HIDO_CHECK(dim < cells_.size());
   if (cells_[dim] != kDontCare) --specified_;
   cells_[dim] = kDontCare;
+}
+
+void Projection::Clear() {
+  std::fill(cells_.begin(), cells_.end(), kDontCare);
+  specified_ = 0;
 }
 
 std::vector<DimRange> Projection::Conditions() const {
@@ -85,13 +99,18 @@ std::string Projection::ToString() const {
 
 std::vector<uint64_t> Projection::PackedKey() const {
   std::vector<uint64_t> key;
-  key.reserve(specified_);
+  PackedKey(&key);
+  return key;
+}
+
+void Projection::PackedKey(std::vector<uint64_t>* key) const {
+  key->clear();
+  key->reserve(specified_);
   for (size_t d = 0; d < cells_.size(); ++d) {
     if (cells_[d] != kDontCare) {
-      key.push_back((static_cast<uint64_t>(d) << 32) | cells_[d]);
+      key->push_back((static_cast<uint64_t>(d) << 32) | cells_[d]);
     }
   }
-  return key;
 }
 
 }  // namespace hido

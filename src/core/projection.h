@@ -31,6 +31,11 @@ class Projection {
   /// with a uniform cell in [0, phi). Preconditions: k <= num_dims, phi >= 1.
   static Projection Random(size_t num_dims, size_t k, size_t phi, Rng& rng);
 
+  /// Overwrites this projection with what Random(num_dims(), k, phi, rng)
+  /// returns, drawing the same numbers. `dims` is the caller's scratch for
+  /// the sampled dimensions: with both reused, nothing is allocated.
+  void Randomize(size_t k, size_t phi, Rng& rng, std::vector<size_t>* dims);
+
   /// Builds a projection from explicit conditions (dims pairwise distinct).
   static Projection FromConditions(size_t num_dims,
                                    const std::vector<DimRange>& conditions);
@@ -59,6 +64,9 @@ class Projection {
   /// Resets position `dim` to "*".
   void Unspecify(size_t dim);
 
+  /// Resets every position to "*".
+  void Clear();
+
   /// The specified positions as grid conditions, ascending by dimension.
   std::vector<DimRange> Conditions() const;
 
@@ -69,11 +77,21 @@ class Projection {
   /// dot-separated: "*.12.*.9").
   std::string ToString() const;
 
-  /// Dense order-independent key for hashing/deduplication.
+  /// Dense order-independent key for hashing/deduplication: one word
+  /// (dim << 32 | cell) per specified position, ascending by dimension.
   std::vector<uint64_t> PackedKey() const;
+
+  /// PackedKey() written into `*key`, whose storage is reused.
+  void PackedKey(std::vector<uint64_t>* key) const;
 
   friend bool operator==(const Projection& a, const Projection& b) {
     return a.cells_ == b.cells_;
+  }
+
+  /// Lexicographic order of the position strings: a strict total order
+  /// consistent with ==, for grouping equal strings. Not PackedKey order.
+  friend bool operator<(const Projection& a, const Projection& b) {
+    return a.cells_ < b.cells_;
   }
 
  private:

@@ -79,8 +79,8 @@ ArrhythmiaLikeDataset GenerateArrhythmiaLike(
   const size_t M = config.modes_per_group;
 
   // Correlated attribute pairs.
-  std::vector<size_t> pool =
-      rng.SampleWithoutReplacement(config.num_dims, 2 * config.num_groups);
+  std::vector<size_t> pool;
+  rng.SampleWithoutReplacement(config.num_dims, 2 * config.num_groups, &pool);
   rng.Shuffle(pool);
   std::vector<Group> groups(config.num_groups);
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -191,8 +191,8 @@ ArrhythmiaLikeDataset GenerateArrhythmiaLike(
   const size_t num_errors =
       std::min(config.num_recording_errors, common_rows.size());
   if (num_errors > 0) {
-    const std::vector<size_t> picks =
-        rng.SampleWithoutReplacement(common_rows.size(), num_errors);
+    std::vector<size_t> picks;
+    rng.SampleWithoutReplacement(common_rows.size(), num_errors, &picks);
     for (size_t p : picks) {
       const size_t r = common_rows[p];
       const Group& group = groups[rng.UniformIndex(groups.size())];

@@ -28,8 +28,9 @@ double LevelCenter(size_t level, size_t modes) {
 
 std::vector<Group> MakeGroups(const SubspaceOutlierConfig& config,
                               Rng& rng) {
-  const std::vector<size_t> chosen = rng.SampleWithoutReplacement(
-      config.num_dims, config.num_groups * config.group_dims);
+  std::vector<size_t> chosen;
+  rng.SampleWithoutReplacement(
+      config.num_dims, config.num_groups * config.group_dims, &chosen);
   // `chosen` is sorted; shuffle so group membership is not positional.
   std::vector<size_t> pool = chosen;
   rng.Shuffle(pool);
@@ -176,8 +177,8 @@ GeneratedDataset GenerateSubspaceOutliers(
     size_t mode_j;
     if (is_first_of_pair && has_partner) {
       mode_j = decks[group_id][row_id + 1];  // partner's deck mode
-      pending_picks = rng.SampleWithoutReplacement(
-          group.dims.size(), config.outlier_subspace_dims);
+      rng.SampleWithoutReplacement(
+          group.dims.size(), config.outlier_subspace_dims, &pending_picks);
     } else if (!is_first_of_pair) {
       mode_j = decks[group_id][row_id - 1];  // complement the partner
       // Degenerate fallback (pre-pass found no swap candidate): accept the
@@ -191,8 +192,8 @@ GeneratedDataset GenerateSubspaceOutliers(
       while (mode_j == mode_i) {
         mode_j = rng.UniformIndex(config.modes_per_group);
       }
-      pending_picks = rng.SampleWithoutReplacement(
-          group.dims.size(), config.outlier_subspace_dims);
+      rng.SampleWithoutReplacement(
+          group.dims.size(), config.outlier_subspace_dims, &pending_picks);
     }
     HIDO_DCHECK(mode_j != mode_i);
 

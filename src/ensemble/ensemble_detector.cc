@@ -61,25 +61,34 @@ void RunRandomSubspaceMember(SparsityObjective& objective, size_t target_dim,
   size_t pool_size = options.subspace_dims != 0 ? options.subspace_dims
                                                 : (num_dims + 1) / 2;
   pool_size = std::min(std::max(pool_size, target_dim), num_dims);
-  const std::vector<size_t> pool =
-      rng.SampleWithoutReplacement(num_dims, pool_size);
+  std::vector<size_t> pool;
+  rng.SampleWithoutReplacement(num_dims, pool_size, &pool);
 
+  // One candidate and one pick buffer, reused for every cube; a cube
+  // becomes a ScoredProjection only when the best set could take it.
   BestSet best(num_projections);
+  std::vector<size_t> picks;
+  ScoredProjection candidate;
+  candidate.projection = Projection(num_dims);
   uint64_t evaluations = 0;
   for (uint64_t i = 0; i < options.subspace_evaluations; ++i) {
     if (stop != nullptr && i % 256 == 0 && stop->ShouldStop()) {
       member->completed = false;
       break;
     }
-    const std::vector<size_t> picks =
-        rng.SampleWithoutReplacement(pool.size(), target_dim);
-    Projection projection(num_dims);
+    rng.SampleWithoutReplacement(pool.size(), target_dim, &picks);
+    candidate.projection.Clear();
     for (const size_t pick : picks) {
-      projection.Specify(pool[pick],
-                         static_cast<uint32_t>(rng.UniformIndex(phi)));
+      candidate.projection.Specify(
+          pool[pick], static_cast<uint32_t>(rng.UniformIndex(phi)));
     }
-    best.Offer(objective.Score(std::move(projection)));
+    const CubeEvaluation eval = objective.Evaluate(candidate.projection);
     ++evaluations;
+    if (eval.count > 0 && best.WouldAccept(eval.sparsity)) {
+      candidate.count = eval.count;
+      candidate.sparsity = eval.sparsity;
+      best.Offer(candidate);
+    }
   }
   member->evaluations = evaluations;
   member->projections = best.Sorted();

@@ -126,7 +126,8 @@ TEST(RngTest, SampleWithoutReplacementDistinctSortedInRange) {
   for (size_t n : {5u, 20u, 100u}) {
     for (size_t k : {0u, 1u, 3u, 5u}) {
       if (k > n) continue;
-      const std::vector<size_t> sample = rng.SampleWithoutReplacement(n, k);
+      std::vector<size_t> sample;
+      rng.SampleWithoutReplacement(n, k, &sample);
       ASSERT_EQ(sample.size(), k);
       EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
       const std::set<size_t> unique(sample.begin(), sample.end());
@@ -138,7 +139,8 @@ TEST(RngTest, SampleWithoutReplacementDistinctSortedInRange) {
 
 TEST(RngTest, SampleWithoutReplacementFullSet) {
   Rng rng(43);
-  const std::vector<size_t> sample = rng.SampleWithoutReplacement(10, 10);
+  std::vector<size_t> sample;
+  rng.SampleWithoutReplacement(10, 10, &sample);
   ASSERT_EQ(sample.size(), 10u);
   for (size_t i = 0; i < 10; ++i) EXPECT_EQ(sample[i], i);
 }
@@ -148,10 +150,10 @@ TEST(RngTest, SampleWithoutReplacementIsUnbiased) {
   Rng rng(47);
   std::vector<int> counts(10, 0);
   const int trials = 20000;
+  std::vector<size_t> sample;
   for (int t = 0; t < trials; ++t) {
-    for (size_t idx : rng.SampleWithoutReplacement(10, 3)) {
-      counts[idx] += 1;
-    }
+    rng.SampleWithoutReplacement(10, 3, &sample);
+    for (size_t idx : sample) counts[idx] += 1;
   }
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / trials, 0.3, 0.02);
@@ -160,19 +162,21 @@ TEST(RngTest, SampleWithoutReplacementIsUnbiased) {
 
 TEST(RngTest, WeightedIndexZeroWeightNeverPicked) {
   Rng rng(53);
-  const std::vector<double> weights = {1.0, 0.0, 2.0};
+  // Running sums of the weights {1, 0, 2}.
+  const std::vector<double> cumulative = {1.0, 1.0, 3.0};
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_NE(rng.WeightedIndex(weights), 1u);
+    EXPECT_NE(rng.WeightedIndex(cumulative), 1u);
   }
 }
 
 TEST(RngTest, WeightedIndexProportions) {
   Rng rng(59);
-  const std::vector<double> weights = {1.0, 3.0};
+  // Running sums of the weights {1, 3}.
+  const std::vector<double> cumulative = {1.0, 4.0};
   int first = 0;
   const int n = 40000;
   for (int i = 0; i < n; ++i) {
-    first += rng.WeightedIndex(weights) == 0 ? 1 : 0;
+    first += rng.WeightedIndex(cumulative) == 0 ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(first) / n, 0.25, 0.01);
 }

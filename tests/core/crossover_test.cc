@@ -11,6 +11,24 @@
 namespace hido {
 namespace {
 
+// The operators write the children over the parents; these keep the
+// parents and return the children.
+std::pair<Projection, Projection> TwoPointChildren(const Projection& a,
+                                                   const Projection& b,
+                                                   Rng& rng) {
+  std::pair<Projection, Projection> children{a, b};
+  TwoPointCrossover(children.first, children.second, rng);
+  return children;
+}
+
+std::pair<Projection, Projection> OptimizedChildren(
+    const Projection& a, const Projection& b, size_t k,
+    SparsityObjective& objective) {
+  std::pair<Projection, Projection> children{a, b};
+  OptimizedCrossover(children.first, children.second, k, objective);
+  return children;
+}
+
 struct Fixture {
   Fixture(size_t n = 400, size_t d = 8, size_t phi = 4, uint64_t seed = 1)
       : grid(GridModel::Build(GenerateUniform(n, d, seed),
@@ -32,7 +50,7 @@ TEST(TwoPointCrossoverTest, ChildrenExchangeSegments) {
   b.Specify(2, 3);
   b.Specify(3, 0);
   Rng rng(1);
-  const auto [c1, c2] = TwoPointCrossover(a, b, rng);
+  const auto [c1, c2] = TwoPointChildren(a, b, rng);
   // Every position of c1 comes from a (left of cut) or b (right of cut);
   // jointly the children hold exactly the parents' material.
   for (size_t pos = 0; pos < 4; ++pos) {
@@ -58,7 +76,7 @@ TEST(TwoPointCrossoverTest, CanProduceInfeasibleDimensionality) {
   Rng rng(2);
   bool saw_infeasible = false;
   for (int trial = 0; trial < 100; ++trial) {
-    const auto [c1, c2] = TwoPointCrossover(a, b, rng);
+    const auto [c1, c2] = TwoPointChildren(a, b, rng);
     if (c1.Dimensionality() != 3 || c2.Dimensionality() != 3) {
       saw_infeasible = true;
     }
@@ -73,7 +91,7 @@ TEST(OptimizedCrossoverTest, BothChildrenAlwaysKDimensional) {
     const size_t k = 2 + rng.UniformIndex(3);
     const Projection a = Projection::Random(8, k, 4, rng);
     const Projection b = Projection::Random(8, k, 4, rng);
-    const auto [s, sp] = OptimizedCrossover(a, b, k, f.objective);
+    const auto [s, sp] = OptimizedChildren(a, b, k, f.objective);
     EXPECT_EQ(s.Dimensionality(), k) << "trial " << trial;
     EXPECT_EQ(sp.Dimensionality(), k) << "trial " << trial;
   }
@@ -85,7 +103,7 @@ TEST(OptimizedCrossoverTest, ChildrenOnlyUseParentMaterial) {
   for (int trial = 0; trial < 40; ++trial) {
     const Projection a = Projection::Random(8, 3, 4, rng);
     const Projection b = Projection::Random(8, 3, 4, rng);
-    const auto [s, sp] = OptimizedCrossover(a, b, 3, f.objective);
+    const auto [s, sp] = OptimizedChildren(a, b, 3, f.objective);
     for (const Projection* child : {&s, &sp}) {
       for (size_t pos = 0; pos < 8; ++pos) {
         if (!child->IsSpecified(pos)) continue;
@@ -106,7 +124,7 @@ TEST(OptimizedCrossoverTest, ComplementaryDerivation) {
   for (int trial = 0; trial < 40; ++trial) {
     const Projection a = Projection::Random(8, 3, 4, rng);
     const Projection b = Projection::Random(8, 3, 4, rng);
-    const auto [s, sp] = OptimizedCrossover(a, b, 3, f.objective);
+    const auto [s, sp] = OptimizedChildren(a, b, 3, f.objective);
     for (size_t pos = 0; pos < 8; ++pos) {
       const bool a_spec = a.IsSpecified(pos);
       const bool b_spec = b.IsSpecified(pos);
@@ -132,7 +150,7 @@ TEST(OptimizedCrossoverTest, IdenticalParentsReproduceThemselves) {
   Fixture f;
   Rng rng(6);
   const Projection a = Projection::Random(8, 3, 4, rng);
-  const auto [s, sp] = OptimizedCrossover(a, a, 3, f.objective);
+  const auto [s, sp] = OptimizedChildren(a, a, 3, f.objective);
   EXPECT_EQ(s, a);
   EXPECT_EQ(sp, a);
 }
@@ -149,7 +167,7 @@ TEST(OptimizedCrossoverTest, FirstChildAtLeastAsGoodAsTypeIIChoices) {
   Projection b(8);
   b.Specify(2, 0);
   b.Specify(3, 3);
-  const auto [s, sp] = OptimizedCrossover(a, b, 2, f.objective);
+  const auto [s, sp] = OptimizedChildren(a, b, 2, f.objective);
   EXPECT_EQ(s.Dimensionality(), 2u);
   EXPECT_EQ(sp.Dimensionality(), 2u);
   // The union of the children's conditions equals the union of parents'.
@@ -184,7 +202,7 @@ TEST(OptimizedCrossoverTest, GreedyPicksSparserExtension) {
   b.Specify(0, 0);
   b.Specify(2, 1);  // (low, high): empty
   // Type II: dim 0 agrees. Type III: dim 1 (from a), dim 2 (from b).
-  const auto [s, sp] = OptimizedCrossover(a, b, 2, objective);
+  const auto [s, sp] = OptimizedChildren(a, b, 2, objective);
   // The sparser child is (0=low, 2=high), count 0.
   EXPECT_EQ(objective.Evaluate(s).count, 0u);
   EXPECT_EQ(s.CellAt(0), 0u);
@@ -215,7 +233,7 @@ TEST(OptimizedCrossoverTest, TypeIIEnumerationFindsBestCombination) {
   Projection b(2);
   b.Specify(0, 1);
   b.Specify(1, 1);
-  const auto [s, sp] = OptimizedCrossover(a, b, 2, objective);
+  const auto [s, sp] = OptimizedChildren(a, b, 2, objective);
   EXPECT_EQ(s.CellAt(0), 1u);
   EXPECT_EQ(s.CellAt(1), 0u);  // the empty combination
   // Complement takes the opposite parent at each position: (0, 1).
@@ -277,7 +295,7 @@ TEST(OptimizedCrossoverDeathTest, WrongDimensionalityParents) {
   Rng rng(10);
   const Projection a = Projection::Random(8, 2, 4, rng);
   const Projection b = Projection::Random(8, 3, 4, rng);
-  EXPECT_DEATH(OptimizedCrossover(a, b, 3, f.objective), "k-dimensional");
+  EXPECT_DEATH(OptimizedChildren(a, b, 3, f.objective), "k-dimensional");
 }
 
 }  // namespace

@@ -26,8 +26,8 @@ GridModel MakeGrid(size_t n, size_t d, size_t phi, uint64_t seed) {
 std::vector<DimRange> RandomConditions(const GridModel& grid, size_t k,
                                        Rng& rng) {
   std::vector<DimRange> conditions;
-  const std::vector<size_t> dims =
-      rng.SampleWithoutReplacement(grid.num_dims(), k);
+  std::vector<size_t> dims;
+  rng.SampleWithoutReplacement(grid.num_dims(), k, &dims);
   for (size_t d : dims) {
     conditions.push_back({static_cast<uint32_t>(d),
                           static_cast<uint32_t>(rng.UniformIndex(grid.phi()))});
@@ -46,17 +46,6 @@ TEST(SparsityObjectiveTest, EvaluateMatchesManualComputation) {
   const size_t count = CountByScan(data, grid, p.Conditions());
   EXPECT_EQ(eval.count, count);
   EXPECT_NEAR(eval.sparsity, objective.model().Coefficient(count, 2), 1e-12);
-}
-
-TEST(SparsityObjectiveTest, ScoreWrapsEvaluate) {
-  const Dataset data = GenerateUniform(500, 4, 1);
-  const GridModel grid = MakeGrid(data, 5);
-  SparsityObjective objective(grid);
-  Projection p(4);
-  p.Specify(1, 0);
-  const ScoredProjection scored = objective.Score(p);
-  EXPECT_EQ(scored.projection, p);
-  EXPECT_EQ(scored.count, CountByScan(data, grid, p.Conditions()));
 }
 
 TEST(SparsityObjectiveTest, CountsEvaluations) {
@@ -179,7 +168,9 @@ std::vector<DimRange> ConditionsThroughRow(const GridModel& grid, size_t k,
                                            Rng& rng) {
   const size_t row = rng.UniformIndex(grid.num_points());
   std::vector<DimRange> conditions;
-  for (size_t d : rng.SampleWithoutReplacement(grid.num_dims(), k)) {
+  std::vector<size_t> dims;
+  rng.SampleWithoutReplacement(grid.num_dims(), k, &dims);
+  for (size_t d : dims) {
     conditions.push_back({static_cast<uint32_t>(d), grid.Cell(row, d)});
   }
   return conditions;

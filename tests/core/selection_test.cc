@@ -17,6 +17,13 @@ Individual MakeIndividual(size_t dim, double sparsity) {
   return ind;
 }
 
+std::vector<Individual> Select(const std::vector<Individual>& population,
+                               Rng& rng) {
+  std::vector<Individual> selected;
+  RankRouletteSelection(population, rng, &selected);
+  return selected;
+}
+
 TEST(RankSelectionWeightsTest, PaperFormula) {
   // Weight of rank r (1-based) is p - r: best gets p-1, worst gets 0.
   const std::vector<double> w = RankSelectionWeights(4);
@@ -30,7 +37,7 @@ TEST(RankRouletteSelectionTest, PreservesPopulationSize) {
   }
   Rng rng(1);
   const std::vector<Individual> selected =
-      RankRouletteSelection(population, rng);
+      Select(population, rng);
   EXPECT_EQ(selected.size(), 10u);
 }
 
@@ -44,7 +51,7 @@ TEST(RankRouletteSelectionTest, WorstNeverSelected) {
   Rng rng(2);
   for (int round = 0; round < 50; ++round) {
     const std::vector<Individual> selected =
-        RankRouletteSelection(population, rng);
+        Select(population, rng);
     for (const Individual& ind : selected) {
       EXPECT_NE(ind.sparsity, 0.0);
     }
@@ -59,7 +66,7 @@ TEST(RankRouletteSelectionTest, BiasTowardMostNegative) {
   Rng rng(3);
   std::map<double, int> counts;
   for (int round = 0; round < 400; ++round) {
-    for (const Individual& ind : RankRouletteSelection(population, rng)) {
+    for (const Individual& ind : Select(population, rng)) {
       counts[ind.sparsity] += 1;
     }
   }
@@ -81,7 +88,7 @@ TEST(RankRouletteSelectionTest, InfeasibleRankLast) {
   Rng rng(4);
   for (int round = 0; round < 50; ++round) {
     for (const Individual& ind :
-         RankRouletteSelection(population, rng)) {
+         Select(population, rng)) {
       EXPECT_TRUE(ind.feasible);  // weight 0 for the infeasible string
     }
   }
@@ -91,7 +98,7 @@ TEST(RankRouletteSelectionDeathTest, TooSmallPopulation) {
   std::vector<Individual> population;
   population.push_back(MakeIndividual(0, -1.0));
   Rng rng(5);
-  EXPECT_DEATH(RankRouletteSelection(population, rng), "population");
+  EXPECT_DEATH(Select(population, rng), "population");
 }
 
 }  // namespace

@@ -137,7 +137,9 @@ TEST(GridModelTest, CoveredPointsMatchCount) {
   Rng rng(11);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<DimRange> conditions;
-    for (size_t d : rng.SampleWithoutReplacement(grid.num_dims(), 2)) {
+    std::vector<size_t> dims;
+    rng.SampleWithoutReplacement(grid.num_dims(), 2, &dims);
+    for (size_t d : dims) {
       conditions.push_back(
           {static_cast<uint32_t>(d),
            static_cast<uint32_t>(rng.UniformIndex(grid.phi()))});

@@ -1,8 +1,10 @@
 // Property sweep for the optimized crossover across (d, k, phi): the
 // operator's contracts must hold for every shape, not just the defaults.
 
+#include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,24 @@
 
 namespace hido {
 namespace {
+
+// The operators write the children over the parents; these keep the
+// parents and return the children.
+std::pair<Projection, Projection> TwoPointChildren(const Projection& a,
+                                                   const Projection& b,
+                                                   Rng& rng) {
+  std::pair<Projection, Projection> children{a, b};
+  TwoPointCrossover(children.first, children.second, rng);
+  return children;
+}
+
+std::pair<Projection, Projection> OptimizedChildren(
+    const Projection& a, const Projection& b, size_t k,
+    SparsityObjective& objective) {
+  std::pair<Projection, Projection> children{a, b};
+  OptimizedCrossover(children.first, children.second, k, objective);
+  return children;
+}
 
 // (d, k, phi)
 using Shape = std::tuple<size_t, size_t, size_t>;
@@ -38,7 +58,7 @@ TEST_P(OptimizedCrossoverProperty, ContractsHoldOnRandomParents) {
   for (int trial = 0; trial < 25; ++trial) {
     const Projection a = Projection::Random(d_, k_, phi_, rng);
     const Projection b = Projection::Random(d_, k_, phi_, rng);
-    const auto [s, sp] = OptimizedCrossover(a, b, k_, *objective_);
+    const auto [s, sp] = OptimizedChildren(a, b, k_, *objective_);
 
     // 1. Dimensionality preservation.
     ASSERT_EQ(s.Dimensionality(), k_);
@@ -75,8 +95,8 @@ TEST_P(OptimizedCrossoverProperty, DeterministicGivenParents) {
   Rng rng(2000 + d_);
   const Projection a = Projection::Random(d_, k_, phi_, rng);
   const Projection b = Projection::Random(d_, k_, phi_, rng);
-  const auto [s1, sp1] = OptimizedCrossover(a, b, k_, *objective_);
-  const auto [s2, sp2] = OptimizedCrossover(a, b, k_, *objective_);
+  const auto [s1, sp1] = OptimizedChildren(a, b, k_, *objective_);
+  const auto [s2, sp2] = OptimizedChildren(a, b, k_, *objective_);
   EXPECT_EQ(s1, s2);
   EXPECT_EQ(sp1, sp2);
 }
@@ -100,7 +120,7 @@ TEST_P(TwoPointCrossoverProperty, MaterialConservation) {
   for (int trial = 0; trial < 40; ++trial) {
     const Projection a = Projection::Random(d, k, phi, rng);
     const Projection b = Projection::Random(d, k, phi, rng);
-    const auto [c1, c2] = TwoPointCrossover(a, b, rng);
+    const auto [c1, c2] = TwoPointChildren(a, b, rng);
     // Total dimensionality is conserved even when split infeasibly.
     EXPECT_EQ(c1.Dimensionality() + c2.Dimensionality(), 2 * k);
     // Positionwise the children are a permutation of the parents.

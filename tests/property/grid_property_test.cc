@@ -204,7 +204,9 @@ TEST_P(GridProperty, CountingStrategiesAgreeOnRandomCubes) {
   for (int trial = 0; trial < 30; ++trial) {
     const size_t k = 1 + rng.UniformIndex(std::min<size_t>(4, d_));
     std::vector<DimRange> conditions;
-    for (size_t dim : rng.SampleWithoutReplacement(d_, k)) {
+    std::vector<size_t> dims;
+    rng.SampleWithoutReplacement(d_, k, &dims);
+    for (size_t dim : dims) {
       conditions.push_back(
           {static_cast<uint32_t>(dim),
            static_cast<uint32_t>(rng.UniformIndex(phi_))});
