@@ -361,6 +361,7 @@ class Parser {
   Status ParseWindow(std::string_view window, size_t begin, size_t end,
                      bool last);
   void ParseChunk(std::string_view window, Chunk& chunk);
+  size_t ParseNumbers(std::string_view line, size_t row);
   Status ParseRow(std::string_view line, size_t line_no, size_t row,
                   std::vector<std::string_view>& fields, Chunk& chunk);
   size_t ColumnOf(size_t field) const {
@@ -378,6 +379,7 @@ class Parser {
   CsvTable table_;
   bool width_known_ = false;   // header read, or first data row probed
   int label_ = -1;             // label field index, -1 for none
+  bool numbers_first_ = false;  // ParseRow tries ParseNumbers first
   size_t bad_label_line_ = 0;  // line whose row reports label_column
   size_t lines_ = 0;           // lines before the current window's data
   size_t rows_ = 0;            // rows the columns hold
@@ -480,6 +482,15 @@ void Parser::SetWidth(size_t width) {
     label_ = label_column;
   }
   table_.columns.resize(width - (label_ >= 0 ? 1 : 0));
+  // The fields ParseNumbers reads must be ones SplitChecked passes and
+  // splits where the numbers end, in the columns of the same index: no
+  // label column (nor a label column out of range), a width within the
+  // column cap, and a delimiter that cannot be part of a finite number.
+  numbers_first_ =
+      width > 0 && label_column < 0 &&
+      (options_.max_columns == 0 || width <= options_.max_columns) &&
+      std::string_view("+-.0123456789Ee").find(options_.delimiter) ==
+          std::string_view::npos;
   if (encode_) {
     categorical_from_.assign(width, kNumeric);
     dictionaries_.resize(width);
@@ -600,11 +611,47 @@ void Parser::ParseChunk(std::string_view window, Chunk& chunk) {
   }
 }
 
+// Reads the leading fields of `line` as finite numbers into row `row` of
+// the columns, from_chars reading each from its field's first byte up to
+// the delimiter, or for the last of `width` fields up to the line's end,
+// and returns how many it read: `width` for a line of such numbers alone.
+// It stops at the first field of any other kind (empty, signed with '+',
+// padded, missing, non-numeric, out of range, holding a NUL or over
+// max_field_bytes), and on a line of fewer or more than `width` fields.
+// ParseRow reads the rest of such a line field by field and words any
+// error.
+size_t Parser::ParseNumbers(std::string_view line, size_t row) {
+  const char* field = line.data();
+  const char* const end = field + line.size();
+  const size_t width = table_.width;
+  const size_t cap = options_.max_field_bytes;
+  for (size_t c = 0; c < width; ++c) {
+    double value = 0.0;
+    const auto [next, ec] = std::from_chars(field, end, value);
+    const bool last = c + 1 == width;
+    if (ec != std::errc() || !std::isfinite(value) ||
+        (cap != 0 && static_cast<size_t>(next - field) > cap) ||
+        (last ? next != end : next == end || *next != options_.delimiter)) {
+      return c;
+    }
+    table_.columns[c][row] = value;
+    if (!last) field = next + 1;
+  }
+  return width;
+}
+
 Status Parser::ParseRow(std::string_view line, size_t line_no, size_t row,
                         std::vector<std::string_view>& fields,
                         Chunk& chunk) {
-  HIDO_RETURN_IF_ERROR(SplitChecked(line, line_no, options_, &fields));
   const size_t width = table_.width;
+  // Fields ParseNumbers read: those SplitChecked and the loop below would
+  // read to the same values, so the loop starts after them.
+  size_t read = 0;
+  if (numbers_first_) {
+    read = ParseNumbers(line, row);
+    if (read == width) return Status::Ok();
+  }
+  HIDO_RETURN_IF_ERROR(SplitChecked(line, line_no, options_, &fields));
   if (line_no == bad_label_line_) {
     return Status::InvalidArgument(
         StrFormat("csv: label_column %d out of range (width %zu)",
@@ -615,8 +662,8 @@ Status Parser::ParseRow(std::string_view line, size_t line_no, size_t row,
         StrFormat("csv: line %zu has %zu fields, expected %zu", line_no,
                   fields.size(), width));
   }
-  size_t column = 0;
-  for (size_t c = 0; c < width; ++c) {
+  size_t column = read;  // no label column when read > 0
+  for (size_t c = read; c < width; ++c) {
     const std::string_view field = fields[c];
     if (static_cast<int>(c) == label_) {
       const Result<int32_t> label = ParseLabel(field, line_no);

@@ -10,8 +10,9 @@
 //
 // Missing values: the paper notes that sparse low-dimensional projections
 // can be mined even when records have missing attributes. A missing cell is
-// represented by NaN in the value slot plus a bit in the column's mask; the
-// mask is authoritative.
+// represented by NaN in the value slot plus a bit in the column's mask, and
+// a present cell never holds NaN (Set takes finite values only; FromColumns
+// and AppendRow mark NaN cells missing), so either one tells a missing cell.
 
 #include <cmath>
 #include <cstdint>

@@ -1,8 +1,11 @@
 #include "grid/quantizer.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 
 #include "common/macros.h"
 
@@ -10,35 +13,120 @@ namespace hido {
 
 namespace {
 
-// An integer whose signed order is the IEEE total order of the double:
-// the order of the values, except that -0.0 comes before +0.0.
-int64_t TotalOrderKey(double value) {
-  int64_t bits = 0;
+// An unsigned integer whose order is the IEEE total order of the double:
+// the order of the values, except that -0.0 comes before +0.0. A negative
+// value has all its bits flipped, any other only its sign bit.
+uint64_t TotalOrderKey(double value) {
+  uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
-  return bits ^ static_cast<int64_t>(static_cast<uint64_t>(bits >> 63) >> 1);
+  return bits ^ ((0 - (bits >> 63)) | (uint64_t{1} << 63));
 }
 
-// Inverse of TotalOrderKey (the map flips the same bits back).
-double FromTotalOrderKey(int64_t key) {
-  const int64_t bits =
-      key ^ static_cast<int64_t>(static_cast<uint64_t>(key >> 63) >> 1);
+// Inverse of TotalOrderKey.
+double FromTotalOrderKey(uint64_t key) {
+  const uint64_t bits = key ^ (~(0 - (key >> 63)) | (uint64_t{1} << 63));
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
 }
 
-// Moves the element of keys[lo, hi) that a full sort would put at each
-// position of [first, last) (ascending, within [lo, hi)) to that position:
-// nth_element at the middle position, then each side on its own.
-void SelectPositions(std::vector<int64_t>& keys, size_t lo, size_t hi,
-                     const size_t* first, const size_t* last) {
-  if (first == last) return;
-  const size_t* mid = first + (last - first) / 2;
-  std::nth_element(keys.begin() + static_cast<ptrdiff_t>(lo),
-                   keys.begin() + static_cast<ptrdiff_t>(*mid),
-                   keys.begin() + static_cast<ptrdiff_t>(hi));
-  SelectPositions(keys, lo, *mid, first, mid);
-  SelectPositions(keys, *mid + 1, hi, mid + 1, last);
+// Bits of one radix digit at most: 2^11 counters fit in L1.
+constexpr int kDigitBits = 11;
+// Keys few enough to sort rather than split by another digit.
+constexpr size_t kSortKeys = 64;
+
+// Visits the keys of an array, as SelectKeys visits a bucket's keys.
+struct KeySpan {
+  const uint64_t* keys;
+  size_t count;
+
+  template <typename Visit>
+  void operator()(Visit&& visit) const {
+    for (size_t i = 0; i < count; ++i) visit(keys[i]);
+  }
+};
+
+// Sets out[i] to the key a full sort of the `n` keys `for_each_key` visits
+// would put at position first[i] - offset, for the ascending positions
+// [first, last). One radix digit, the highest bits below the common prefix
+// of the keys' min and max, buckets the keys; the counts' running sums
+// give each wanted position's bucket, and only the wanted buckets' keys
+// are copied and selected from in turn.
+template <typename ForEachKey>
+void SelectKeys(const ForEachKey& for_each_key, size_t n, const size_t* first,
+                const size_t* last, size_t offset, uint64_t* out) {
+  if (n <= kSortKeys) {
+    uint64_t sorted[kSortKeys];
+    size_t count = 0;
+    for_each_key([&](uint64_t key) { sorted[count++] = key; });
+    std::sort(sorted, sorted + count);
+    for (const size_t* p = first; p != last; ++p) {
+      *out++ = sorted[*p - offset];
+    }
+    return;
+  }
+  uint64_t lo = std::numeric_limits<uint64_t>::max();
+  uint64_t hi = 0;
+  for_each_key([&](uint64_t key) {
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+  });
+  if (lo == hi) {
+    std::fill(out, out + (last - first), lo);
+    return;
+  }
+  const int width = std::min(kDigitBits, static_cast<int>(std::bit_width(n)));
+  const int shift =
+      std::max(static_cast<int>(std::bit_width(lo ^ hi)) - width, 0);
+  const uint64_t base = lo >> shift;
+  const auto bucket_of = [shift, base](uint64_t key) {
+    return static_cast<size_t>((key >> shift) - base);
+  };
+  const size_t buckets = bucket_of(hi) + 1;
+  // start[b]: the sorted position, from `offset`, of bucket b's first key.
+  std::vector<size_t> start(buckets + 1, 0);
+  for_each_key([&](uint64_t key) { ++start[bucket_of(key) + 1]; });
+  for (size_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
+
+  // The buckets holding a wanted position, ascending, with their positions.
+  struct Wanted {
+    size_t bucket;
+    size_t begin;  // sorted position of its first key, from `offset`
+    size_t count;  // its keys
+    const size_t* first;
+    const size_t* last;
+  };
+  std::vector<Wanted> wanted;
+  size_t bucket = 0;
+  for (const size_t* p = first; p != last;) {
+    while (start[bucket + 1] <= *p - offset) ++bucket;
+    const size_t* q = p;
+    while (q != last && *q - offset < start[bucket + 1]) ++q;
+    wanted.push_back({bucket, start[bucket],
+                      start[bucket + 1] - start[bucket], p, q});
+    p = q;
+  }
+
+  // Copies the wanted buckets' keys, each bucket's together: `start` now
+  // holds where bucket b's next key goes, or kSkip for an unwanted one.
+  constexpr size_t kSkip = std::numeric_limits<size_t>::max();
+  std::fill(start.begin(), start.end(), kSkip);
+  size_t copied = 0;
+  for (const Wanted& w : wanted) {
+    start[w.bucket] = copied;
+    copied += w.count;
+  }
+  std::vector<uint64_t> keys(copied);
+  for_each_key([&](uint64_t key) {
+    size_t& next = start[bucket_of(key)];
+    if (next != kSkip) keys[next++] = key;
+  });
+  copied = 0;
+  for (const Wanted& w : wanted) {
+    SelectKeys(KeySpan{keys.data() + copied, w.count}, w.count, w.first,
+               w.last, offset + w.begin, out + (w.first - first));
+    copied += w.count;
+  }
 }
 
 }  // namespace
@@ -65,17 +153,20 @@ Quantizer::ColumnFit Quantizer::FitColumn(const Dataset& data, size_t col,
                                           const Options& options) {
   HIDO_CHECK_MSG(options.num_ranges >= 2, "phi must be >= 2 (got %zu)",
                  options.num_ranges);
-  const std::vector<double>& values = data.Column(col);
-  std::vector<int64_t> keys;
-  keys.reserve(data.num_rows());
-  for (size_t r = 0; r < data.num_rows(); ++r) {
-    if (!data.IsMissing(r, col)) keys.push_back(TotalOrderKey(values[r]));
-  }
-  HIDO_CHECK_MSG(!keys.empty(), "column %zu has no present values", col);
+  // The column's present values, keyed as they are read. A Dataset cell
+  // holds NaN exactly when it is missing.
+  const double* const values = data.Column(col).data();
+  const size_t rows = data.num_rows();
+  const size_t n = data.PresentCount(col);
+  HIDO_CHECK_MSG(n > 0, "column %zu has no present values", col);
+  const auto for_each_key = [&](auto&& visit) {
+    for (size_t r = 0; r < rows; ++r) {
+      if (!std::isnan(values[r])) visit(TotalOrderKey(values[r]));
+    }
+  };
 
   // The sorted positions the cuts read: min, max, and for equi-depth the
   // two neighbours QuantileSorted interpolates between for each i / phi.
-  const size_t n = keys.size();
   const size_t phi = options.num_ranges;
   std::vector<size_t> positions{0, n - 1};
   if (options.mode == BinningMode::kEquiDepth) {
@@ -89,9 +180,15 @@ Quantizer::ColumnFit Quantizer::FitColumn(const Dataset& data, size_t col,
   std::sort(positions.begin(), positions.end());
   positions.erase(std::unique(positions.begin(), positions.end()),
                   positions.end());
-  SelectPositions(keys, 0, n, positions.data(),
-                  positions.data() + positions.size());
-  const auto sorted = [&keys](size_t p) { return FromTotalOrderKey(keys[p]); };
+  std::vector<uint64_t> selected(positions.size());
+  SelectKeys(for_each_key, n, positions.data(),
+             positions.data() + positions.size(), /*offset=*/0,
+             selected.data());
+  const auto sorted = [&](size_t p) {
+    const auto at = std::lower_bound(positions.begin(), positions.end(), p);
+    return FromTotalOrderKey(
+        selected[static_cast<size_t>(at - positions.begin())]);
+  };
 
   ColumnFit fit;
   fit.min = sorted(0);

@@ -54,9 +54,13 @@ class Quantizer {
   static Quantizer Fit(const Dataset& data, const Options& options);
 
   /// Fits column `col` of `data` alone, as Fit does. Equi-depth cuts need
-  /// only the order statistics QuantileSorted reads, so they are found by
-  /// selection rather than a sort, under the total order that puts -0.0
-  /// before +0.0. Same preconditions as Fit, for that column.
+  /// only the order statistics QuantileSorted reads, so they are found by a
+  /// most-significant-digit radix selection rather than a sort: on 64-bit
+  /// keys whose unsigned order is the IEEE total order (-0.0 before +0.0),
+  /// made from the column's present values as each pass reads them, with
+  /// only the buckets that hold a wanted position copied. Cuts, min and max
+  /// are bitwise those of a full sort under that order. Same preconditions
+  /// as Fit, for that column.
   static ColumnFit FitColumn(const Dataset& data, size_t col,
                              const Options& options);
 

@@ -1,6 +1,8 @@
 #include "tools/lint/lint_rules.h"
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -571,6 +573,86 @@ TEST(StripCommentsAndStrings, HandlesDelimitedRawStrings) {
   EXPECT_EQ(stripped.find("body"), std::string::npos);
   EXPECT_EQ(stripped.find("fake end"), std::string::npos);
   EXPECT_NE(stripped.find("int after = 2;"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Token-rule anchors: a token rule's regex runs only on lines that hold one
+// of its anchors, so a line the regex matches without one would be missed.
+
+bool HoldsAnchor(const std::string& line,
+                 const std::vector<std::string>& anchors) {
+  return std::any_of(anchors.begin(), anchors.end(),
+                     [&line](const std::string& anchor) {
+                       return line.find(anchor) != std::string::npos;
+                     });
+}
+
+TEST(TokenRuleAnchors, EveryMatchHoldsAnAnchor) {
+  struct Case {
+    const char* rule;
+    const char* fixture;  // under tests/lint/testdata, or null
+    std::vector<std::string> spellings;  // lines the regex matches
+  };
+  const std::vector<Case> cases = {
+      {"no-exceptions",
+       "bad_exceptions.cc",
+       {"throw x;", "throw;", "  try {", "try{", "} catch (int e) {",
+        "catch(...) {}"}},
+      {"no-raw-random",
+       "bad_random.cc",
+       {"std::mt19937 gen(1);", "std::mt19937_64 gen;",
+        "std::random_device rd;", "int x = rand();", "srand (42);",
+        "seed = time(nullptr);", "std::time( NULL )", "time(0);"}},
+      {"no-raw-mutex",
+       "bad_mutex.cc",
+       {"std::mutex mu;", "std::recursive_mutex mu;", "std::shared_mutex mu;",
+        "std::timed_mutex mu;", "std::condition_variable cv;",
+        "std::condition_variable_any cv;", "std::lock_guard<M> l(mu);",
+        "std::unique_lock l(mu);", "std::scoped_lock l(a, b);",
+        "std::shared_lock l(mu);"}},
+      {"no-stdio-in-core",
+       nullptr,
+       {"printf(x);", "fprintf (stderr, x);", "sprintf(buf, x);", "puts(x);",
+        "std::cout << x;", "std::cerr << x;", "std::clog << x;"}},
+      {"no-naked-new",
+       "bad_naked_new.cc",
+       {"auto* p = new int;", "new (buf) T();", "T* t = new T[3];"}},
+      {"simd-confinement",
+       "bad_simd.cc",
+       {"__m256i v;", "__m128 a;", "__m512d z;", "_mm256_and_si256(a, b);",
+        "_mm_popcnt_u64 (x);", "#include <immintrin.h>",
+        "#include <arm_neon.h>", "vcntq_u8(v);", "vaddq_s32(a, b);",
+        "__builtin_cpu_supports(x)", "#if defined(__AVX2__)",
+        "#ifdef __ARM_NEON"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rule);
+    const std::vector<std::string>& anchors = TokenRuleAnchors(c.rule);
+    ASSERT_FALSE(anchors.empty());
+    std::vector<std::string> lines = c.spellings;
+    for (const std::string& spelling : c.spellings) {
+      EXPECT_TRUE(TokenRuleMatches(c.rule, spelling)) << spelling;
+    }
+    if (c.fixture != nullptr) {
+      std::ifstream in(std::string(HIDO_LINT_TESTDATA) + "/" + c.fixture);
+      ASSERT_TRUE(in) << c.fixture;
+      std::stringstream content;
+      content << in.rdbuf();
+      const std::vector<std::string> fixture_lines =
+          SplitLines(StripCommentsAndStrings(content.str()));
+      lines.insert(lines.end(), fixture_lines.begin(), fixture_lines.end());
+    }
+    size_t matched = 0;
+    for (const std::string& line : lines) {
+      if (!TokenRuleMatches(c.rule, line)) continue;
+      ++matched;
+      EXPECT_TRUE(HoldsAnchor(line, anchors)) << line;
+    }
+    if (c.fixture != nullptr) {
+      EXPECT_GT(matched, c.spellings.size()) << "no fixture line matched";
+    }
+  }
+  EXPECT_TRUE(TokenRuleAnchors("include-order").empty());
 }
 
 // ---------------------------------------------------------------------------

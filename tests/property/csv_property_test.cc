@@ -586,6 +586,111 @@ TEST_P(CsvWindowBoundaryProperty, WindowedReadsMatchOracle) {
   ExpectWindowedReadsMatchOracle(text, opts);
 }
 
+// Lines whose fields sit at the edges of the first pass that reads a
+// line as numbers alone: signs, padding, bare points and missing tokens
+// anywhere, CRLF line ends, a label column, a width over the column cap,
+// delimiters that can be part of a number, and at most one spot that fails
+// a numeric read: a spelling no numeric read takes (an exponent out of
+// range, a non-finite, hexadecimal or malformed number), a NUL right after
+// a number, a field over max_field_bytes, or a byte other than the
+// delimiter joining two fields. Each of the NUL, the long field, CRLF, the
+// label column and the column cap is forced on in a fifth of the seeds,
+// each with and without a header; where the long field is, every other
+// line is longer than max_field_bytes in fields that are not. Every read,
+// numeric and encoded, from memory, a file and a FIFO, agrees with the
+// oracle.
+class CsvFirstPassProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CsvFirstPassProperty, ReadsMatchOracle) {
+  enum Spot { kSpelling, kNul, kLongField, kJoint };
+  Rng rng(GetParam());
+  const size_t forced = (GetParam() / 2) % 5;
+  CsvReadOptions opts;
+  opts.has_header = GetParam() % 2 == 0;
+  opts.skip_blank_lines = rng.Bernoulli(0.8);
+  opts.delimiter = rng.Bernoulli(0.85) ? ',' : ";\t.e-"[rng.UniformIndex(5)];
+  const size_t cols = (forced == 1 || forced == 4 ? 2 : 1) +
+                      rng.UniformIndex(6);
+  const size_t rows = 20 + rng.UniformIndex(400);
+  if (forced == 3 || rng.Bernoulli(0.1)) {
+    // Now and then past the last column, which fails the read.
+    opts.label_column = static_cast<int>(rng.UniformIndex(cols + 1));
+  }
+  if (cols > 1 && (forced == 4 || rng.Bernoulli(0.05))) {
+    opts.max_columns = cols - 1;
+  }
+  const std::string eol = forced == 2 || rng.Bernoulli(0.3) ? "\r\n" : "\n";
+  // Half the other spots are spellings: they have the most ways to fail.
+  const Spot spot = forced == 0   ? kNul
+                    : forced == 1 ? kLongField
+                    : rng.Bernoulli(0.5)
+                        ? kSpelling
+                        : static_cast<Spot>(1 + rng.UniformIndex(3));
+  const bool spotted = forced <= 1 || rng.Bernoulli(0.6);
+  const size_t spot_row = spotted ? rng.UniformIndex(rows) : rows;
+  // A joint comes before its field, so never before the first.
+  const size_t spot_col =
+      spot == kJoint && cols > 1 ? 1 + rng.UniformIndex(cols - 1)
+                                 : rng.UniformIndex(cols);
+  if ((spotted && spot == kLongField) || rng.Bernoulli(0.05)) {
+    opts.max_field_bytes = 24;
+  }
+
+  static const char* const kEdges[] = {
+      "-0",  "+1",   " 1",  "1 ",       ".5",  "5.", "1e5",
+      "1e400", "1e-400", "inf", "-inf", "INF", "infinity", "nan",
+      "?",   "",     "0x10", "1e",      "--1", "1e5x"};
+  std::vector<std::string> good;
+  std::vector<std::string> bad;
+  for (const char* edge : kEdges) {
+    (ParseDouble(edge).ok() || IsMissingToken(edge) ? good : bad)
+        .push_back(edge);
+  }
+  const auto field = [&](size_t r, size_t c) -> std::string {
+    if (r == spot_row && c == spot_col) {
+      switch (spot) {
+        case kSpelling:
+          return bad[rng.UniformIndex(bad.size())];
+        case kNul:
+          return std::string("7\0", 2);
+        case kLongField:
+          return "1." + std::string(24 + rng.UniformIndex(8), '5');
+        case kJoint:
+          break;
+      }
+    }
+    if (static_cast<int>(c) == opts.label_column) {
+      return std::to_string(rng.UniformInt(-3, 3));
+    }
+    if (rng.Bernoulli(0.2)) return good[rng.UniformIndex(good.size())];
+    if (rng.Bernoulli(0.3)) return std::to_string(rng.UniformInt(-999, 999));
+    return StrFormat("%.17g", (rng.UniformDouble() - 0.5) *
+                                  std::pow(10.0, rng.UniformInt(-20, 20)));
+  };
+  std::string text;
+  if (opts.has_header) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (c > 0) text.push_back(opts.delimiter);
+      text += "h" + std::to_string(c);
+    }
+    text += eol;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (c > 0) {
+        const bool joint = spot == kJoint && r == spot_row && c == spot_col &&
+                           opts.delimiter != 'x';
+        text.push_back(joint ? 'x' : opts.delimiter);
+      }
+      text += field(r, c);
+    }
+    text += eol;
+  }
+
+  ExpectSameRead(ReadCsvString(text, opts), oracle::ReadCsvString(text, opts));
+  ExpectWindowedReadsMatchOracle(text, opts);
+}
+
 // Three windows (at kTestWindowBytes) of rows whose column b is numeric
 // up to the last row, which holds a word. Fewer than 1024 lines: a read's
 // first pass polls a stop token once, at its start.
@@ -683,6 +788,9 @@ TEST(CsvWindowedReadTest, ColumnCapMatchesOracle) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(EdgeFields, CsvFirstPassProperty,
+                         ::testing::Range<uint64_t>(1, 201));
 
 INSTANTIATE_TEST_SUITE_P(DamagedAtWindowCuts, CsvWindowBoundaryProperty,
                          ::testing::Range<uint64_t>(1, 33));

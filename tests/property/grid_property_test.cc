@@ -16,6 +16,7 @@
 #include "common/stats.h"
 #include "core/objective.h"
 #include "data/generators/synthetic.h"
+#include "grid/quantizer.h"
 #include "grid/sparsity.h"
 #include "obs/metrics.h"
 #include "testing/count_oracle.h"
@@ -37,29 +38,45 @@ bool TotalLess(double a, double b) {
   return a < b || (a == b && std::signbit(a) && !std::signbit(b));
 }
 
+// Column `dim`'s present values, sorted under TotalLess.
+std::vector<double> SortedPresent(const Dataset& data, size_t dim) {
+  std::vector<double> sorted;
+  for (size_t row = 0; row < data.num_rows(); ++row) {
+    if (!data.IsMissing(row, dim)) sorted.push_back(data.Get(row, dim));
+  }
+  std::sort(sorted.begin(), sorted.end(), TotalLess);
+  return sorted;
+}
+
+// The cuts, min and max a column with these sorted values should get.
+Quantizer::ColumnFit ReferenceFit(const std::vector<double>& sorted,
+                                  const Quantizer::Options& options) {
+  const size_t phi = options.num_ranges;
+  Quantizer::ColumnFit fit;
+  fit.min = sorted.front();
+  fit.max = sorted.back();
+  for (size_t i = 1; i < phi; ++i) {
+    fit.cuts.push_back(
+        options.mode == BinningMode::kEquiDepth
+            ? QuantileSorted(sorted, static_cast<double>(i) /
+                                         static_cast<double>(phi))
+            : fit.min + (fit.max - fit.min) * static_cast<double>(i) /
+                            static_cast<double>(phi));
+  }
+  for (size_t i = 1; i < fit.cuts.size(); ++i) {
+    if (fit.cuts[i] < fit.cuts[i - 1]) fit.cuts[i] = fit.cuts[i - 1];
+  }
+  return fit;
+}
+
 ReferenceGrid BuildReference(const Dataset& data,
                              const GridModel::Options& options) {
   const size_t phi = options.phi;
   ReferenceGrid ref;
   for (size_t dim = 0; dim < data.num_cols(); ++dim) {
-    std::vector<double> sorted;
-    for (size_t row = 0; row < data.num_rows(); ++row) {
-      if (!data.IsMissing(row, dim)) sorted.push_back(data.Get(row, dim));
-    }
-    std::sort(sorted.begin(), sorted.end(), TotalLess);
-    const double lo = sorted.front();
-    const double hi = sorted.back();
-    std::vector<double> cuts;
-    for (size_t i = 1; i < phi; ++i) {
-      cuts.push_back(options.mode == BinningMode::kEquiDepth
-                         ? QuantileSorted(sorted, static_cast<double>(i) /
-                                                      static_cast<double>(phi))
-                         : lo + (hi - lo) * static_cast<double>(i) /
-                                    static_cast<double>(phi));
-    }
-    for (size_t i = 1; i < cuts.size(); ++i) {
-      if (cuts[i] < cuts[i - 1]) cuts[i] = cuts[i - 1];
-    }
+    Quantizer::ColumnFit fit =
+        ReferenceFit(SortedPresent(data, dim), {phi, options.mode});
+    const std::vector<double>& cuts = fit.cuts;
     std::vector<uint32_t> cells(data.num_rows());
     std::vector<std::vector<uint32_t>> ids(phi);
     for (size_t row = 0; row < data.num_rows(); ++row) {
@@ -72,9 +89,9 @@ ReferenceGrid BuildReference(const Dataset& data,
           cuts.begin());
       ids[cells[row]].push_back(static_cast<uint32_t>(row));
     }
-    ref.cuts.push_back(std::move(cuts));
-    ref.min.push_back(lo);
-    ref.max.push_back(hi);
+    ref.cuts.push_back(std::move(fit.cuts));
+    ref.min.push_back(fit.min);
+    ref.max.push_back(fit.max);
     ref.cells.push_back(std::move(cells));
     ref.ids.push_back(std::move(ids));
   }
@@ -281,6 +298,112 @@ TEST(GridBuildOracle, ColumnMixingSignedZeros) {
     gopts.phi = phi;
     ExpectBuildMatchesReference(data, gopts);
   }
+}
+
+// One column of `n` values of a kind that drives the radix selection down
+// a path of its own: spread or tied keys, special values, keys that
+// differ only in their last bits (so the selection recurses to its last
+// digit), many binades, arbitrary non-NaN bit patterns.
+std::vector<double> SweepColumn(size_t kind, size_t n, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const double kSpecials[] = {0.0,  -0.0,  kInf,        -kInf,       kTiny,
+                              -kTiny, kMax, -kMax, 1e-310, -2.5e-315, 1.0};
+  // Runs one ulp apart: a start value's bits plus up to `span` ulps.
+  const double start = rng.UniformDouble(-4.0, 4.0);
+  const size_t span = size_t{1} << rng.UniformIndex(14);
+  std::vector<double> column(n);
+  for (double& value : column) {
+    switch (kind) {
+      case 0:  // uniform
+        value = rng.UniformDouble(-1000.0, 1000.0);
+        break;
+      case 1:  // heavy ties, zeros of either sign among them
+        value = static_cast<double>(rng.UniformInt(-2, 2));
+        if (value == 0.0 && rng.Bernoulli(0.5)) value = -0.0;
+        break;
+      case 2:  // specials among ordinary values
+        value = rng.Bernoulli(0.7) ? kSpecials[rng.UniformIndex(11)]
+                                   : rng.UniformDouble(-1.0, 1.0);
+        break;
+      case 3: {  // one ulp apart
+        uint64_t bits = 0;
+        std::memcpy(&bits, &start, sizeof(bits));
+        bits += rng.UniformIndex(span);
+        std::memcpy(&value, &bits, sizeof(value));
+        break;
+      }
+      case 4:  // about 200 binades, either sign
+        value = std::ldexp(rng.UniformDouble(1.0, 2.0),
+                           static_cast<int>(rng.UniformInt(-100, 100))) *
+                (rng.Bernoulli(0.5) ? 1.0 : -1.0);
+        break;
+      default:  // any bit pattern but a NaN
+        do {
+          const uint64_t bits = rng.Next64();
+          std::memcpy(&value, &bits, sizeof(value));
+        } while (std::isnan(value));
+        break;
+    }
+  }
+  return column;
+}
+
+// Quantizer::FitColumn's cuts, min and max equal bitwise what a full sort
+// under TotalLess gives, over seeded columns of every kind above, of every
+// size from 1 to 8, of random sizes up to 5000 and of over 100k rows, a
+// quarter of them with missing cells, at each phi in both binning modes.
+TEST(GridBuildOracle, RadixSelectionMatchesSortSweep) {
+  constexpr size_t kKinds = 6;
+  Rng rng(27);
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 8; ++n) sizes.insert(sizes.end(), 3, n);
+  for (size_t i = 0; i < 12; ++i) {
+    sizes.push_back(9 + static_cast<size_t>(std::exp(
+                            rng.UniformDouble(0.0, std::log(5000.0)))));
+  }
+  size_t fits = 0;
+  size_t failures = 0;
+  const auto check = [&](size_t kind, size_t n) {
+    std::vector<std::vector<double>> columns;
+    columns.push_back(SweepColumn(kind, n, rng));
+    Dataset data = Dataset::FromColumns(n, std::move(columns));
+    if (rng.Bernoulli(0.25)) {
+      const double p = rng.UniformDouble(0.05, 0.6);
+      for (size_t row = 1; row < n; ++row) {
+        if (rng.Bernoulli(p)) data.SetMissing(row, 0);
+      }
+    }
+    const std::vector<double> sorted = SortedPresent(data, 0);
+    for (const size_t phi : {2, 3, 10, 37, 256}) {
+      for (const BinningMode mode :
+           {BinningMode::kEquiDepth, BinningMode::kEquiWidth}) {
+        const Quantizer::Options options{phi, mode};
+        const Quantizer::ColumnFit got =
+            Quantizer::FitColumn(data, 0, options);
+        const Quantizer::ColumnFit want = ReferenceFit(sorted, options);
+        ++fits;
+        bool same = SameBits(got.min, want.min) &&
+                    SameBits(got.max, want.max) &&
+                    got.cuts.size() == want.cuts.size();
+        for (size_t i = 0; same && i < got.cuts.size(); ++i) {
+          same = SameBits(got.cuts[i], want.cuts[i]);
+        }
+        if (!same && ++failures <= 5) {
+          ADD_FAILURE() << "kind " << kind << ", n " << n << " ("
+                        << sorted.size() << " present), phi " << phi
+                        << (mode == BinningMode::kEquiDepth ? " equi-depth"
+                                                            : " equi-width");
+        }
+      }
+    }
+  };
+  for (size_t kind = 0; kind < kKinds; ++kind) {
+    for (const size_t n : sizes) check(kind, n);
+  }
+  for (const size_t kind : {0, 3, 4, 5}) check(kind, 100000 + kind);
+  EXPECT_EQ(failures, 0u) << "of " << fits << " fits";
 }
 
 TEST(GridBuildOracle, SingleRowAndPhiCap) {

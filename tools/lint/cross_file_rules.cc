@@ -9,21 +9,6 @@ namespace lint {
 
 namespace {
 
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::string current;
-  for (char c : text) {
-    if (c == '\n') {
-      lines.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  lines.push_back(current);
-  return lines;
-}
-
 std::vector<std::string> Tokenize(const std::string& line) {
   std::istringstream in(line);
   std::vector<std::string> tokens;

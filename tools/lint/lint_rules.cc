@@ -20,29 +20,15 @@ bool IsHeader(const std::string& path) {
   return path.size() >= 2 && path.compare(path.size() - 2, 2, ".h") == 0;
 }
 
-// Splits stripped/raw text into lines (both views keep identical line
-// numbering because StripCommentsAndStrings preserves every '\n').
-std::vector<std::string> SplitIntoLines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::string current;
-  for (char c : text) {
-    if (c == '\n') {
-      lines.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  lines.push_back(current);
-  return lines;
-}
-
 // A token rule: regex over stripped code text, scoped by path predicates.
 struct TokenRule {
   const char* name;
   const char* what;
   // Matches one offending line of stripped code.
   std::regex pattern;
+  // Literals every match contains one of: the regex runs only on lines
+  // that hold one, and stays the judge there.
+  std::vector<std::string> anchors;
   // Paths where the construct is legitimate (prefix match); empty = none.
   std::vector<std::string> allowed_prefixes;
   // Exact repo-relative paths where the construct is legitimate. Tighter
@@ -61,6 +47,7 @@ const std::vector<TokenRule>& TokenRules() {
       {"no-exceptions",
        "recoverable failures return Status/Result<T>; no throw/try/catch",
        std::regex(R"(\bthrow\b|\btry\s*\{|\bcatch\s*\()"),
+       {"throw", "try", "catch"},
        {},
        {},
        {},
@@ -70,6 +57,7 @@ const std::vector<TokenRule>& TokenRules() {
        "(determinism contract)",
        std::regex(R"(\bstd::mt19937(_64)?\b|\bstd::random_device\b)"
                   R"(|\bs?rand\s*\(|\b(std::)?time\s*\(\s*(nullptr|NULL|0)\s*\))"),
+       {"mt19937", "random_device", "rand", "time"},
        {"src/common/rng."},
        {},
        {},
@@ -81,6 +69,7 @@ const std::vector<TokenRule>& TokenRules() {
        std::regex(R"(\bstd::(recursive_|shared_|timed_)?mutex\b)"
                   R"(|\bstd::condition_variable(_any)?\b)"
                   R"(|\bstd::(lock_guard|unique_lock|scoped_lock|shared_lock)\b)"),
+       {"mutex", "condition_variable", "lock"},
        {},
        // Exactly the wrapper that owns the raw primitives. Everything else
        // in src/common/ — including concurrent components such as
@@ -95,6 +84,7 @@ const std::vector<TokenRule>& TokenRules() {
        "process's streams",
        std::regex(R"(\b(printf|fprintf|sprintf|puts)\s*\()"
                   R"(|\bstd::(cout|cerr|clog)\b)"),
+       {"printf", "puts", "cout", "cerr", "clog"},
        {},
        {},
        {"src/core/"},
@@ -104,6 +94,7 @@ const std::vector<TokenRule>& TokenRules() {
        "allocations are owned by containers or smart pointers; a bare new "
        "needs a per-line justification",
        std::regex(R"(\bnew\b)"),
+       {"new"},
        {},
        {},
        {},
@@ -116,6 +107,8 @@ const std::vector<TokenRule>& TokenRules() {
        std::regex(R"(\b_mm\d*_\w+\s*\(|\b__m(128|256|512)[id]?\b)"
                   R"(|\bimmintrin\.h\b|\barm_neon\.h\b|\bv\w+q_[us]\d+\s*\()"
                   R"(|\b__builtin_cpu_supports\b|\b__AVX2__\b|\b__ARM_NEON\b)"),
+       {"_mm", "__m", "immintrin", "arm_neon", "q_", "__builtin_cpu_supports",
+        "__AVX2__", "__ARM_NEON"},
        {},
        // Exact files, like no-raw-mutex: a new vectorized component does
        // not get a free pass by sitting next to the kernels — it adds an
@@ -158,22 +151,19 @@ void CheckIncludeOrder(const std::string& path,
   // Names are read from the raw line: the stripper empties string-literal
   // contents, which would blank out every "project/include.h". The
   // stripped line gates the match so commented-out includes don't count.
-  static const std::regex include_re(R"(^\s*#\s*include\s*([<"])([^>"]+)[>"])");
-  static const std::regex include_gate_re(R"(^\s*#\s*include\b)");
   std::string prev_name;
   char prev_style = 0;
   bool in_block = false;
   // The first include of a block is exempt from the cross-block
   // comparison, so "own header first" layouts pass trivially.
   for (size_t i = 0; i < code_lines.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(code_lines[i], include_gate_re) ||
-        !std::regex_search(raw_lines[i], m, include_re)) {
+    IncludeName include;
+    if (!ParseIncludeLine(code_lines[i], raw_lines[i], &include)) {
       in_block = false;
       continue;
     }
-    const char style = m[1].str()[0];
-    const std::string name = m[2].str();
+    const char style = include.style;
+    const std::string& name = include.name;
     if (in_block) {
       if (style != prev_style) {
         if (!IsSuppressed(raw_lines[i], "include-order")) {
@@ -360,6 +350,80 @@ const std::vector<RuleInfo>& Rules() {
   return *rules;
 }
 
+const std::vector<std::string>& TokenRuleAnchors(const std::string& rule) {
+  static const std::vector<std::string> kNone;
+  for (const TokenRule& token_rule : TokenRules()) {
+    if (rule == token_rule.name) return token_rule.anchors;
+  }
+  return kNone;
+}
+
+bool TokenRuleMatches(const std::string& rule, const std::string& code_line) {
+  for (const TokenRule& token_rule : TokenRules()) {
+    if (rule == token_rule.name) {
+      return std::regex_search(code_line, token_rule.pattern);
+    }
+  }
+  return false;
+}
+
+namespace {
+
+bool IsSpace(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+// The position just past `#include` (leading spaces, '#', spaces, the
+// word) at the start of `line`, or npos.
+size_t SkipIncludeKeyword(const std::string& line) {
+  size_t i = 0;
+  while (i < line.size() && IsSpace(line[i])) ++i;
+  if (i == line.size() || line[i] != '#') return std::string::npos;
+  ++i;
+  while (i < line.size() && IsSpace(line[i])) ++i;
+  if (line.compare(i, 7, "include") != 0) return std::string::npos;
+  return i + 7;
+}
+
+}  // namespace
+
+bool ParseIncludeLine(const std::string& code_line,
+                      const std::string& raw_line, IncludeName* include) {
+  const size_t gate = SkipIncludeKeyword(code_line);
+  if (gate == std::string::npos ||
+      (gate < code_line.size() && IsWordChar(code_line[gate]))) {
+    return false;
+  }
+  size_t i = SkipIncludeKeyword(raw_line);
+  if (i == std::string::npos) return false;
+  while (i < raw_line.size() && IsSpace(raw_line[i])) ++i;
+  if (i == raw_line.size() || (raw_line[i] != '<' && raw_line[i] != '"')) {
+    return false;
+  }
+  const size_t close = raw_line.find_first_of("\">", i + 1);
+  if (close == std::string::npos || close == i + 1) return false;
+  include->style = raw_line[i];
+  include->name = raw_line.substr(i + 1, close - i - 1);
+  return true;
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = text.find('\n', begin);
+    if (end == std::string::npos) break;
+    lines.push_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  lines.push_back(text.substr(begin));
+  return lines;
+}
+
 bool IsSuppressed(const std::string& raw_line, const std::string& rule) {
   const std::string tag = "hido-lint: allow(" + rule + ")";
   return raw_line.find(tag) != std::string::npos;
@@ -522,8 +586,8 @@ std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content) {
   std::vector<Finding> findings;
   const std::string stripped = StripCommentsAndStrings(content);
-  const std::vector<std::string> code_lines = SplitIntoLines(stripped);
-  const std::vector<std::string> raw_lines = SplitIntoLines(content);
+  const std::vector<std::string> code_lines = SplitLines(stripped);
+  const std::vector<std::string> raw_lines = SplitLines(content);
 
   for (const TokenRule& rule : TokenRules()) {
     bool scoped_in = rule.only_under.empty();
@@ -540,7 +604,13 @@ std::vector<Finding> LintContent(const std::string& path,
     }
     if (allowed) continue;
     for (size_t i = 0; i < code_lines.size(); ++i) {
-      if (!std::regex_search(code_lines[i], rule.pattern)) continue;
+      const std::string& line = code_lines[i];
+      const bool anchored = std::any_of(
+          rule.anchors.begin(), rule.anchors.end(),
+          [&line](const std::string& anchor) {
+            return line.find(anchor) != std::string::npos;
+          });
+      if (!anchored || !std::regex_search(line, rule.pattern)) continue;
       if (IsSuppressed(raw_lines[i], rule.name)) continue;
       findings.push_back({rule.name, path, i + 1, rule.message});
     }

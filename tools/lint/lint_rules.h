@@ -86,6 +86,35 @@ const std::vector<RuleInfo>& Rules();
 /// `rule`.
 bool IsSuppressed(const std::string& raw_line, const std::string& rule);
 
+/// The literals every match of token rule `rule` (no-exceptions ...
+/// simd-confinement) contains one of: its regex runs only on lines that
+/// hold one. Empty for a rule that is not a per-line token rule.
+const std::vector<std::string>& TokenRuleAnchors(const std::string& rule);
+
+/// True when token rule `rule`'s regex matches `code_line`, a line of
+/// stripped code, whatever its anchors (for tests that pin the anchors).
+bool TokenRuleMatches(const std::string& rule, const std::string& code_line);
+
+/// An #include directive's delimiter and spelled name.
+struct IncludeName {
+  char style = '"';  ///< '"' for project includes, '<' for system.
+  std::string name;  ///< The text between the delimiters.
+};
+
+/// Reads one line as an #include directive, as include-order and the
+/// project model's include graph both do. `code_line`, the line of
+/// stripped code, must open with `#include` (so commented-out includes and
+/// ones quoted inside literals never count); `raw_line`, the same line
+/// unstripped, supplies the name, since the stripper empties quoted ones.
+/// Returns false when the line is no include.
+bool ParseIncludeLine(const std::string& code_line,
+                      const std::string& raw_line, IncludeName* include);
+
+/// Splits text at every '\n' into its lines, the last one after the last
+/// '\n' (empty when the text ends with one). Stripped and raw views of a
+/// file split into the same numbering: the strippers keep every '\n'.
+std::vector<std::string> SplitLines(const std::string& text);
+
 /// Removes comments and string/char literal *contents* from source text,
 /// preserving line structure (every '\n' survives), so token rules cannot
 /// fire on documentation or on patterns quoted inside literals. Handles

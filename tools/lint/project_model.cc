@@ -1,7 +1,7 @@
 #include "tools/lint/project_model.h"
 
 #include <algorithm>
-#include <regex>
+#include <utility>
 
 #include "tools/lint/lint_rules.h"
 
@@ -32,21 +32,6 @@ size_t MatchCallOpen(const std::string& text, size_t i, const char* word) {
   const size_t after = SkipWs(text, i + n);
   if (after >= text.size() || text[after] != '(') return std::string::npos;
   return after + 1;
-}
-
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::string current;
-  for (char c : text) {
-    if (c == '\n') {
-      lines.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  lines.push_back(current);
-  return lines;
 }
 
 // Turns a registered name (possibly with %-format holes or a trailing-dot
@@ -90,17 +75,13 @@ std::vector<IncludeEdge> ExtractIncludes(const std::string& code,
   // The stripped view gates the match (commented-out includes and
   // "#include" spelled inside string literals are not code); the raw view
   // supplies the name, because the stripper empties quoted contents.
-  static const std::regex gate_re(R"(^\s*#\s*include\b)");
-  static const std::regex include_re(
-      R"(^\s*#\s*include\s*([<"])([^>"]+)[>"])");
   const std::vector<std::string> code_lines = SplitLines(code);
   const std::vector<std::string> raw_lines = SplitLines(content);
   std::vector<IncludeEdge> edges;
   for (size_t i = 0; i < code_lines.size() && i < raw_lines.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(code_lines[i], gate_re)) continue;
-    if (!std::regex_search(raw_lines[i], m, include_re)) continue;
-    edges.push_back({i + 1, m[1].str()[0], m[2].str()});
+    IncludeName include;
+    if (!ParseIncludeLine(code_lines[i], raw_lines[i], &include)) continue;
+    edges.push_back({i + 1, include.style, std::move(include.name)});
   }
   return edges;
 }
