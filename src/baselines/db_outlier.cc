@@ -1,9 +1,7 @@
 #include "baselines/db_outlier.h"
 
 #include <algorithm>
-#include <optional>
 
-#include "baselines/vptree.h"
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/stats.h"
@@ -24,22 +22,12 @@ std::vector<size_t> DbOutliers(const DistanceMetric& metric,
       obs::MetricsRegistry::Global().GetCounter("baseline.db.points_judged");
   StopPoller poller(options.stop);
 
-  std::optional<VpTree> tree;
-  if (options.use_vptree) tree.emplace(metric);
-
   // Per-point verdicts are independent, so workers fill a flag array and
   // the ascending result order comes from the final collection pass — the
   // output cannot depend on the thread count.
   std::vector<char> is_outlier(n, 0);
   ParallelFor(n, num_threads, [&](size_t i, size_t) {
     if (poller.ShouldStop()) return;
-    if (tree.has_value()) {
-      const size_t neighbors =
-          tree->CountWithin(i, options.lambda, options.max_neighbors);
-      is_outlier[i] = neighbors <= options.max_neighbors ? 1 : 0;
-      points_judged.Add(1);
-      return;
-    }
     size_t neighbors = 0;
     is_outlier[i] = 1;
     for (size_t j = 0; j < n; ++j) {

@@ -20,7 +20,6 @@ namespace hido {
 struct DbOutlierOptions {
   double lambda = 0.5;      ///< neighbourhood radius
   size_t max_neighbors = 5; ///< k: tolerated neighbours within lambda
-  bool use_vptree = false;  ///< count neighbours through a VP-tree
   /// Worker threads (0 = hardware concurrency). The result does not depend
   /// on the thread count.
   size_t num_threads = 1;

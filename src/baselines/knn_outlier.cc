@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <optional>
 #include <queue>
 
 #include "baselines/vptree.h"
@@ -52,9 +51,6 @@ std::vector<KnnOutlier> TopNKnnOutliers(const DistanceMetric& metric,
     rng.Shuffle(scan_order);
   }
 
-  std::optional<VpTree> tree;
-  if (options.use_vptree) tree.emplace(metric);
-
   StopPoller poller(options.stop);
 
   // Shared abandonment cutoff. Any worker's local n-th largest score is a
@@ -76,31 +72,26 @@ std::vector<KnnOutlier> TopNKnnOutliers(const DistanceMetric& metric,
   ParallelFor(n, num_threads, [&](size_t point, size_t worker) {
     if (poller.ShouldStop()) return;
     WorkerState& ws = workers[worker];
-    double kth = 0.0;
-    if (tree.has_value()) {
-      kth = tree->Nearest(point, options.k).back().distance;
-    } else {
-      // Running k smallest distances with early abandonment: ksmallest.top()
-      // only shrinks as the scan proceeds, so it upper-bounds the point's
-      // true k-th-NN distance.
-      std::priority_queue<double> ksmallest;  // max-heap of k best
-      for (size_t j : scan_order) {
-        if (j == point) continue;
-        const double d = metric.Distance(point, j);
-        if (ksmallest.size() < options.k) {
-          ksmallest.push(d);
-        } else if (d < ksmallest.top()) {
-          ksmallest.pop();
-          ksmallest.push(d);
-        }
-        if (ksmallest.size() == options.k &&
-            ksmallest.top() < cutoff.load(std::memory_order_relaxed)) {
-          points_pruned.Add(1);
-          return;  // provably outside the final top n
-        }
+    // Running k smallest distances with early abandonment: ksmallest.top()
+    // only shrinks as the scan proceeds, so it upper-bounds the point's
+    // true k-th-NN distance.
+    std::priority_queue<double> ksmallest;  // max-heap of k best
+    for (size_t j : scan_order) {
+      if (j == point) continue;
+      const double d = metric.Distance(point, j);
+      if (ksmallest.size() < options.k) {
+        ksmallest.push(d);
+      } else if (d < ksmallest.top()) {
+        ksmallest.pop();
+        ksmallest.push(d);
       }
-      kth = ksmallest.top();
+      if (ksmallest.size() == options.k &&
+          ksmallest.top() < cutoff.load(std::memory_order_relaxed)) {
+        points_pruned.Add(1);
+        return;  // provably outside the final top n
+      }
     }
+    const double kth = ksmallest.top();
     points_scored.Add(1);
     ws.survivors.push_back({point, kth});
     if (ws.top.size() < top_n) {

@@ -8,11 +8,10 @@
 //
 // Implementation: nested loop with the classic running-cutoff optimization
 // — once a point's upper bound on its k-th-NN distance falls below the
-// current n-th largest score, the point is abandoned. An exact VP-tree path
-// is available for comparison. Points parallelize over the shared pool; the
-// cutoff is shared across workers, and the final selection uses the
-// (score desc, row asc) total order, so the result is identical at any
-// thread count.
+// current n-th largest score, the point is abandoned. Points parallelize
+// over the shared pool; the cutoff is shared across workers, and the final
+// selection uses the (score desc, row asc) total order, so the result is
+// identical at any thread count.
 
 #include <vector>
 
@@ -25,7 +24,6 @@ namespace hido {
 struct KnnOutlierOptions {
   size_t k = 1;            ///< which nearest neighbour defines the score
   size_t num_outliers = 20;  ///< n: points to report
-  bool use_vptree = false; ///< answer kNN queries through a VP-tree
   /// Shuffle the inner scan order (improves early abandonment); 0 keeps
   /// the natural order, any other value seeds the shuffle.
   uint64_t shuffle_seed = 1;

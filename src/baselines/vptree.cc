@@ -99,29 +99,6 @@ std::vector<Neighbor> VpTree::Nearest(size_t query, size_t k) const {
   return out;
 }
 
-size_t VpTree::CountWithin(size_t query, double radius,
-                           size_t stop_after) const {
-  HIDO_CHECK(query < metric_->num_points());
-  size_t count = 0;
-  std::vector<int32_t> stack;
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    const int32_t idx = stack.back();
-    stack.pop_back();
-    if (idx < 0) continue;
-    const Node& node = nodes_[static_cast<size_t>(idx)];
-    const double dist = metric_->Distance(query, node.point);
-    if (node.point != query && dist <= radius) {
-      ++count;
-      if (stop_after > 0 && count > stop_after) return count;
-    }
-    if (node.inside < 0 && node.outside < 0) continue;
-    if (dist - radius <= node.threshold) stack.push_back(node.inside);
-    if (dist + radius >= node.threshold) stack.push_back(node.outside);
-  }
-  return count;
-}
-
 std::vector<Neighbor> BruteForceNearest(const DistanceMetric& metric,
                                         size_t query, size_t k) {
   const size_t n = metric.num_points();

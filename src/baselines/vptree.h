@@ -1,10 +1,11 @@
 #ifndef HIDO_BASELINES_VPTREE_H_
 #define HIDO_BASELINES_VPTREE_H_
 
-// Vantage-point tree: exact metric-space k-nearest-neighbour index used to
-// accelerate the distance-based baselines on low-dimensional data. (In high
-// dimensions its pruning degrades toward a linear scan — itself a
-// demonstration of the concentration effect the paper leans on.)
+// A vantage-point tree (an exact metric-space k-nearest-neighbour index)
+// and BruteForceNearest, the linear-scan kNN the baselines build on. The
+// baselines do not use the tree: at the dimensionalities they run at,
+// distances concentrate and its pruning degrades toward a linear scan, the
+// effect the paper leans on; bench/micro_baselines measures the two.
 
 #include <cstdint>
 #include <vector>
@@ -35,10 +36,6 @@ class VpTree {
   /// The `k` nearest neighbours of point `query` (itself excluded),
   /// ascending by distance. k is clamped to N-1.
   std::vector<Neighbor> Nearest(size_t query, size_t k) const;
-
-  /// Count of points within `radius` of `query` (itself excluded), stopping
-  /// early once the count exceeds `stop_after` (0 = never stop early).
-  size_t CountWithin(size_t query, double radius, size_t stop_after) const;
 
  private:
   struct Node {

@@ -7,8 +7,7 @@
 
 namespace hido {
 
-BestSet::BestSet(size_t capacity, bool require_non_empty)
-    : capacity_(capacity), require_non_empty_(require_non_empty) {
+BestSet::BestSet(size_t capacity) : capacity_(capacity) {
   HIDO_CHECK(capacity_ > 0);
 }
 
@@ -26,7 +25,7 @@ bool BestSet::WouldAccept(double sparsity) const {
 }
 
 bool BestSet::Offer(const ScoredProjection& candidate) {
-  if (require_non_empty_ && candidate.count == 0) return false;
+  if (candidate.count == 0) return false;
   if (!WouldAccept(candidate.sparsity)) return false;
   candidate.projection.PackedKey(&candidate_key_);
   const std::vector<uint64_t>& key = candidate_key_;

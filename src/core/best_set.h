@@ -7,8 +7,8 @@
 //
 // Empty cubes: an empty cube has the most negative coefficient possible at
 // its dimensionality but covers no points, so it can never produce an
-// outlier. Table 1 accordingly reports the best *non-empty* projections;
-// `require_non_empty` (default on) implements that filter.
+// outlier. Table 1 accordingly reports the best *non-empty* projections,
+// and Offer never retains an empty cube.
 //
 // Determinism: entries are totally ordered by (sparsity, PackedKey), with
 // the packed projection key breaking exact sparsity ties. Under that order
@@ -38,9 +38,10 @@ namespace hido {
 class BestSet {
  public:
   /// Keeps at most `capacity` projections (the paper's m). capacity > 0.
-  explicit BestSet(size_t capacity, bool require_non_empty = true);
+  explicit BestSet(size_t capacity);
 
-  /// Offers a scored projection; returns true if it was retained.
+  /// Offers a scored projection; returns true if it was retained. An empty
+  /// cube (count 0) is never retained.
   bool Offer(const ScoredProjection& candidate);
 
   /// True when `sparsity` could enter the set (ignoring deduplication).
@@ -70,7 +71,6 @@ class BestSet {
   };
 
   size_t capacity_;
-  bool require_non_empty_;
   // Ascending by sparsity (index 0 = most negative = best).
   std::vector<ScoredProjection> entries_;
   // entry_keys_[i] is entries_[i].projection.PackedKey(), kept beside it so

@@ -37,8 +37,7 @@ class Worker {
       : objective_(objective),
         grid_(objective.grid()),
         shared_(shared),
-        best_(shared.options.num_projections,
-              shared.options.require_non_empty),
+        best_(shared.options.num_projections),
         level_bits_(shared.options.target_dim >= 3
                         ? shared.options.target_dim - 2
                         : 0,
@@ -60,8 +59,7 @@ class Worker {
     } else {
       root_bits_ = &grid_.RangeBits(dim, cell);
       const size_t count = grid_.RangeCardinality(dim, cell);
-      if (count == 0 && shared_.options.prune_empty_subtrees &&
-          shared_.options.require_non_empty) {
+      if (count == 0) {
         ++stats_.subtrees_pruned;
       } else {
         Descend(/*depth=*/1, dim + 1, probability);
@@ -79,8 +77,7 @@ class Worker {
     ++stats_.cubes_evaluated;
     const double sparsity = objective_.Sparsity(
         count, shared_.options.target_dim, probability);
-    if ((count > 0 || !shared_.options.require_non_empty) &&
-        best_.WouldAccept(sparsity)) {
+    if (count > 0 && best_.WouldAccept(sparsity)) {
       ScoredProjection scored;
       scored.projection =
           Projection::FromConditions(grid_.num_dims(), conditions_);
@@ -126,8 +123,7 @@ class Worker {
           DynamicBitset& next = level_bits_[depth - 1];
           next = current;
           const size_t next_count = next.AndCountInto(members);
-          if (next_count == 0 && shared_.options.prune_empty_subtrees &&
-              shared_.options.require_non_empty) {
+          if (next_count == 0) {
             // Every extension of an empty cube is empty and unreportable.
             ++stats_.subtrees_pruned;
           } else if (!Descend(depth + 1, dim + 1, next_probability)) {
@@ -188,7 +184,7 @@ BruteForceResult BruteForceSearch(const SparsityObjective& objective,
   });
 
   BruteForceResult result;
-  BestSet best(options.num_projections, options.require_non_empty);
+  BestSet best(options.num_projections);
   for (Worker& worker : workers) {
     for (const ScoredProjection& scored : worker.best().Sorted()) {
       best.Offer(scored);

@@ -13,10 +13,10 @@
 // visited exactly once — carrying the partial cube's membership bitset down
 // the stack so each node costs one AND+popcount.
 //
-// Optional pruning (on by default, only sound together with
-// require_non_empty): a cube with zero points has only zero-point
-// extensions, and empty cubes are not reportable, so the subtree below an
-// empty partial cube is skipped. This does not change the returned set.
+// Pruning: a cube with zero points has only zero-point extensions, and
+// empty cubes are never reported (core/best_set.h), so the subtree below
+// an empty partial cube is skipped. This does not change the returned set:
+// tests hold it to CandidateSetSearch, which scores every cube.
 //
 // The depth-first walk visits each cube exactly once and counts it
 // directly on the carried bitset, not through SparsityObjective's counting,
@@ -36,8 +36,6 @@ namespace hido {
 struct BruteForceOptions {
   size_t target_dim = 3;       ///< k: dimensionality of reported cubes
   size_t num_projections = 20; ///< m: cubes to report
-  bool require_non_empty = true;    ///< skip empty-cube projections
-  bool prune_empty_subtrees = true; ///< skip subtrees under empty prefixes
   /// Optional cooperative stop (deadline/SIGINT/failpoint), polled at root
   /// granularity and every 1024 visited nodes within a subtree; the only
   /// thing that ends the run early, with a best-so-far result. The paper

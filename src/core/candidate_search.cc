@@ -78,11 +78,10 @@ CandidateSearchResult CandidateSetSearch(
   }
 
   // Score every element of R_k.
-  BestSet best(options.num_projections, options.require_non_empty);
+  BestSet best(options.num_projections);
   for (const Candidate& candidate : current) {
     const CubeEvaluation eval = objective.EvaluateConditions(candidate);
-    if ((eval.count > 0 || !options.require_non_empty) &&
-        best.WouldAccept(eval.sparsity)) {
+    if (eval.count > 0 && best.WouldAccept(eval.sparsity)) {
       ScoredProjection scored;
       scored.projection = Projection::FromConditions(d, candidate);
       scored.count = eval.count;

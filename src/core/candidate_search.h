@@ -28,7 +28,6 @@ namespace hido {
 struct CandidateSearchOptions {
   size_t target_dim = 3;        ///< k
   size_t num_projections = 20;  ///< m
-  bool require_non_empty = true;  ///< skip empty-cube projections
   /// Hard cap on any |R_i|; exceeded => the run stops and reports failure
   /// (0 = unlimited, at your own risk).
   uint64_t max_candidates = 20'000'000;

@@ -113,7 +113,7 @@ DetectionResult OutlierDetector::Detect(const Dataset& data) const {
     result.stop_cause = search.stats.stop_cause;
     best = std::move(search.best);
   } else {
-    BruteForceOptions bopts = config_.brute_force;
+    BruteForceOptions bopts;
     bopts.target_dim = result.target_dim;
     bopts.num_projections = config_.num_projections;
     bopts.num_threads = SearchThreads(config_);

@@ -41,11 +41,9 @@ struct DetectorConfig {
   BinningMode binning = BinningMode::kEquiDepth;  ///< discretization mode
   ExpectationModel expectation = ExpectationModel::kUniform;  ///< E[count] model
   /// Evolutionary knobs; target_dim/num_projections/seed/num_threads/stop
-  /// are overwritten from the fields here.
+  /// are overwritten from the fields here. The brute force has no knobs of
+  /// its own: it runs with target_dim/num_projections/num_threads/stop.
   EvolutionaryOptions evolution;
-  /// Brute-force knobs; target_dim/num_projections/num_threads/stop are
-  /// overwritten from the fields here.
-  BruteForceOptions brute_force;
   uint64_t seed = 42;  ///< master RNG seed for the whole run
   /// Worker threads for the grid build and whichever search runs (0 = all
   /// hardware threads); the only width, written into every search's

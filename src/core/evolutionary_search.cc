@@ -168,7 +168,7 @@ RestartOutcome RunRestart(const SearchContext& ctx, size_t run,
   // Per-restart RNG stream: bit-identical results no matter which thread
   // runs this restart, or in what order restarts are scheduled.
   Rng rng = Rng::ForStream(options.seed, run);
-  BestSet best(options.num_projections, options.require_non_empty);
+  BestSet best(options.num_projections);
   std::vector<Individual> population;
   // Selection's output, swapped with `population` every generation so both
   // buffers keep their strings' storage.
@@ -432,7 +432,7 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
   // Merge in restart order (deterministic tie-breaking), and fold every
   // restart's evaluation total back into the caller's objective.
   EvolutionResult result;
-  BestSet best(options.num_projections, options.require_non_empty);
+  BestSet best(options.num_projections);
   for (const RestartOutcome& outcome : outcomes) {
     for (const ScoredProjection& scored : outcome.best) {
       best.Offer(scored);

@@ -80,8 +80,7 @@ struct EvolutionaryOptions {
   /// uninterrupted run at any thread count, and so are its search.*
   /// totals.
   const EvolutionCheckpoint* resume = nullptr;
-  bool require_non_empty = true;  ///< skip empty-cube projections
-  uint64_t seed = 42;             ///< master seed for all restart streams
+  uint64_t seed = 42;  ///< master seed for all restart streams
   /// Worker threads (0 = hardware concurrency). Parallelism is exploited
   /// along two axes on the shared ThreadPool: restarts run as independent
   /// tasks, and within a restart the population's fitness evaluations fan

@@ -69,8 +69,7 @@ class Driver {
     HIDO_DCHECK(candidate.Dimensionality() == options_.target_dim);
     const CubeEvaluation eval = objective_.Evaluate(candidate);
     ++stats_.evaluations;
-    if ((eval.count > 0 || !options_.require_non_empty) &&
-        best_.WouldAccept(eval.sparsity)) {
+    if (eval.count > 0 && best_.WouldAccept(eval.sparsity)) {
       scored_.projection = candidate;
       scored_.count = eval.count;
       scored_.sparsity = eval.sparsity;
@@ -186,7 +185,7 @@ LocalSearchResult LocalSearch(SparsityObjective& objective,
   HIDO_CHECK(options.cooling > 0.0 && options.cooling < 1.0);
 
   StopWatch watch;
-  BestSet best(options.num_projections, options.require_non_empty);
+  BestSet best(options.num_projections);
   Driver driver(objective, options, best);
   Rng rng(options.seed);
 

@@ -47,7 +47,6 @@ struct LocalSearchOptions {
   /// units) and per-step geometric cooling factor.
   double initial_temperature = 2.0;  ///< annealing start temperature
   double cooling = 0.9995;           ///< geometric cooling factor
-  bool require_non_empty = true;     ///< skip empty-cube projections
   uint64_t seed = 42;                ///< RNG seed
   /// Optional cooperative stop (deadline/SIGINT/failpoint), polled before
   /// the first evaluation and every kStopPollStride evaluations after it.

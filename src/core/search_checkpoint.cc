@@ -17,10 +17,11 @@ constexpr char kMagic[] = "hido-checkpoint";
 // `counter_stats` to the cube-cache breakdown; v4 shrank it back to the
 // queries and the two counting strategies once counts were no longer
 // memoized; v5 kept only the queries, since every cube is counted one way;
-// v6 drops the `counter_stats` line, which always repeated `evaluations`.
-// Older versions are rejected; checkpoints are short-lived scratch state,
-// not archives.
-constexpr char kVersion[] = "v6";
+// v6 drops the `counter_stats` line, which always repeated `evaluations`;
+// v7 drops the line saying whether empty cubes could be reported, since
+// they never are. Older versions are rejected; checkpoints are short-lived
+// scratch state, not archives.
+constexpr char kVersion[] = "v7";
 
 const char* StateName(RestartCheckpoint::State state) {
   switch (state) {
@@ -152,7 +153,6 @@ EvolutionCheckpoint Fingerprint(const EvolutionaryOptions& options,
   checkpoint.mutation_p2 = options.mutation.p2;
   checkpoint.target_dim = options.target_dim;
   checkpoint.num_projections = options.num_projections;
-  checkpoint.require_non_empty = options.require_non_empty;
   checkpoint.expectation = static_cast<int>(expectation);
   checkpoint.num_dims = shape.num_dims;
   checkpoint.phi = shape.phi;
@@ -192,8 +192,6 @@ std::string SerializeCheckpoint(const EvolutionCheckpoint& checkpoint) {
                    checkpoint.mutation_p2);
   out += StrFormat("target_dim %zu\n", checkpoint.target_dim);
   out += StrFormat("num_projections %zu\n", checkpoint.num_projections);
-  out += StrFormat("require_non_empty %d\n",
-                   checkpoint.require_non_empty ? 1 : 0);
   out += StrFormat("expectation %d\n", checkpoint.expectation);
   out += StrFormat("num_dims %zu\n", checkpoint.num_dims);
   out += StrFormat("phi %zu\n", checkpoint.phi);
@@ -289,12 +287,6 @@ Result<EvolutionCheckpoint> ParseCheckpoint(std::string_view text) {
       checkpoint.num_projections == 0) {
     return p.Fail("bad num_projections");
   }
-  HIDO_RETURN_IF_ERROR(p.ExpectKey("require_non_empty"));
-  int flag = 0;
-  if (!(p.in >> flag) || (flag != 0 && flag != 1)) {
-    return p.Fail("bad require_non_empty");
-  }
-  checkpoint.require_non_empty = flag == 1;
   HIDO_RETURN_IF_ERROR(p.ExpectKey("expectation"));
   if (!(p.in >> checkpoint.expectation)) return p.Fail("bad expectation");
   HIDO_RETURN_IF_ERROR(p.ExpectKey("num_dims"));
@@ -432,9 +424,6 @@ Status ValidateCheckpoint(const EvolutionCheckpoint& checkpoint,
   }
   if (checkpoint.num_projections != expected.num_projections) {
     return mismatch("num_projections");
-  }
-  if (checkpoint.require_non_empty != expected.require_non_empty) {
-    return mismatch("require_non_empty");
   }
   if (checkpoint.expectation != expected.expectation) {
     return mismatch("expectation");

@@ -86,7 +86,6 @@ struct EvolutionCheckpoint {
   double mutation_p2 = 0.0;            ///< mutation probability p2
   size_t target_dim = 0;               ///< projection dimensionality k
   size_t num_projections = 0;          ///< best-set capacity m
-  bool require_non_empty = true;       ///< skip empty-cube projections
   int expectation = 0;                 ///< ExpectationModel as int
   size_t num_dims = 0;                 ///< dataset dimensionality d
   size_t phi = 0;                      ///< grid ranges per dimension

@@ -50,21 +50,18 @@ Result<Dataset> ReadCsv(const std::string& path,
   return internal::ReadCsvWindowed({&path, {}}, options, kCsvWindowBytes);
 }
 
-std::string WriteCsvString(const Dataset& data,
-                           const CsvWriteOptions& options) {
+std::string WriteCsvString(const Dataset& data) {
   std::string out;
-  const bool labels = options.write_labels && data.has_labels();
-  if (options.write_header) {
-    for (size_t c = 0; c < data.num_cols(); ++c) {
-      if (c > 0) out.push_back(options.delimiter);
-      out += data.ColumnName(c);
-    }
-    if (labels) {
-      if (data.num_cols() > 0) out.push_back(options.delimiter);
-      out += "label";
-    }
-    out.push_back('\n');
+  const bool labels = data.has_labels();
+  for (size_t c = 0; c < data.num_cols(); ++c) {
+    if (c > 0) out.push_back(',');
+    out += data.ColumnName(c);
   }
+  if (labels) {
+    if (data.num_cols() > 0) out.push_back(',');
+    out += "label";
+  }
+  out.push_back('\n');
   // to_chars(general, 17) writes the bytes of printf's "%.17g".
   char number[32];
   const auto append = [&](const std::to_chars_result written) {
@@ -72,16 +69,16 @@ std::string WriteCsvString(const Dataset& data,
   };
   for (size_t r = 0; r < data.num_rows(); ++r) {
     for (size_t c = 0; c < data.num_cols(); ++c) {
-      if (c > 0) out.push_back(options.delimiter);
+      if (c > 0) out.push_back(',');
       if (data.IsMissing(r, c)) {
-        out += options.missing_token;
+        out.push_back('?');
       } else {
         append(std::to_chars(number, number + sizeof(number), data.Get(r, c),
                              std::chars_format::general, 17));
       }
     }
     if (labels) {
-      if (data.num_cols() > 0) out.push_back(options.delimiter);
+      if (data.num_cols() > 0) out.push_back(',');
       append(std::to_chars(number, number + sizeof(number), data.Label(r)));
     }
     out.push_back('\n');
@@ -89,13 +86,12 @@ std::string WriteCsvString(const Dataset& data,
   return out;
 }
 
-Status WriteCsv(const Dataset& data, const std::string& path,
-                const CsvWriteOptions& options) {
+Status WriteCsv(const Dataset& data, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     return Status::IoError("cannot open for writing: " + path);
   }
-  out << WriteCsvString(data, options);
+  out << WriteCsvString(data);
   out.flush();
   if (!out) {
     return Status::IoError("write failure: " + path);

@@ -22,8 +22,6 @@ struct CsvReadOptions {
   /// Column index holding the class label, or -1 for none. The label column
   /// is removed from the numeric data and installed via Dataset::SetLabels.
   int label_column = -1;
-  /// Accept "", "?", "na", "nan", "null" as missing values.
-  bool allow_missing = true;
   /// Skip blank lines instead of failing on them.
   bool skip_blank_lines = true;
   /// Reject fields longer than this many bytes — the usual symptom of a
@@ -37,16 +35,6 @@ struct CsvReadOptions {
   /// no partial dataset to salvage. Shared by the numeric and the
   /// categorical-encoding ingest paths.
   const StopToken* stop = nullptr;
-};
-
-/// Options for WriteCsv.
-struct CsvWriteOptions {
-  char delimiter = ',';      ///< field separator
-  bool write_header = true;  ///< emit the column-name row?
-  /// Spelling used for missing cells.
-  std::string missing_token = "?";
-  /// Append the label column (named "label") when the dataset has labels.
-  bool write_labels = true;
 };
 
 /// Bytes of input the reader holds at once, twice over: it parses one
@@ -70,13 +58,15 @@ inline constexpr size_t kCsvChunkBytes = size_t{1} << 18;
 static_assert(kCsvWindowBytes % kCsvChunkBytes == 0,
               "a window holds whole parse chunks");
 
-/// Parses `path` into a Dataset. Fails (no partial result) on ragged rows,
-/// non-numeric fields (other than missing tokens), labels outside int32,
-/// embedded NUL bytes, fields/rows beyond the size caps, or unreadable
-/// files and directories; every parse error carries 1-based line (and
-/// where it applies, column) context, and of several errors the first in
-/// line order is reported. The file is read front to back in windows of
-/// kCsvWindowBytes; a pipe or FIFO is read to its end the same way.
+/// Parses `path` into a Dataset. "", "?", "na", "nan" and "null" (any case,
+/// padded or not) are missing cells. Fails (no partial result) on ragged
+/// rows, non-numeric fields (other than missing tokens), labels outside
+/// int32, embedded NUL bytes, fields/rows beyond the size caps, or
+/// unreadable files and directories; every parse error carries 1-based
+/// line (and where it applies, column) context, and of several errors the
+/// first in line order is reported. The file is read front to back in
+/// windows of kCsvWindowBytes; a pipe or FIFO is read to its end the same
+/// way.
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvReadOptions& options = {});
 
@@ -85,13 +75,14 @@ Result<Dataset> ReadCsv(const std::string& path,
 Result<Dataset> ReadCsvString(std::string_view text,
                               const CsvReadOptions& options = {});
 
-/// Writes `data` to `path`.
-Status WriteCsv(const Dataset& data, const std::string& path,
-                const CsvWriteOptions& options = {});
+/// Writes `data` to `path` as WriteCsvString formats it.
+Status WriteCsv(const Dataset& data, const std::string& path);
 
-/// Serializes `data` to CSV text.
-std::string WriteCsvString(const Dataset& data,
-                           const CsvWriteOptions& options = {});
+/// Serializes `data` to comma-separated text: a header row of the column
+/// names, then one line per row with each value as printf's "%.17g" and a
+/// missing cell as "?". A dataset with labels gets a last column named
+/// "label".
+std::string WriteCsvString(const Dataset& data);
 
 }  // namespace hido
 

@@ -673,7 +673,7 @@ Status Parser::ParseRow(std::string_view line, size_t line_no, size_t row,
     }
     double& cell = table_.columns[column++][row];
     if (ParseFinite(field, &cell)) continue;
-    if (options_.allow_missing && IsMissingToken(field)) {
+    if (IsMissingToken(field)) {
       cell = kNaN;
       continue;
     }
@@ -732,7 +732,7 @@ Status Parser::Collect(std::string_view window,
     for (size_t r = 0; r < rows; ++r) {
       const std::string_view field = values[i][r];
       double& cell = column[first_row + r];
-      if (options_.allow_missing && IsMissingToken(field)) {
+      if (IsMissingToken(field)) {
         cell = kNaN;
         continue;
       }

@@ -58,9 +58,8 @@ void RunRandomSubspaceMember(SparsityObjective& objective, size_t target_dim,
   const size_t phi = grid.phi();
   Rng rng(member->seed);
 
-  size_t pool_size = options.subspace_dims != 0 ? options.subspace_dims
-                                                : (num_dims + 1) / 2;
-  pool_size = std::min(std::max(pool_size, target_dim), num_dims);
+  const size_t pool_size =
+      std::min(std::max((num_dims + 1) / 2, target_dim), num_dims);
   std::vector<size_t> pool;
   rng.SampleWithoutReplacement(num_dims, pool_size, &pool);
 

@@ -39,10 +39,9 @@ struct EnsembleOptions {
   /// Member-kind cycle; member i runs mix[i % mix.size()]. Empty = all-GA
   /// (decorrelated restarts).
   std::vector<MemberKind> mix;
-  /// Random-subspace members: dimensions in the sampled pool (0 = half the
-  /// attributes, at least the projection dimensionality).
-  size_t subspace_dims = 0;
-  /// Random-subspace members: objective evaluations per member.
+  /// Random-subspace members: objective evaluations per member, spent on
+  /// a pool of half the attributes (at least the projection
+  /// dimensionality).
   uint64_t subspace_evaluations = 20000;
   /// Local-search members (hill-climb/anneal): evaluations per member.
   uint64_t local_evaluations = 20000;

@@ -26,18 +26,6 @@ TEST(DbOutlierTest, IsolatedPointIsAnOutlier) {
   EXPECT_EQ(out[0], 30u);
 }
 
-TEST(DbOutlierTest, VpTreePathAgrees) {
-  const Dataset ds = GenerateUniform(150, 3, 1);
-  const DistanceMetric metric(ds);
-  DbOutlierOptions opts;
-  opts.lambda = 0.25;
-  opts.max_neighbors = 3;
-  const std::vector<size_t> loop = DbOutliers(metric, opts);
-  opts.use_vptree = true;
-  const std::vector<size_t> tree = DbOutliers(metric, opts);
-  EXPECT_EQ(loop, tree);
-}
-
 TEST(DbOutlierTest, MatchesDefinitionExactly) {
   const Dataset ds = GenerateUniform(100, 2, 2);
   const DistanceMetric metric(ds);

@@ -45,21 +45,6 @@ TEST(KnnOutlierTest, MatchesReferenceImplementation) {
   }
 }
 
-TEST(KnnOutlierTest, VpTreePathAgreesWithNestedLoop) {
-  const Dataset ds = GenerateUniform(120, 3, 2);
-  const DistanceMetric metric(ds);
-  KnnOutlierOptions opts;
-  opts.k = 2;
-  opts.num_outliers = 8;
-  const std::vector<KnnOutlier> loop = TopNKnnOutliers(metric, opts);
-  opts.use_vptree = true;
-  const std::vector<KnnOutlier> tree = TopNKnnOutliers(metric, opts);
-  ASSERT_EQ(loop.size(), tree.size());
-  for (size_t i = 0; i < loop.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loop[i].kth_distance, tree[i].kth_distance);
-  }
-}
-
 TEST(KnnOutlierTest, ResultsSortedStrongestFirst) {
   const Dataset ds = GenerateUniform(100, 3, 3);
   const DistanceMetric metric(ds);

@@ -64,35 +64,6 @@ TEST(VpTreeTest, DuplicatePointsHandled) {
   for (const Neighbor& n : nn) EXPECT_DOUBLE_EQ(n.distance, 0.0);
 }
 
-TEST(VpTreeTest, CountWithinMatchesLinearScan) {
-  const Dataset ds = GenerateUniform(150, 3, 5);
-  const DistanceMetric metric(ds);
-  const VpTree tree(metric);
-  for (size_t q = 0; q < 150; q += 11) {
-    for (double radius : {0.05, 0.2, 0.5}) {
-      size_t expected = 0;
-      for (size_t j = 0; j < 150; ++j) {
-        if (j != q && metric.Distance(q, j) <= radius) ++expected;
-      }
-      EXPECT_EQ(tree.CountWithin(q, radius, 0), expected)
-          << "q=" << q << " r=" << radius;
-    }
-  }
-}
-
-TEST(VpTreeTest, CountWithinEarlyStopNeverUndercounts) {
-  const Dataset ds = GenerateUniform(200, 2, 7);
-  const DistanceMetric metric(ds);
-  const VpTree tree(metric);
-  const size_t full = tree.CountWithin(0, 0.5, 0);
-  const size_t stopped = tree.CountWithin(0, 0.5, 3);
-  if (full > 3) {
-    EXPECT_GT(stopped, 3u);  // stops only after exceeding the cap
-  } else {
-    EXPECT_EQ(stopped, full);
-  }
-}
-
 TEST(BruteForceNearestTest, ExactOnTinyInstance) {
   const Dataset ds =
       Dataset::FromRows({{0.0}, {1.0}, {3.0}, {7.0}});

@@ -51,15 +51,10 @@ TEST(BestSetTest, EvictedKeyCanReenter) {
 }
 
 TEST(BestSetTest, NonEmptyFilterDropsEmptyCubes) {
-  BestSet best(3, /*require_non_empty=*/true);
+  BestSet best(3);
   EXPECT_FALSE(best.Offer(Make(0, 0, -10.0, /*count=*/0)));
   EXPECT_TRUE(best.Offer(Make(1, 0, -1.0, /*count=*/2)));
   EXPECT_EQ(best.size(), 1u);
-}
-
-TEST(BestSetTest, EmptyCubesAllowedWhenDisabled) {
-  BestSet best(3, /*require_non_empty=*/false);
-  EXPECT_TRUE(best.Offer(Make(0, 0, -10.0, /*count=*/0)));
 }
 
 TEST(BestSetTest, WorstRetainedSparsity) {

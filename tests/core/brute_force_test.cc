@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/candidate_search.h"
 #include "data/generators/synthetic.h"
 #include "testing/count_oracle.h"
 
@@ -89,49 +90,43 @@ TEST(BruteForceTest, ResultsSortedBestFirstAndNonEmpty) {
 }
 
 TEST(BruteForceTest, PruningDoesNotChangeResults) {
+  // The brute force always skips the subtree below an empty partial cube;
+  // CandidateSetSearch scores every cube of R_k, so the two must report the
+  // same cubes where empty prefixes exist.
   Fixture f(40, 5, 4, 3);  // sparse enough that empty partial cubes exist
   BruteForceOptions opts;
   opts.target_dim = 3;
   opts.num_projections = 8;
-
-  opts.prune_empty_subtrees = true;
   const BruteForceResult pruned = BruteForceSearch(f.objective, opts);
-  opts.prune_empty_subtrees = false;
-  const BruteForceResult full = BruteForceSearch(f.objective, opts);
+
+  CandidateSearchOptions copts;
+  copts.target_dim = 3;
+  copts.num_projections = 8;
+  const CandidateSearchResult full = CandidateSetSearch(f.objective, copts);
+  ASSERT_TRUE(full.stats.completed);
 
   EXPECT_GT(pruned.stats.subtrees_pruned, 0u);
-  EXPECT_LT(pruned.stats.cubes_evaluated, full.stats.cubes_evaluated);
+  EXPECT_LT(static_cast<double>(pruned.stats.cubes_evaluated),
+            BruteForceSearchSpace(5, 3, 4));
+  ASSERT_EQ(pruned.best.size(), 8u);
   ASSERT_EQ(pruned.best.size(), full.best.size());
   for (size_t i = 0; i < pruned.best.size(); ++i) {
-    EXPECT_NEAR(pruned.best[i].sparsity, full.best[i].sparsity, 1e-12);
+    SCOPED_TRACE(i);
+    EXPECT_EQ(pruned.best[i].projection, full.best[i].projection);
+    EXPECT_EQ(pruned.best[i].count, full.best[i].count);
+    EXPECT_EQ(pruned.best[i].sparsity, full.best[i].sparsity);
   }
 }
 
 TEST(BruteForceTest, CubesEvaluatedMatchesSearchSpaceWithoutPruning) {
-  Fixture f(100, 4, 3, 4);
+  Fixture f(100, 4, 3, 4);  // dense: no 1-condition prefix is empty
   BruteForceOptions opts;
   opts.target_dim = 2;
   opts.num_projections = 3;
-  opts.prune_empty_subtrees = false;
   const BruteForceResult result = BruteForceSearch(f.objective, opts);
+  EXPECT_EQ(result.stats.subtrees_pruned, 0u);
   EXPECT_EQ(static_cast<double>(result.stats.cubes_evaluated),
             BruteForceSearchSpace(4, 2, 3));
-}
-
-TEST(BruteForceTest, EmptyCubesReportedWhenAllowed) {
-  // 20 points in a phi=4 grid: most 3-cubes are empty.
-  Fixture f(20, 5, 4, 5);
-  BruteForceOptions opts;
-  opts.target_dim = 3;
-  opts.num_projections = 5;
-  opts.require_non_empty = false;
-  opts.prune_empty_subtrees = false;
-  const BruteForceResult result = BruteForceSearch(f.objective, opts);
-  ASSERT_FALSE(result.best.empty());
-  // The most negative cubes are the empty ones.
-  EXPECT_EQ(result.best[0].count, 0u);
-  EXPECT_NEAR(result.best[0].sparsity,
-              f.objective.model().EmptyCubeCoefficient(3), 1e-12);
 }
 
 TEST(BruteForceTest, OversizedThreadCountIsClampedNotAllocated) {
@@ -190,8 +185,8 @@ TEST(BruteForceTest, KEqualsDimensionality) {
   BruteForceOptions opts;
   opts.target_dim = 3;  // == d: exactly phi^d cubes
   opts.num_projections = 4;
-  opts.prune_empty_subtrees = false;
   const BruteForceResult result = BruteForceSearch(f.objective, opts);
+  EXPECT_EQ(result.stats.subtrees_pruned, 0u);  // dense: no empty prefix
   EXPECT_EQ(static_cast<double>(result.stats.cubes_evaluated), 8.0);
 }
 

@@ -145,8 +145,9 @@ TEST(DetectorTest, PreCancelledTokenYieldsIncompleteResult) {
 }
 
 TEST(DetectorTest, NestedSearchStopIsOverwrittenByConfigStop) {
-  // `DetectorConfig::stop` is the only stop: a token left in a search's own
-  // options, even a fired one, is overwritten when the config's is null.
+  // `DetectorConfig::stop` is the only stop: a token left in the nested
+  // evolutionary options, even a fired one, is overwritten when the
+  // config's is null (the brute force has no nested options to hold one).
   const Dataset data = GenerateUniform(300, 8, 23);
   StopToken cancelled;
   cancelled.RequestCancel();
@@ -155,7 +156,6 @@ TEST(DetectorTest, NestedSearchStopIsOverwrittenByConfigStop) {
   dconfig.phi = 5;
   dconfig.seed = 8;
   dconfig.evolution.stop = &cancelled;
-  dconfig.brute_force.stop = &cancelled;
   for (const SearchAlgorithm algorithm :
        {SearchAlgorithm::kEvolutionary, SearchAlgorithm::kBruteForce}) {
     dconfig.algorithm = algorithm;
@@ -170,7 +170,6 @@ TEST(DetectorTest, SearchThreadsIsTheConfigWidth) {
   DetectorConfig dconfig;
   EXPECT_EQ(SearchThreads(dconfig), 1u);
   dconfig.evolution.num_threads = 3;
-  dconfig.brute_force.num_threads = 5;
   dconfig.num_threads = 4;
   EXPECT_EQ(SearchThreads(dconfig), 4u);
   dconfig.algorithm = SearchAlgorithm::kBruteForce;

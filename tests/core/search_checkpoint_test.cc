@@ -119,7 +119,7 @@ TEST(SearchCheckpointTest, SerializeParseRoundTripsExactly) {
   Result<EvolutionCheckpoint> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string first = SerializeCheckpoint(loaded.value());
-  EXPECT_EQ(first.rfind("hido-checkpoint v6\n", 0), 0u);
+  EXPECT_EQ(first.rfind("hido-checkpoint v7\n", 0), 0u);
   EXPECT_EQ(first.find("counter_stats"), std::string::npos);
   Result<EvolutionCheckpoint> reparsed = ParseCheckpoint(first);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
@@ -130,15 +130,16 @@ TEST(SearchCheckpointTest, SerializeParseRoundTripsExactly) {
 TEST(SearchCheckpointTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseCheckpoint("").ok());
   EXPECT_FALSE(ParseCheckpoint("not a checkpoint").ok());
-  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v6\nseed oops\n").ok());
+  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v7\nseed oops\n").ok());
 }
 
 TEST(SearchCheckpointTest, ParseRejectsOldFormatVersion) {
-  // v1 files lack the per-restart `ops` tallies, and v2-v5 carry a
-  // `counter_stats` line that v6 dropped; checkpoints are short-lived
-  // scratch state, so old versions are rejected outright rather than
-  // migrated.
-  for (const char* version : {"v1", "v2", "v3", "v4", "v5"}) {
+  // v1 files lack the per-restart `ops` tallies, v2-v5 carry a
+  // `counter_stats` line that v6 dropped, and v1-v6 a line saying whether
+  // empty cubes could be reported, which v7 dropped; checkpoints are
+  // short-lived scratch state, so old versions are rejected outright rather
+  // than migrated.
+  for (const char* version : {"v1", "v2", "v3", "v4", "v5", "v6"}) {
     const Result<EvolutionCheckpoint> parsed = ParseCheckpoint(
         std::string("hido-checkpoint ") + version + "\nseed 17\n");
     ASSERT_FALSE(parsed.ok()) << version;

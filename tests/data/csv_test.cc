@@ -317,17 +317,8 @@ TEST(CsvWriteTest, NumbersAreWrittenAsPrintfG17) {
   Dataset labeled = Dataset::FromRows({{1.0}, {2.0}, {3.0}});
   labeled.SetLabels({std::numeric_limits<int32_t>::min(), 0,
                      std::numeric_limits<int32_t>::max()});
-  CsvWriteOptions opts;
-  opts.write_header = false;
-  EXPECT_EQ(WriteCsvString(labeled, opts),
-            "1,-2147483648\n2,0\n3,2147483647\n");
-}
-
-TEST(CsvWriteTest, HeaderOptional) {
-  const Dataset ds = Dataset::FromRows({{1.0}});
-  CsvWriteOptions opts;
-  opts.write_header = false;
-  EXPECT_EQ(WriteCsvString(ds, opts), "1\n");
+  EXPECT_EQ(WriteCsvString(labeled),
+            "c0,label\n1,-2147483648\n2,0\n3,2147483647\n");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "tools/lint/cross_file_rules.h"
+#include "tools/lint/lint_rules.h"
 
 namespace hido {
 namespace lint {
@@ -246,13 +247,13 @@ TEST(ParseMetricContract, ParsesEntriesAndFlagsMalformedLines) {
   std::vector<Finding> findings;
   const std::vector<MetricContractEntry> entries = ParseMetricContract(
       "src/obs/telemetry.h",
-      "// METRIC-CONTRACT-BEGIN\n"
-      "//   counter search.runs invariant\n"
-      "//   gauge pool.workers variant snapshot of the shared pool\n"
-      "//   histogram serve.<endpoint>.latency_seconds variant\n"
-      "//   counter Bad.Grammar invariant\n"
-      "//   counter search.runs sometimes\n"
-      "// METRIC-CONTRACT-END\n",
+      SplitLines("// METRIC-CONTRACT-BEGIN\n"
+                 "//   counter search.runs invariant\n"
+                 "//   gauge pool.workers variant snapshot of the shared pool\n"
+                 "//   histogram serve.<endpoint>.latency_seconds variant\n"
+                 "//   counter Bad.Grammar invariant\n"
+                 "//   counter search.runs sometimes\n"
+                 "// METRIC-CONTRACT-END\n"),
       findings);
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].kind, "counter");
@@ -267,8 +268,8 @@ TEST(ParseMetricContract, ParsesEntriesAndFlagsMalformedLines) {
 TEST(ParseMetricContract, MissingBlockIsAFinding) {
   std::vector<Finding> findings;
   const std::vector<MetricContractEntry> entries =
-      ParseMetricContract("src/obs/telemetry.h", "// no markers here\n",
-                          findings);
+      ParseMetricContract("src/obs/telemetry.h",
+                          SplitLines("// no markers here\n"), findings);
   EXPECT_TRUE(entries.empty());
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "metric-contract");

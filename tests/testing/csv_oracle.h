@@ -157,7 +157,7 @@ inline Status ReadCsvRows(const std::string& text,
         continue;
       }
       if (encode) raw.push_back(fields[c]);
-      if (options.allow_missing && IsMissingToken(fields[c])) {
+      if (IsMissingToken(fields[c])) {
         row.push_back(std::numeric_limits<double>::quiet_NaN());
         continue;
       }
@@ -218,13 +218,13 @@ inline Result<EncodedDataset> ReadCsvEncodedString(
     if (rows.non_numeric[column] == 0) continue;
     std::set<std::string> distinct;
     for (const std::vector<std::string>& fields : rows.fields) {
-      if (options.allow_missing && IsMissingToken(fields[column])) continue;
+      if (IsMissingToken(fields[column])) continue;
       distinct.insert(std::string(Trim(fields[column])));
     }
     const std::vector<std::string> values(distinct.begin(), distinct.end());
     for (size_t r = 0; r < rows.values.size(); ++r) {
       const std::string& field = rows.fields[r][column];
-      if (options.allow_missing && IsMissingToken(field)) continue;
+      if (IsMissingToken(field)) continue;
       rows.values[r][column] = static_cast<double>(
           std::lower_bound(values.begin(), values.end(), Trim(field)) -
           values.begin());

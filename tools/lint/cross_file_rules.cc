@@ -200,10 +200,8 @@ std::vector<Finding> CheckLayering(const ProjectIndex& index,
   // Resolved project-include adjacency (parallel to index.files), plus the
   // line each edge was spelled on for path-precise reporting.
   std::vector<std::vector<std::pair<size_t, size_t>>> adj(n);  // (to, line)
-  std::vector<std::vector<std::string>> raw_lines(n);
   for (size_t from = 0; from < n; ++from) {
     const FileIndex& file = index.files[from];
-    raw_lines[from] = SplitLines(file.content);
     const std::string from_layer = LayerOf(spec, file.path);
     for (const IncludeEdge& edge : file.includes) {
       if (edge.style != '"') continue;  // system includes are out of scope
@@ -220,9 +218,9 @@ std::vector<Finding> CheckLayering(const ProjectIndex& index,
       const bool allowed = reach != spec.reachable.end() &&
                            reach->second.count(to_layer) > 0;
       if (allowed) continue;
-      const std::string& raw =
-          edge.line - 1 < raw_lines[from].size() ? raw_lines[from][edge.line - 1]
-                                                 : std::string();
+      const std::string& raw = edge.line - 1 < file.raw_lines.size()
+                                   ? file.raw_lines[edge.line - 1]
+                                   : std::string();
       if (IsSuppressed(raw, "layering")) continue;
       findings.push_back(
           {"layering", file.path, edge.line,
@@ -324,10 +322,9 @@ std::vector<Finding> CheckLayering(const ProjectIndex& index,
 }
 
 std::vector<MetricContractEntry> ParseMetricContract(
-    const std::string& contract_path, const std::string& content,
+    const std::string& contract_path, const std::vector<std::string>& lines,
     std::vector<Finding>& findings) {
   std::vector<MetricContractEntry> entries;
-  const std::vector<std::string> lines = SplitLines(content);
   bool in_block = false;
   bool saw_block = false;
   for (size_t i = 0; i < lines.size(); ++i) {
@@ -406,13 +403,13 @@ std::vector<Finding> CheckMetricContract(const ProjectIndex& index) {
   }
   std::vector<MetricContractEntry> entries;
   if (contract_file != nullptr) {
-    entries = ParseMetricContract(contract_file->path, contract_file->content,
-                                  findings);
+    entries = ParseMetricContract(contract_file->path,
+                                  contract_file->raw_lines, findings);
   }
   std::vector<bool> entry_used(entries.size(), false);
   for (const FileIndex& file : index.files) {
     if (file.metrics.empty()) continue;
-    const std::vector<std::string> raw_lines = SplitLines(file.content);
+    const std::vector<std::string>& raw_lines = file.raw_lines;
     for (const MetricLiteral& literal : file.metrics) {
       const std::string& raw = literal.line - 1 < raw_lines.size()
                                    ? raw_lines[literal.line - 1]
@@ -455,8 +452,7 @@ std::vector<Finding> CheckMetricContract(const ProjectIndex& index) {
     }
   }
   if (contract_file != nullptr) {
-    const std::vector<std::string> raw_lines =
-        SplitLines(contract_file->content);
+    const std::vector<std::string>& raw_lines = contract_file->raw_lines;
     for (size_t e = 0; e < entries.size(); ++e) {
       if (entry_used[e]) continue;
       const std::string& raw = entries[e].line - 1 < raw_lines.size()

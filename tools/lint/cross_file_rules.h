@@ -77,10 +77,10 @@ struct MetricContractEntry {
 };
 
 /// Parses the METRIC-CONTRACT block out of the contract header's raw
-/// text. Malformed lines inside the block become findings against
+/// lines. Malformed lines inside the block become findings against
 /// `contract_path`.
 std::vector<MetricContractEntry> ParseMetricContract(
-    const std::string& contract_path, const std::string& content,
+    const std::string& contract_path, const std::vector<std::string>& lines,
     std::vector<Finding>& findings);
 
 /// The metric-contract rule over the whole index. Looks for the contract

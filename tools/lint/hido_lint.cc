@@ -213,7 +213,8 @@ int Run(const Options& options) {
   // Pass 2: per-file rules, then cross-file rules.
   std::vector<Finding> findings;
   for (const FileIndex& file : index.files) {
-    for (Finding& finding : LintContent(file.path, file.content)) {
+    for (Finding& finding :
+         LintLines(file.path, file.code_lines, file.raw_lines)) {
       if (RuleEnabled(options, finding.rule)) {
         findings.push_back(std::move(finding));
       }

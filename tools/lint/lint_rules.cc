@@ -121,16 +121,21 @@ const std::vector<TokenRule>& TokenRules() {
   return *rules;
 }
 
-void CheckHeaderGuard(const std::string& path, const std::string& stripped,
+void CheckHeaderGuard(const std::string& path,
+                      const std::vector<std::string>& code_lines,
                       const std::vector<std::string>& raw_lines,
                       std::vector<Finding>& findings) {
   if (!IsHeader(path)) return;
   const std::string guard = ExpectedHeaderGuard(path);
-  const bool has_ifndef =
-      stripped.find("#ifndef " + guard) != std::string::npos;
-  const bool has_define =
-      stripped.find("#define " + guard) != std::string::npos;
-  if (has_ifndef && has_define) return;
+  // Neither directive spans a line, so a line-by-line search finds what a
+  // search of the whole stripped text would.
+  const auto has = [&code_lines](const std::string& directive) {
+    return std::any_of(code_lines.begin(), code_lines.end(),
+                       [&directive](const std::string& line) {
+                         return line.find(directive) != std::string::npos;
+                       });
+  };
+  if (has("#ifndef " + guard) && has("#define " + guard)) return;
   for (const std::string& raw : raw_lines) {
     if (IsSuppressed(raw, "header-guard")) return;
   }
@@ -584,10 +589,14 @@ std::string ExpectedHeaderGuard(const std::string& path) {
 
 std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content) {
+  return LintLines(path, SplitLines(StripCommentsAndStrings(content)),
+                   SplitLines(content));
+}
+
+std::vector<Finding> LintLines(const std::string& path,
+                               const std::vector<std::string>& code_lines,
+                               const std::vector<std::string>& raw_lines) {
   std::vector<Finding> findings;
-  const std::string stripped = StripCommentsAndStrings(content);
-  const std::vector<std::string> code_lines = SplitLines(stripped);
-  const std::vector<std::string> raw_lines = SplitLines(content);
 
   for (const TokenRule& rule : TokenRules()) {
     bool scoped_in = rule.only_under.empty();
@@ -616,7 +625,7 @@ std::vector<Finding> LintContent(const std::string& path,
     }
   }
 
-  CheckHeaderGuard(path, stripped, raw_lines, findings);
+  CheckHeaderGuard(path, code_lines, raw_lines, findings);
   CheckIncludeOrder(path, code_lines, raw_lines, findings);
   CheckDocComments(path, code_lines, raw_lines, findings);
   return findings;

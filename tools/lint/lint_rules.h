@@ -134,6 +134,13 @@ std::string StripComments(const std::string& source);
 std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content);
 
+/// LintContent over a file already split: `code_lines` is
+/// SplitLines(StripCommentsAndStrings(content)) and `raw_lines`
+/// SplitLines(content), as the project model keeps them.
+std::vector<Finding> LintLines(const std::string& path,
+                               const std::vector<std::string>& code_lines,
+                               const std::vector<std::string>& raw_lines);
+
 /// Canonical include guard for a repo-relative header path:
 /// "src/common/mutex.h" -> "HIDO_COMMON_MUTEX_H_",
 /// "tools/lint/lint_rules.h" -> "HIDO_TOOLS_LINT_LINT_RULES_H_".

@@ -70,13 +70,12 @@ bool IsUnderSrc(const std::string& path) {
          path.find("/src/") != std::string::npos;
 }
 
-std::vector<IncludeEdge> ExtractIncludes(const std::string& code,
-                                         const std::string& content) {
+std::vector<IncludeEdge> ExtractIncludes(
+    const std::vector<std::string>& code_lines,
+    const std::vector<std::string>& raw_lines) {
   // The stripped view gates the match (commented-out includes and
   // "#include" spelled inside string literals are not code); the raw view
   // supplies the name, because the stripper empties quoted contents.
-  const std::vector<std::string> code_lines = SplitLines(code);
-  const std::vector<std::string> raw_lines = SplitLines(content);
   std::vector<IncludeEdge> edges;
   for (size_t i = 0; i < code_lines.size() && i < raw_lines.size(); ++i) {
     IncludeName include;
@@ -171,9 +170,9 @@ std::vector<MetricLiteral> ExtractMetricLiterals(
 FileIndex BuildFileIndex(const std::string& path, const std::string& content) {
   FileIndex file;
   file.path = path;
-  file.content = content;
-  file.code = StripCommentsAndStrings(content);
-  file.includes = ExtractIncludes(file.code, content);
+  file.raw_lines = SplitLines(content);
+  file.code_lines = SplitLines(StripCommentsAndStrings(content));
+  file.includes = ExtractIncludes(file.code_lines, file.raw_lines);
   if (IsUnderSrc(path)) {
     file.metrics = ExtractMetricLiterals(StripComments(content));
   }

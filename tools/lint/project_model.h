@@ -9,16 +9,17 @@
 // lint roots is read once and reduced to
 //
 //   * its repo-relative path (and the include-name other files use for it),
-//   * two stripped views of the source (comments+strings removed for token
-//     rules; comments-only removed for literal extraction),
+//   * its lines, raw and with comments+strings removed (for token rules),
 //   * its #include edges (quoted vs angle, with line numbers),
-//   * every Counter/Gauge/Histogram name literal it registers,
+//   * every Counter/Gauge/Histogram name literal it registers (read from a
+//     comments-only-stripped view that is not kept),
 //
 // after which pass 2 runs the per-file rules (tools/lint/lint_rules.h) and
 // the cross-file rules (tools/lint/cross_file_rules.h) over the index
 // without touching the filesystem again. Keeping the index cheap is a
 // stated budget: a full-repo run must stay under the CI lint time budget,
-// so everything here is one linear scan per file.
+// so everything here is one linear scan per file, and each file is
+// stripped and split into lines once, here, for both passes.
 
 #include <cstddef>
 #include <map>
@@ -47,9 +48,11 @@ struct MetricLiteral {
 
 /// Everything pass 2 needs to know about one source file.
 struct FileIndex {
-  std::string path;        ///< Repo-relative with '/' separators.
-  std::string content;     ///< Raw bytes as read.
-  std::string code;        ///< StripCommentsAndStrings(content).
+  std::string path;  ///< Repo-relative with '/' separators.
+  /// SplitLines(content): the raw bytes as read, one entry per line.
+  std::vector<std::string> raw_lines;
+  /// SplitLines(StripCommentsAndStrings(content)), numbered as raw_lines.
+  std::vector<std::string> code_lines;
   std::vector<IncludeEdge> includes;
   std::vector<MetricLiteral> metrics;
 };
@@ -82,13 +85,14 @@ FileIndex BuildFileIndex(const std::string& path, const std::string& content);
 /// the order is deterministic).
 ProjectIndex BuildProjectIndex(std::vector<FileIndex> files);
 
-/// Extracts #include edges. `code` is the comments+strings-stripped view
-/// (gates the match so commented-out includes and includes quoted inside
-/// string literals never count); `content` is the raw source the include
-/// name is read from (the stripper empties string-literal contents, which
-/// would blank out every "project/include.h").
-std::vector<IncludeEdge> ExtractIncludes(const std::string& code,
-                                         const std::string& content);
+/// Extracts #include edges. `code_lines` are the comments+strings-stripped
+/// lines (they gate the match so commented-out includes and includes quoted
+/// inside string literals never count); `raw_lines` are the raw source
+/// lines the include name is read from (the stripper empties string-literal
+/// contents, which would blank out every "project/include.h").
+std::vector<IncludeEdge> ExtractIncludes(
+    const std::vector<std::string>& code_lines,
+    const std::vector<std::string>& raw_lines);
 
 /// Extracts metric-name literals from the comments-only-stripped view.
 /// Recognizes Counter("…") / Gauge("…") / Histogram("…") and their
