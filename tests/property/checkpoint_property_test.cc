@@ -9,6 +9,8 @@
 // ValidateCheckpoint accepts it, resuming from it must run to completion.
 // Nothing may crash, hang or allocate from a damaged count.
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdio>
 #include <string>
@@ -48,10 +50,12 @@ struct SmallSearch {
   }
 
   // The checkpoint file the search leaves behind, interrupted by a
-  // failpoint after `polls` stop polls (0: never interrupted).
+  // failpoint after `polls` stop polls (0: never interrupted). Each test
+  // process writes both fixtures and ctest runs the cases as concurrent
+  // processes, so the path carries the process id.
   std::string CheckpointText(size_t polls) {
-    const std::string path = ::testing::TempDir() +
-                             "/checkpoint_property_" +
+    const std::string path = ::testing::TempDir() + "/checkpoint_property_" +
+                             std::to_string(getpid()) + "_" +
                              std::to_string(polls) + ".txt";
     EvolutionaryOptions written = options;
     written.checkpoint_path = path;
