@@ -71,12 +71,4 @@ double DistanceMetric::Distance(size_t a, size_t b) const {
   return std::pow(sum, 1.0 / p_);
 }
 
-std::vector<double> DistanceMetric::DistancesFrom(size_t a) const {
-  std::vector<double> out(num_points_);
-  for (size_t b = 0; b < num_points_; ++b) {
-    out[b] = Distance(a, b);
-  }
-  return out;
-}
-
 }  // namespace hido

@@ -39,9 +39,6 @@ class DistanceMetric {
   /// Distance between rows `a` and `b`.
   double Distance(size_t a, size_t b) const;
 
-  /// Distances from row `a` to every row (including itself, 0).
-  std::vector<double> DistancesFrom(size_t a) const;
-
  private:
   size_t num_points_;
   size_t num_dims_;

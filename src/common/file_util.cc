@@ -183,9 +183,4 @@ Status WriteFileAtomic(const std::string& path, const std::string& content) {
   return Status::Ok();
 }
 
-bool FileExists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return in.good();
-}
-
 }  // namespace hido

@@ -90,9 +90,6 @@ class SequentialFile {
 /// `.tmp` beside the target.
 Status WriteFileAtomic(const std::string& path, const std::string& content);
 
-/// True when `path` exists (any file type).
-bool FileExists(const std::string& path);
-
 namespace internal {
 
 /// Fault-injection points inside WriteFileAtomic, in execution order.

@@ -176,12 +176,6 @@ bool FlagParser::GetBool(const std::string& name) const {
   return Get(name, Type::kBool).bool_value;
 }
 
-bool FlagParser::WasSet(const std::string& name) const {
-  const auto it = flags_.find(name);
-  HIDO_CHECK_MSG(it != flags_.end(), "undeclared flag --%s", name.c_str());
-  return it->second.set;
-}
-
 std::string FlagParser::Help() const {
   std::string out = program_ + " — " + description_ + "\n\nFlags:\n";
   for (const auto& [name, flag] : flags_) {

@@ -45,9 +45,6 @@ class FlagParser {
   double GetDouble(const std::string& name) const;       ///< typed lookup
   bool GetBool(const std::string& name) const;           ///< typed lookup
 
-  /// True when the flag was explicitly set on the command line.
-  bool WasSet(const std::string& name) const;
-
   /// Tokens that were not flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -32,56 +32,6 @@ double NormalCdf(double x) {
   return 0.5 * std::erfc(-x / std::sqrt(2.0));
 }
 
-double NormalPdf(double x) {
-  static const double kInvSqrt2Pi = 0.3989422804014327;
-  return kInvSqrt2Pi * std::exp(-0.5 * x * x);
-}
-
-double NormalQuantile(double p) {
-  HIDO_CHECK(p > 0.0 && p < 1.0);
-  // Peter Acklam's rational approximation with one Halley refinement step.
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  static const double kPLow = 0.02425;
-  double x = 0.0;
-  if (p < kPLow) {
-    const double q = std::sqrt(-2.0 * std::log(p));
-    x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  } else if (p <= 1.0 - kPLow) {
-    const double q = p - 0.5;
-    const double r = q * q;
-    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) *
-        q /
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-  } else {
-    const double q = std::sqrt(-2.0 * std::log(1.0 - p));
-    x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  // One step of Halley's method sharpens the approximation near the tails.
-  // Guard the refinement: for |x| ≳ 38.6, exp(0.5*x*x) overflows to inf,
-  // and when the residual e underflows to 0 the update would be 0 * inf =
-  // NaN. In either case the rational approximation is already the best we
-  // can do in double precision, so return it unrefined.
-  const double e = NormalCdf(x) - p;
-  const double ex = std::exp(0.5 * x * x);
-  if (e != 0.0 && std::isfinite(ex)) {
-    const double u = e * std::sqrt(2.0 * M_PI) * ex;
-    x = x - u / (1.0 + 0.5 * x * u);
-  }
-  return x;
-}
-
 BinomialMoments BinomialMeanStddev(double n, double p) {
   HIDO_CHECK(n >= 0.0);
   HIDO_CHECK(p >= 0.0 && p <= 1.0);
@@ -110,15 +60,6 @@ double LogGamma(double x) {
   const double t = z + 7.5;
   return 0.5 * std::log(2.0 * M_PI) + (z + 0.5) * std::log(t) - t +
          std::log(sum);
-}
-
-double LogBinomialPmf(uint64_t n, double p, uint64_t k) {
-  HIDO_CHECK(k <= n);
-  HIDO_CHECK(p > 0.0 && p < 1.0);
-  const double dn = static_cast<double>(n);
-  const double dk = static_cast<double>(k);
-  return LogGamma(dn + 1.0) - LogGamma(dk + 1.0) - LogGamma(dn - dk + 1.0) +
-         dk * std::log(p) + (dn - dk) * std::log1p(-p);
 }
 
 double BinomialLowerTail(uint64_t n, double p, uint64_t k) {
@@ -164,12 +105,6 @@ double Mean(const std::vector<double>& values) {
   double sum = 0.0;
   for (double v : values) sum += v;
   return sum / static_cast<double>(values.size());
-}
-
-double SampleStddev(const std::vector<double>& values) {
-  RunningMoments m;
-  for (double v : values) m.Add(v);
-  return m.stddev();
 }
 
 double PearsonCorrelation(const std::vector<double>& xs,

@@ -37,13 +37,6 @@ class RunningMoments {
 /// Standard normal cumulative distribution function Phi(x).
 double NormalCdf(double x);
 
-/// Standard normal density phi(x).
-double NormalPdf(double x);
-
-/// Inverse of NormalCdf (probit). Precondition: 0 < p < 1.
-/// Acklam's rational approximation, |relative error| < 1.15e-9.
-double NormalQuantile(double p);
-
 /// Moments of Binomial(n, p): the model behind Equation 1 of the paper.
 /// A k-dimensional cube under independence holds Binomial(N, f^k) points.
 struct BinomialMoments {
@@ -58,9 +51,6 @@ BinomialMoments BinomialMeanStddev(double n, double p);
 /// log(Gamma(x)) for x > 0 (Lanczos approximation, ~15 significant digits).
 double LogGamma(double x);
 
-/// log P[Binomial(n, p) = k]. Preconditions: k <= n, 0 < p < 1.
-double LogBinomialPmf(uint64_t n, double p, uint64_t k);
-
 /// Exact lower tail P[Binomial(n, p) <= k] by pmf summation (O(k+1) terms,
 /// numerically stable via incremental ratios). Preconditions: k <= n,
 /// 0 <= p <= 1. This is the exact version of the paper's §1.3 significance
@@ -74,9 +64,6 @@ double QuantileSorted(const std::vector<double>& sorted_values, double q);
 
 /// Mean of `values`; 0 for an empty vector.
 double Mean(const std::vector<double>& values);
-
-/// Unbiased sample standard deviation of `values`; 0 when size < 2.
-double SampleStddev(const std::vector<double>& values);
 
 /// Pearson correlation of two equal-length vectors; 0 when undefined
 /// (size < 2 or zero variance). Precondition: xs.size() == ys.size().

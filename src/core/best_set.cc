@@ -1,7 +1,6 @@
 #include "core/best_set.h"
 
 #include <cstddef>
-#include <limits>
 
 #include "common/macros.h"
 
@@ -64,13 +63,6 @@ bool BestSet::Offer(const ScoredProjection& candidate) {
     entry_keys_.pop_back();
   }
   return true;
-}
-
-double BestSet::WorstRetainedSparsity() const {
-  if (entries_.size() < capacity_) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return entries_.back().sparsity;
 }
 
 double BestSet::MeanSparsity() const {

@@ -58,9 +58,6 @@ class BestSet {
   /// ascending PackedKey order).
   const std::vector<ScoredProjection>& Sorted() const { return entries_; }
 
-  /// Sparsity of the worst retained projection (+inf when not yet full).
-  double WorstRetainedSparsity() const;
-
   /// Mean sparsity of the retained projections — Table 1's "quality"
   /// metric. 0 when empty.
   double MeanSparsity() const;

@@ -39,15 +39,6 @@ ColumnStats ComputeColumnStats(const Dataset& data, size_t col) {
   return out;
 }
 
-std::vector<ColumnStats> ComputeAllColumnStats(const Dataset& data) {
-  std::vector<ColumnStats> out;
-  out.reserve(data.num_cols());
-  for (size_t c = 0; c < data.num_cols(); ++c) {
-    out.push_back(ComputeColumnStats(data, c));
-  }
-  return out;
-}
-
 std::string DescribeDataset(const Dataset& data, size_t max_columns) {
   std::string out = StrFormat("Dataset: %zu rows x %zu cols%s\n",
                               data.num_rows(), data.num_cols(),

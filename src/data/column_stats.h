@@ -26,9 +26,6 @@ struct ColumnStats {
 /// Computes statistics for column `col` of `data`.
 ColumnStats ComputeColumnStats(const Dataset& data, size_t col);
 
-/// Computes statistics for every column.
-std::vector<ColumnStats> ComputeAllColumnStats(const Dataset& data);
-
 /// Human-readable multi-line summary of a dataset (shape, missing cells,
 /// per-column ranges). Intended for examples and debugging.
 std::string DescribeDataset(const Dataset& data, size_t max_columns = 16);

@@ -11,11 +11,10 @@ const double kNaN = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
 Dataset::Dataset(size_t num_cols)
-    : columns_(num_cols), missing_(num_cols), column_names_(num_cols) {}
+    : columns_(num_cols), column_names_(num_cols) {}
 
 Dataset::Dataset(std::vector<std::string> column_names)
     : columns_(column_names.size()),
-      missing_(column_names.size()),
       column_names_(std::move(column_names)) {}
 
 Dataset Dataset::FromRows(const std::vector<std::vector<double>>& rows,
@@ -58,14 +57,6 @@ Dataset Dataset::FromColumns(size_t num_rows,
                    "column %zu has %zu values, expected %zu", c,
                    columns[c].size(), num_rows);
     ds.columns_[c] = std::move(columns[c]);
-    std::vector<double>& values = ds.columns_[c];
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (std::isnan(values[r])) {
-        ds.EnsureMissingMask(c);
-        ds.missing_[c][r] = 1;
-        values[r] = kNaN;
-      }
-    }
   }
   return ds;
 }
@@ -74,15 +65,10 @@ void Dataset::Set(size_t row, size_t col, double value) {
   HIDO_CHECK(row < num_rows_ && col < columns_.size());
   HIDO_CHECK_MSG(std::isfinite(value), "use SetMissing for absent cells");
   columns_[col][row] = value;
-  if (!missing_[col].empty()) {
-    missing_[col][row] = 0;
-  }
 }
 
 void Dataset::SetMissing(size_t row, size_t col) {
   HIDO_CHECK(row < num_rows_ && col < columns_.size());
-  EnsureMissingMask(col);
-  missing_[col][row] = 1;
   columns_[col][row] = kNaN;
 }
 
@@ -95,9 +81,8 @@ bool Dataset::HasMissing() const {
 
 size_t Dataset::PresentCount(size_t col) const {
   HIDO_CHECK(col < columns_.size());
-  if (missing_[col].empty()) return num_rows_;
   size_t present = 0;
-  for (uint8_t m : missing_[col]) present += (m == 0);
+  for (const double v : columns_[col]) present += !std::isnan(v);
   return present;
 }
 
@@ -117,43 +102,15 @@ void Dataset::AppendRow(const std::vector<double>& values) {
   HIDO_CHECK_MSG(labels_.empty(),
                  "cannot AppendRow after labels were installed");
   for (size_t c = 0; c < columns_.size(); ++c) {
-    const double v = values[c];
-    if (std::isnan(v)) {
-      EnsureMissingMask(c);
-      columns_[c].push_back(kNaN);
-      missing_[c].push_back(1);
-    } else {
-      columns_[c].push_back(v);
-      if (!missing_[c].empty()) {
-        missing_[c].push_back(0);
-      }
-    }
+    columns_[c].push_back(values[c]);
   }
   ++num_rows_;
 }
 
-size_t Dataset::AppendZeroRows(size_t count) {
-  HIDO_CHECK_MSG(labels_.empty(),
-                 "cannot AppendZeroRows after labels were installed");
-  const size_t first = num_rows_;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].resize(num_rows_ + count, 0.0);
-    if (!missing_[c].empty()) {
-      missing_[c].resize(num_rows_ + count, 0);
-    }
-  }
-  num_rows_ += count;
-  return first;
-}
-
-const std::string& Dataset::ColumnName(size_t col) const {
+std::string Dataset::ColumnName(size_t col) const {
   HIDO_CHECK(col < columns_.size());
-  if (column_names_[col].empty()) {
-    // Lazily materialize a default name; const_cast is confined here.
-    auto* self = const_cast<Dataset*>(this);
-    self->column_names_[col] = StrFormat("c%zu", col);
-  }
-  return column_names_[col];
+  const std::string& name = column_names_[col];
+  return name.empty() ? StrFormat("c%zu", col) : name;
 }
 
 void Dataset::SetColumnName(size_t col, std::string name) {
@@ -163,7 +120,7 @@ void Dataset::SetColumnName(size_t col, std::string name) {
 
 size_t Dataset::FindColumn(const std::string& name) const {
   for (size_t c = 0; c < columns_.size(); ++c) {
-    if (column_names_[c] == name) return c;
+    if (ColumnName(c) == name) return c;
   }
   return columns_.size();
 }
@@ -173,20 +130,6 @@ void Dataset::SetLabels(std::vector<int32_t> labels) {
                  "labels.size()=%zu != num_rows=%zu", labels.size(),
                  num_rows_);
   labels_ = std::move(labels);
-}
-
-Dataset Dataset::SelectColumns(const std::vector<size_t>& cols) const {
-  Dataset out(cols.size());
-  out.num_rows_ = num_rows_;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const size_t c = cols[i];
-    HIDO_CHECK(c < columns_.size());
-    out.columns_[i] = columns_[c];
-    out.missing_[i] = missing_[c];
-    out.column_names_[i] = column_names_[c];
-  }
-  out.labels_ = labels_;
-  return out;
 }
 
 Dataset Dataset::SelectRows(const std::vector<size_t>& rows) const {
@@ -206,12 +149,6 @@ Dataset Dataset::SelectRows(const std::vector<size_t>& rows) const {
     out.SetLabels(std::move(new_labels));
   }
   return out;
-}
-
-void Dataset::EnsureMissingMask(size_t col) {
-  if (missing_[col].empty()) {
-    missing_[col].assign(num_rows_, 0);
-  }
 }
 
 }  // namespace hido

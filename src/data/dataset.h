@@ -4,15 +4,14 @@
 // In-memory numeric dataset.
 //
 // Column-major storage (the grid model consumes whole columns when computing
-// equi-depth breakpoints), with an optional missing-value mask per column and
-// optional integer class labels (used only for evaluation, never by the
-// detection algorithms themselves).
+// equi-depth breakpoints), with optional integer class labels (used only for
+// evaluation, never by the detection algorithms themselves).
 //
 // Missing values: the paper notes that sparse low-dimensional projections
-// can be mined even when records have missing attributes. A missing cell is
-// represented by NaN in the value slot plus a bit in the column's mask, and
-// a present cell never holds NaN (Set takes finite values only; FromColumns
-// and AppendRow mark NaN cells missing), so either one tells a missing cell.
+// can be mined even when records have missing attributes. A missing cell
+// has one representation, NaN in its value slot, and a present cell never
+// holds NaN (Set takes finite values only), so a cell is missing exactly
+// when it is NaN, whatever its sign or payload.
 
 #include <cmath>
 #include <cstdint>
@@ -42,7 +41,7 @@ class Dataset {
                           std::vector<std::string> column_names = {});
 
   /// Builds a dataset from columns of `num_rows` values each, taken by
-  /// move. NaN cells are recorded as missing, as AppendRow records them.
+  /// move. NaN cells are the missing ones.
   static Dataset FromColumns(size_t num_rows,
                              std::vector<std::vector<double>> columns,
                              std::vector<std::string> column_names = {});
@@ -62,16 +61,16 @@ class Dataset {
     return IsMissing(row, col) ? fallback : columns_[col][row];
   }
 
-  /// Overwrites a cell (also clears its missing flag).
+  /// Overwrites a cell with a finite value (so it is present).
   void Set(size_t row, size_t col, double value);
 
   /// Marks a cell missing.
   void SetMissing(size_t row, size_t col);
 
-  /// Was this cell missing in the source data?
+  /// Was this cell missing in the source data? (Is it NaN?)
   bool IsMissing(size_t row, size_t col) const {
     HIDO_DCHECK(row < num_rows_ && col < columns_.size());
-    return !missing_[col].empty() && missing_[col][row] != 0;
+    return std::isnan(columns_[col][row]);
   }
 
   /// True when any cell of the dataset is missing.
@@ -90,21 +89,19 @@ class Dataset {
   std::vector<double> Row(size_t row) const;
 
   /// Appends a row; `values.size()` must equal num_cols(). NaN entries are
-  /// recorded as missing.
+  /// missing cells.
   void AppendRow(const std::vector<double>& values);
-
-  /// Appends `count` zero-filled rows and returns the index of the first.
-  size_t AppendZeroRows(size_t count);
 
   // --- Column names ------------------------------------------------------
 
-  /// Name of column `col` ("c<col>" when never set).
-  const std::string& ColumnName(size_t col) const;
+  /// Name of column `col` ("c<col>" when never set or set empty).
+  std::string ColumnName(size_t col) const;
 
   /// Replaces the name of column `col`.
   void SetColumnName(size_t col, std::string name);
 
-  /// Index of the column named `name`, or num_cols() when absent.
+  /// Index of the first column whose ColumnName is `name`, or num_cols()
+  /// when none is.
   size_t FindColumn(const std::string& name) const;
 
   // --- Labels (evaluation only) ------------------------------------------
@@ -126,22 +123,14 @@ class Dataset {
 
   // --- Projections of the table ------------------------------------------
 
-  /// Dataset restricted to the given columns (labels and names carried over).
-  Dataset SelectColumns(const std::vector<size_t>& cols) const;
-
   /// Dataset restricted to the given rows (labels and names carried over).
   Dataset SelectRows(const std::vector<size_t>& rows) const;
 
  private:
   size_t num_rows_ = 0;
   std::vector<std::vector<double>> columns_;
-  // Per column: empty vector when no cell of that column is missing,
-  // otherwise one byte per row (1 = missing).
-  std::vector<std::vector<uint8_t>> missing_;
-  std::vector<std::string> column_names_;
+  std::vector<std::string> column_names_;  // empty: the default name
   std::vector<int32_t> labels_;
-
-  void EnsureMissingMask(size_t col);
 };
 
 }  // namespace hido

@@ -251,26 +251,4 @@ Dataset GenerateUniform(size_t num_points, size_t num_dims, uint64_t seed) {
   return data;
 }
 
-Dataset GenerateGaussianMixture(size_t num_points, size_t num_dims,
-                                size_t num_clusters, double sigma,
-                                uint64_t seed) {
-  HIDO_CHECK(num_clusters >= 1);
-  Rng rng(seed);
-  std::vector<std::vector<double>> centers(num_clusters,
-                                           std::vector<double>(num_dims));
-  for (auto& center : centers) {
-    for (double& v : center) v = rng.UniformDouble(0.2, 0.8);
-  }
-  Dataset data(num_dims);
-  std::vector<double> row(num_dims);
-  for (size_t i = 0; i < num_points; ++i) {
-    const auto& center = centers[rng.UniformIndex(num_clusters)];
-    for (size_t d = 0; d < num_dims; ++d) {
-      row[d] = ClampUnit(rng.Normal(center[d], sigma));
-    }
-    data.AppendRow(row);
-  }
-  return data;
-}
-
 }  // namespace hido

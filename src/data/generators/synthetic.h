@@ -68,13 +68,6 @@ GeneratedDataset GenerateSubspaceOutliers(const SubspaceOutlierConfig& config);
 /// sparsity coefficient is approximately standard normal).
 Dataset GenerateUniform(size_t num_points, size_t num_dims, uint64_t seed);
 
-/// Gaussian mixture in full-dimensional space (no planted anomalies):
-/// `num_clusters` spherical clusters with the given sigma, centers uniform
-/// in [0.2, 0.8]^d. Used by baseline tests.
-Dataset GenerateGaussianMixture(size_t num_points, size_t num_dims,
-                                size_t num_clusters, double sigma,
-                                uint64_t seed);
-
 }  // namespace hido
 
 #endif  // HIDO_DATA_GENERATORS_SYNTHETIC_H_

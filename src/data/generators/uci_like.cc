@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/macros.h"
-
 namespace hido {
 
 const std::vector<UciLikePreset>& Table1Presets() {
@@ -16,14 +14,6 @@ const std::vector<UciLikePreset>& Table1Presets() {
           {"machine", 209, 8, true},
       };
   return *presets;
-}
-
-const UciLikePreset& FindPreset(const std::string& name) {
-  for (const UciLikePreset& preset : Table1Presets()) {
-    if (preset.name == name) return preset;
-  }
-  HIDO_CHECK_MSG(false, "unknown UCI-like preset: %s", name.c_str());
-  __builtin_unreachable();
 }
 
 GeneratedDataset GenerateUciLike(const UciLikePreset& preset, uint64_t seed) {

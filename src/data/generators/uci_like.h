@@ -33,9 +33,6 @@ struct UciLikePreset {
 /// machine(8).
 const std::vector<UciLikePreset>& Table1Presets();
 
-/// Finds a preset by name; aborts if unknown.
-const UciLikePreset& FindPreset(const std::string& name);
-
 /// Instantiates a preset as a concrete dataset (with planted ground truth).
 GeneratedDataset GenerateUciLike(const UciLikePreset& preset, uint64_t seed);
 

@@ -21,11 +21,12 @@ double Abnormality(const PointScore& score) {
 // Rank-aggregation combine: interleave the members' rankings breadth-first
 // and score rows by first appearance — position p (0-based) among the
 // rows any member actually covers maps to (n - p) / n, so scores fall in
-// (0, 1] and uncovered-everywhere rows stay at 0.
+// (0, 1] and uncovered-everywhere rows score 0.
 void CombineBreadthFirst(
     const std::vector<std::vector<PointScore>>& member_scores,
     std::vector<EnsemblePointScore>* combined) {
   const size_t num_rows = combined->size();
+  for (EnsemblePointScore& point : *combined) point.score = 0.0;
   std::vector<std::vector<size_t>> orders;
   orders.reserve(member_scores.size());
   for (const std::vector<PointScore>& scores : member_scores) {
@@ -97,43 +98,17 @@ std::vector<EnsemblePointScore> CombineMemberScores(
   }
 
   std::vector<EnsemblePointScore> combined(num_rows);
+  std::vector<PointScore> point(member_scores.size());
   for (size_t row = 0; row < num_rows; ++row) {
-    combined[row].row = row;
-    size_t covering = 0;
-    for (const std::vector<PointScore>& scores : member_scores) {
-      covering += scores[row].covering_projections;
+    for (size_t e = 0; e < member_scores.size(); ++e) {
+      point[e] = member_scores[e][row];
     }
-    combined[row].covering_projections = covering;
+    combined[row] = CombinePoint(kind, point, scales);
+    combined[row].row = row;
   }
-
+  // A lone point degrades breadth-first to max; a population is ranked.
   if (kind == CombinerKind::kBreadthFirst) {
     CombineBreadthFirst(member_scores, &combined);
-    return combined;
-  }
-  for (size_t row = 0; row < num_rows; ++row) {
-    double score = 0.0;
-    for (size_t e = 0; e < member_scores.size(); ++e) {
-      const double abnormality = Abnormality(member_scores[e][row]);
-      switch (kind) {
-        case CombinerKind::kCumulativeSum:
-          score += abnormality;
-          break;
-        case CombinerKind::kMax:
-          // Raw units on purpose: all members share one grid and objective,
-          // so the deepest find wins regardless of which member made it.
-          score = std::max(score, abnormality);
-          break;
-        case CombinerKind::kMeanNormalized:
-          score += abnormality / scales[e];
-          break;
-        case CombinerKind::kBreadthFirst:
-          break;  // handled above
-      }
-    }
-    if (kind == CombinerKind::kMeanNormalized && !member_scores.empty()) {
-      score /= static_cast<double>(member_scores.size());
-    }
-    combined[row].score = score;
   }
   return combined;
 }
@@ -154,6 +129,8 @@ EnsemblePointScore CombinePoint(CombinerKind kind,
         break;
       case CombinerKind::kBreadthFirst:  // no population: degrade to max
       case CombinerKind::kMax:
+        // Raw units on purpose: all members share one grid and objective,
+        // so the deepest find wins regardless of which member made it.
         score = std::max(score, abnormality);
         break;
       case CombinerKind::kMeanNormalized:

@@ -74,9 +74,10 @@ double MemberScoreScale(const std::vector<PointScore>& scores);
 /// Combines per-member training-set score vectors into one ensemble score
 /// per row. `member_scores[e]` is member e's ScoreAllPoints output (indexed
 /// by row; all members over the same row count) and `scales[e]` its
-/// MemberScoreScale. Member order matters for kBreadthFirst (ranks
-/// interleave in member order) and nothing else; the result is
-/// deterministic for fixed inputs.
+/// MemberScoreScale. Each row is combined as CombinePoint combines it,
+/// except under kBreadthFirst, which ranks the rows. Member order matters
+/// for kBreadthFirst (ranks interleave in member order) and nothing else;
+/// the result is deterministic for fixed inputs.
 std::vector<EnsemblePointScore> CombineMemberScores(
     CombinerKind kind,
     const std::vector<std::vector<PointScore>>& member_scores,

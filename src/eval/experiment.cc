@@ -1,7 +1,6 @@
 #include "eval/experiment.h"
 
 #include "common/stats.h"
-#include "core/postprocess.h"
 
 namespace hido {
 
@@ -71,19 +70,6 @@ SearchRun RunEvolutionaryExperiment(const Dataset& data,
   run.completed = true;
   run.best = result.best;
   return run;
-}
-
-std::vector<size_t> CoveredRows(
-    const Dataset& data, size_t phi,
-    const std::vector<ScoredProjection>& projections) {
-  const GridModel grid = BuildGrid(data, phi);
-  const OutlierReport report = ExtractOutliers(grid, projections);
-  std::vector<size_t> rows;
-  rows.reserve(report.outliers.size());
-  for (const OutlierRecord& record : report.outliers) {
-    rows.push_back(record.row);
-  }
-  return rows;
 }
 
 }  // namespace hido

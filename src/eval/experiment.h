@@ -57,11 +57,6 @@ SearchRun RunEvolutionaryExperiment(const Dataset& data,
                                     const ExperimentParams& params,
                                     CrossoverKind crossover);
 
-/// Rows covered by `projections` on a grid built from `data` at phi
-/// (detector postprocessing, §2.3), ascending row ids.
-std::vector<size_t> CoveredRows(const Dataset& data, size_t phi,
-                                const std::vector<ScoredProjection>& projections);
-
 }  // namespace hido
 
 #endif  // HIDO_EVAL_EXPERIMENT_H_

@@ -70,15 +70,4 @@ double PrecisionOfPlanted(const std::vector<size_t>& flagged_rows,
          static_cast<double>(flagged.size());
 }
 
-double JaccardOverlap(const std::vector<size_t>& a,
-                      const std::vector<size_t>& b) {
-  const std::set<size_t> sa(a.begin(), a.end());
-  const std::set<size_t> sb(b.begin(), b.end());
-  if (sa.empty() && sb.empty()) return 1.0;
-  size_t inter = 0;
-  for (size_t row : sb) inter += sa.contains(row) ? 1 : 0;
-  const size_t uni = sa.size() + sb.size() - inter;
-  return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 }  // namespace hido

@@ -39,10 +39,6 @@ double RecallOfPlanted(const std::vector<size_t>& flagged_rows,
 double PrecisionOfPlanted(const std::vector<size_t>& flagged_rows,
                           const std::vector<size_t>& planted_rows);
 
-/// Jaccard similarity of two row sets.
-double JaccardOverlap(const std::vector<size_t>& a,
-                      const std::vector<size_t>& b);
-
 }  // namespace hido
 
 #endif  // HIDO_EVAL_METRICS_H_

@@ -1,6 +1,7 @@
 #include "grid/grid_model.h"
 
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -68,8 +69,9 @@ Result<GridModel> GridModel::Build(const Dataset& data,
     const std::vector<double>& column = data.Column(dim);
     for (size_t row = 0; row < n; ++row) {
       if (row % kPollStride == kPollStride - 1 && should_stop()) return;
-      if (data.IsMissing(row, dim)) continue;
-      bits[Quantizer::CountCutsAtMost(fit.cuts, column[row])].Set(row);
+      const double value = column[row];
+      if (std::isnan(value)) continue;  // a missing cell is in no range
+      bits[Quantizer::CountCutsAtMost(fit.cuts, value)].Set(row);
     }
     for (size_t cell = 0; cell < phi; ++cell) {
       model.range_cardinality_[dim * phi + cell] = bits[cell].Count();

@@ -20,13 +20,6 @@ double SparsityModel::ExpectedCount(size_t k) const {
          std::pow(f, static_cast<double>(k));
 }
 
-double SparsityModel::CountStddev(size_t k) const {
-  HIDO_CHECK(k >= 1);
-  const double f = 1.0 / static_cast<double>(phi_);
-  const double fk = std::pow(f, static_cast<double>(k));
-  return std::sqrt(static_cast<double>(num_points_) * fk * (1.0 - fk));
-}
-
 double SparsityModel::Coefficient(size_t count, size_t k) const {
   HIDO_CHECK(k >= 1);
   const double fk =
@@ -49,10 +42,6 @@ double SparsityModel::EmptyCubeCoefficient(size_t k) const {
   const double phik = std::pow(static_cast<double>(phi_),
                                static_cast<double>(k));
   return -std::sqrt(static_cast<double>(num_points_) / (phik - 1.0));
-}
-
-double SparsityModel::Significance(double coefficient) const {
-  return NormalCdf(coefficient);
 }
 
 double SparsityModel::ExactSignificance(size_t count, size_t k) const {

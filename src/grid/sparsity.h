@@ -29,9 +29,6 @@ class SparsityModel {
   /// Expected number of points in a k-dimensional cube: N·f^k. k >= 1.
   double ExpectedCount(size_t k) const;
 
-  /// Standard deviation of the count: sqrt(N·f^k·(1-f^k)). k >= 1.
-  double CountStddev(size_t k) const;
-
   /// S(D) for a cube of dimensionality k holding `count` points. k >= 1.
   double Coefficient(size_t count, size_t k) const;
 
@@ -43,11 +40,6 @@ class SparsityModel {
 
   /// S of an empty k-dimensional cube: -sqrt(N / (phi^k - 1)) (§2.4).
   double EmptyCubeCoefficient(size_t k) const;
-
-  /// One-sided probability, under the normal approximation, of observing a
-  /// count at least as low as one with sparsity coefficient `s` — the
-  /// "probabilistic level of significance" of §1.3 (Phi(s)).
-  double Significance(double coefficient) const;
 
   /// Exact one-sided significance P[Binomial(N, f^k) <= count] — no normal
   /// approximation. Equation 1's z-score is noticeably off exactly where it

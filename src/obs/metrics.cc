@@ -47,18 +47,6 @@ void Gauge::Set(int64_t value) {
   value_.store(value, std::memory_order_relaxed);
 }
 
-void Gauge::Add(int64_t delta) {
-  value_.fetch_add(delta, std::memory_order_relaxed);
-}
-
-void Gauge::UpdateMax(int64_t value) {
-  int64_t seen = value_.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !value_.compare_exchange_weak(seen, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 int64_t Gauge::Value() const {
   return value_.load(std::memory_order_relaxed);
 }

@@ -67,9 +67,6 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(int64_t value);  ///< last-writer-wins store
-  void Add(int64_t delta);  ///< relaxed add (level up/down tracking)
-  /// Raises the gauge to `value` if it is larger (CAS loop; never lowers).
-  void UpdateMax(int64_t value);
   int64_t Value() const;  ///< current level
   void Reset();           ///< back to zero (test path)
 

@@ -67,16 +67,6 @@ TEST(DistanceMetricTest, NoSharedDimensionIsInfinite) {
   EXPECT_TRUE(std::isinf(metric.Distance(0, 1)));
 }
 
-TEST(DistanceMetricTest, DistancesFromMatchesPairwise) {
-  const Dataset ds = GenerateUniform(30, 4, 3);
-  const DistanceMetric metric(ds);
-  const std::vector<double> row = metric.DistancesFrom(5);
-  ASSERT_EQ(row.size(), 30u);
-  for (size_t j = 0; j < 30; ++j) {
-    EXPECT_DOUBLE_EQ(row[j], metric.Distance(5, j));
-  }
-}
-
 TEST(DistanceMetricTest, TriangleInequalityOnRandomData) {
   const Dataset ds = GenerateUniform(20, 5, 5);
   const DistanceMetric metric(ds);

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -80,7 +81,8 @@ TEST_F(FileUtilTest, RoundTrip) {
   const Result<FileBytes> read = ReadFile(path_);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value().view(), "hello\nworld\n");
-  EXPECT_FALSE(FileExists(tmp_)) << "temporary left after a clean write";
+  EXPECT_FALSE(std::filesystem::exists(tmp_))
+      << "temporary left after a clean write";
 }
 
 // A file of several MiB, with a tail that is not word-aligned, comes back
@@ -108,7 +110,7 @@ TEST_F(FileUtilTest, ReadMissingFileFails) {
 TEST_F(FileUtilTest, OpenFailureToBadDirectory) {
   const std::string bad = path_ + ".no-such-dir/file";
   EXPECT_FALSE(WriteFileAtomic(bad, "x").ok());
-  EXPECT_FALSE(FileExists(bad + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(bad + ".tmp"));
 }
 
 // Each injected failure must (a) report the error, (b) leave the previous
@@ -121,7 +123,7 @@ TEST_F(FileUtilTest, FailpointsLeaveNoStaleTmpAndPreserveOldContent) {
     ArmWriteFailpointForTest(step);
     const Status written = WriteFileAtomic(path_, "new content");
     EXPECT_FALSE(written.ok()) << static_cast<int>(step);
-    EXPECT_FALSE(FileExists(tmp_))
+    EXPECT_FALSE(std::filesystem::exists(tmp_))
         << "stale .tmp after failure step " << static_cast<int>(step);
     const Result<FileBytes> read = ReadFile(path_);
     ASSERT_TRUE(read.ok());
@@ -141,8 +143,8 @@ TEST_F(FileUtilTest, FailpointIsOneShot) {
 TEST_F(FileUtilTest, FirstWriteFailureLeavesNoTargetFile) {
   ArmWriteFailpointForTest(WriteFailStep::kRename);
   EXPECT_FALSE(WriteFileAtomic(path_, "never lands").ok());
-  EXPECT_FALSE(FileExists(path_));
-  EXPECT_FALSE(FileExists(tmp_));
+  EXPECT_FALSE(std::filesystem::exists(path_));
+  EXPECT_FALSE(std::filesystem::exists(tmp_));
 }
 
 // A FIFO has no size up front: ReadFile grows its buffer to the end.

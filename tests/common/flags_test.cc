@@ -29,7 +29,6 @@ TEST(FlagParserTest, DefaultsWithoutArgs) {
   EXPECT_EQ(parser.GetInt("count"), 5);
   EXPECT_DOUBLE_EQ(parser.GetDouble("ratio"), 0.5);
   EXPECT_FALSE(parser.GetBool("verbose"));
-  EXPECT_FALSE(parser.WasSet("name"));
 }
 
 TEST(FlagParserTest, EqualsForm) {
@@ -39,7 +38,6 @@ TEST(FlagParserTest, EqualsForm) {
   EXPECT_EQ(parser.GetString("name"), "x");
   EXPECT_EQ(parser.GetInt("count"), 9);
   EXPECT_DOUBLE_EQ(parser.GetDouble("ratio"), 0.25);
-  EXPECT_TRUE(parser.WasSet("count"));
 }
 
 TEST(FlagParserTest, SpaceForm) {

@@ -1,7 +1,5 @@
 #include "core/best_set.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 namespace hido {
@@ -55,15 +53,6 @@ TEST(BestSetTest, NonEmptyFilterDropsEmptyCubes) {
   EXPECT_FALSE(best.Offer(Make(0, 0, -10.0, /*count=*/0)));
   EXPECT_TRUE(best.Offer(Make(1, 0, -1.0, /*count=*/2)));
   EXPECT_EQ(best.size(), 1u);
-}
-
-TEST(BestSetTest, WorstRetainedSparsity) {
-  BestSet best(2);
-  EXPECT_TRUE(std::isinf(best.WorstRetainedSparsity()));
-  best.Offer(Make(0, 0, -2.0));
-  EXPECT_TRUE(std::isinf(best.WorstRetainedSparsity()));  // not full yet
-  best.Offer(Make(1, 0, -4.0));
-  EXPECT_DOUBLE_EQ(best.WorstRetainedSparsity(), -2.0);
 }
 
 TEST(BestSetTest, WouldAcceptAdmitsTiesForKeyComparison) {

@@ -36,13 +36,6 @@ TEST(ColumnStatsTest, DistinctCountsTies) {
   EXPECT_EQ(ComputeColumnStats(ds, 0).distinct, 2u);
 }
 
-TEST(ColumnStatsTest, AllColumns) {
-  const Dataset ds = Dataset::FromRows({{1.0, 10.0}, {2.0, 20.0}});
-  const std::vector<ColumnStats> all = ComputeAllColumnStats(ds);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_DOUBLE_EQ(all[1].mean, 15.0);
-}
-
 TEST(DescribeDatasetTest, MentionsShapeAndColumns) {
   Dataset ds = Dataset::FromRows({{1.0, 2.0}}, {"alpha", "beta"});
   const std::string desc = DescribeDataset(ds);

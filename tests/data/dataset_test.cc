@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "data/csv.h"
 
 namespace hido {
 namespace {
@@ -69,6 +72,36 @@ TEST(DatasetTest, MissingMaskOnlyOnAffectedColumns) {
   EXPECT_FALSE(ds.IsMissing(0, 1));
 }
 
+// A cell is missing exactly when it is NaN, whatever the NaN's sign or
+// payload: FromColumns takes the columns as they are.
+TEST(DatasetTest, FromColumnsMarksEveryNaNMissing) {
+  const double quiet = std::numeric_limits<double>::quiet_NaN();
+  const double payload = std::nan("7");
+  const double negative = std::copysign(quiet, -1.0);
+  ASSERT_TRUE(std::signbit(negative));
+  // Column c is missing at row c.
+  const Dataset ds = Dataset::FromColumns(
+      3, {{quiet, 1.0, 2.0}, {3.0, payload, 4.0}, {5.0, 6.0, negative}});
+  EXPECT_TRUE(ds.HasMissing());
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(ds.PresentCount(c), 2u) << "column " << c;
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(ds.IsMissing(r, c), r == c) << r << "," << c;
+      EXPECT_EQ(ds.GetOr(r, c, -1.0), r == c ? -1.0 : ds.Column(c)[r]);
+    }
+  }
+
+  const std::string text = WriteCsvString(ds);
+  EXPECT_EQ(text, "c0,c1,c2\n?,3,5\n1,?,6\n2,4,?\n");
+  const Result<Dataset> back = ReadCsvString(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  for (size_t c = 0; c < 3; ++c) {
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(back.value().IsMissing(r, c), r == c) << r << "," << c;
+    }
+  }
+}
+
 TEST(DatasetTest, DefaultColumnNames) {
   Dataset ds(2);
   EXPECT_EQ(ds.ColumnName(0), "c0");
@@ -79,6 +112,21 @@ TEST(DatasetTest, DefaultColumnNames) {
   EXPECT_EQ(ds.FindColumn("ghost"), ds.num_cols());
 }
 
+// FindColumn answers from the names ColumnName gives, before any call to
+// ColumnName, and an empty name reads as the default one.
+TEST(DatasetTest, FindColumnSeesDefaultNames) {
+  const Dataset unnamed(3);
+  EXPECT_EQ(unnamed.FindColumn("c1"), 1u);
+  EXPECT_EQ(unnamed.FindColumn(""), unnamed.num_cols());
+
+  const Result<Dataset> read = ReadCsvString("a,,c\n1,2,3\n");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().FindColumn("c1"), 1u);
+  EXPECT_EQ(read.value().ColumnName(1), "c1");
+  EXPECT_EQ(read.value().FindColumn("c"), 2u);
+  EXPECT_EQ(WriteCsvString(read.value()), "a,c1,c\n1,2,3\n");
+}
+
 TEST(DatasetTest, Labels) {
   Dataset ds(1);
   ds.AppendRow({0.0});
@@ -87,27 +135,6 @@ TEST(DatasetTest, Labels) {
   ASSERT_TRUE(ds.has_labels());
   EXPECT_EQ(ds.Label(0), 5);
   EXPECT_EQ(ds.Label(1), 9);
-}
-
-TEST(DatasetTest, AppendZeroRows) {
-  Dataset ds(2);
-  ds.AppendRow({1.0, 1.0});
-  const size_t first = ds.AppendZeroRows(3);
-  EXPECT_EQ(first, 1u);
-  EXPECT_EQ(ds.num_rows(), 4u);
-  EXPECT_EQ(ds.Get(3, 1), 0.0);
-}
-
-TEST(DatasetTest, SelectColumns) {
-  Dataset ds = Dataset::FromRows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}},
-                                 {"a", "b", "c"});
-  ds.SetLabels({1, 2});
-  const Dataset sub = ds.SelectColumns({2, 0});
-  EXPECT_EQ(sub.num_cols(), 2u);
-  EXPECT_EQ(sub.Get(0, 0), 3.0);
-  EXPECT_EQ(sub.Get(1, 1), 4.0);
-  EXPECT_EQ(sub.ColumnName(0), "c");
-  EXPECT_EQ(sub.Label(1), 2);
 }
 
 TEST(DatasetTest, SelectRows) {

@@ -64,38 +64,5 @@ TEST(ExperimentTest, BruteForceBudgetMarksIncomplete) {
   EXPECT_FALSE(run.completed);
 }
 
-TEST(ExperimentTest, CoveredRowsMatchPostprocessing) {
-  SubspaceOutlierConfig config;
-  config.num_points = 400;
-  config.num_dims = 12;
-  config.num_groups = 3;
-  config.num_outliers = 4;
-  config.seed = 5;
-  const GeneratedDataset g = GenerateSubspaceOutliers(config);
-  ExperimentParams params;
-  params.phi = 5;
-  params.target_dim = 2;
-  params.num_projections = 8;
-  params.restarts = 4;
-  const SearchRun run =
-      RunEvolutionaryExperiment(g.data, params, CrossoverKind::kOptimized);
-  const std::vector<size_t> rows = CoveredRows(g.data, 5, run.best);
-  // Every returned row is genuinely covered by at least one projection.
-  GridModel::Options gopts;
-  gopts.phi = 5;
-  const GridModel grid = GridModel::Build(g.data, gopts);
-  for (size_t row : rows) {
-    bool covered = false;
-    for (const ScoredProjection& s : run.best) {
-      covered |= grid.Covers(row, s.projection.Conditions());
-    }
-    EXPECT_TRUE(covered) << row;
-  }
-  // Total coverage equals the sum of counts minus overlaps: bounded by sum.
-  size_t total = 0;
-  for (const ScoredProjection& s : run.best) total += s.count;
-  EXPECT_LE(rows.size(), total);
-}
-
 }  // namespace
 }  // namespace hido

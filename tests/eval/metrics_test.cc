@@ -55,12 +55,5 @@ TEST(RecallPrecisionTest, EmptySets) {
   EXPECT_EQ(PrecisionOfPlanted({}, {1}), 0.0);
 }
 
-TEST(JaccardTest, KnownValues) {
-  EXPECT_NEAR(JaccardOverlap({1, 2, 3}, {2, 3, 4}), 2.0 / 4.0, 1e-12);
-  EXPECT_EQ(JaccardOverlap({1}, {2}), 0.0);
-  EXPECT_EQ(JaccardOverlap({1, 2}, {2, 1}), 1.0);
-  EXPECT_EQ(JaccardOverlap({}, {}), 1.0);
-}
-
 }  // namespace
 }  // namespace hido

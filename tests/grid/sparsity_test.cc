@@ -14,13 +14,6 @@ TEST(SparsityModelTest, ExpectedCountMatchesEquationOne) {
   EXPECT_DOUBLE_EQ(model.ExpectedCount(4), 1.0);
 }
 
-TEST(SparsityModelTest, StddevMatchesEquationOne) {
-  const SparsityModel model(10000, 10);
-  const double fk = 0.01;  // k = 2
-  EXPECT_NEAR(model.CountStddev(2),
-              std::sqrt(10000.0 * fk * (1.0 - fk)), 1e-12);
-}
-
 TEST(SparsityModelTest, CoefficientSigns) {
   const SparsityModel model(10000, 10);
   // At the expected count the coefficient is exactly 0.
@@ -33,7 +26,8 @@ TEST(SparsityModelTest, CoefficientSigns) {
 TEST(SparsityModelTest, CoefficientIsZScore) {
   const SparsityModel model(10000, 10);
   const double expected = model.ExpectedCount(2);
-  const double stddev = model.CountStddev(2);
+  const double fk = 0.01;  // f^k at phi = 10, k = 2
+  const double stddev = std::sqrt(10000.0 * fk * (1.0 - fk));
   EXPECT_NEAR(model.Coefficient(42, 2), (42.0 - expected) / stddev, 1e-12);
 }
 
@@ -70,12 +64,6 @@ TEST(SparsityModelTest, CoefficientWithProbabilityGeneralizes) {
   // With probability f^k it reduces to Coefficient.
   EXPECT_NEAR(model.CoefficientWithProbability(42, 0.01),
               model.Coefficient(42, 2), 1e-12);
-}
-
-TEST(SparsityModelTest, SignificanceIsNormalCdf) {
-  const SparsityModel model(1000, 10);
-  EXPECT_NEAR(model.Significance(-3.0), 0.00135, 1e-4);
-  EXPECT_NEAR(model.Significance(0.0), 0.5, 1e-12);
 }
 
 TEST(SparsityModelDeathTest, InvalidArguments) {

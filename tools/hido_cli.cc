@@ -129,7 +129,10 @@ Result<Dataset> LoadInput(const FlagParser& flags,
 Status CheckEveryColumnHasValues(const FlagParser& flags,
                                  const Dataset& data) {
   for (size_t c = 0; c < data.num_cols(); ++c) {
-    if (data.PresentCount(c) == 0) {
+    // Stops at the column's first value, where PresentCount reads it all.
+    size_t row = 0;
+    while (row < data.num_rows() && data.IsMissing(row, c)) ++row;
+    if (row == data.num_rows()) {
       return Status::InvalidArgument(StrFormat(
           "%s: column '%s' has no values (every cell is missing)",
           flags.GetString("input").c_str(), data.ColumnName(c).c_str()));
