@@ -41,27 +41,6 @@ BinomialMoments BinomialMeanStddev(double n, double p) {
   return m;
 }
 
-double LogGamma(double x) {
-  HIDO_CHECK(x > 0.0);
-  // Lanczos approximation, g = 7, n = 9 coefficients.
-  static const double kCoefficients[] = {
-      0.99999999999980993,  676.5203681218851,     -1259.1392167224028,
-      771.32342877765313,   -176.61502916214059,   12.507343278686905,
-      -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7};
-  if (x < 0.5) {
-    // Reflection: Gamma(x) * Gamma(1-x) = pi / sin(pi x).
-    return std::log(M_PI / std::sin(M_PI * x)) - LogGamma(1.0 - x);
-  }
-  const double z = x - 1.0;
-  double sum = kCoefficients[0];
-  for (int i = 1; i < 9; ++i) {
-    sum += kCoefficients[i] / (z + static_cast<double>(i));
-  }
-  const double t = z + 7.5;
-  return 0.5 * std::log(2.0 * M_PI) + (z + 0.5) * std::log(t) - t +
-         std::log(sum);
-}
-
 double BinomialLowerTail(uint64_t n, double p, uint64_t k) {
   HIDO_CHECK(k <= n);
   HIDO_CHECK(p >= 0.0 && p <= 1.0);

@@ -48,9 +48,6 @@ struct BinomialMoments {
 /// Preconditions: n >= 0, 0 <= p <= 1.
 BinomialMoments BinomialMeanStddev(double n, double p);
 
-/// log(Gamma(x)) for x > 0 (Lanczos approximation, ~15 significant digits).
-double LogGamma(double x);
-
 /// Exact lower tail P[Binomial(n, p) <= k] by pmf summation (O(k+1) terms,
 /// numerically stable via incremental ratios). Preconditions: k <= n,
 /// 0 <= p <= 1. This is the exact version of the paper's §1.3 significance

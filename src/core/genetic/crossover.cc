@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "common/macros.h"
 #include "common/parallel.h"
@@ -11,12 +12,20 @@ namespace hido {
 
 namespace {
 
-// Sparsity of the cube given by `conditions`, or +infinity for an empty
-// condition list (an unconstrained "cube" is not meaningfully sparse).
-double PartialSparsity(const std::vector<DimRange>& conditions,
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+// Sparsity of the cube given by `conditions` when it is below `bound`, else
+// +infinity, as for an empty condition list (an unconstrained "cube" is not
+// meaningfully sparse). The loops below keep a candidate only when it is
+// strictly sparser than their best so far, so passing that best as the
+// bound stops counting a candidate they would never keep, and the winner
+// is always counted in full.
+double PartialSparsity(const std::vector<DimRange>& conditions, double bound,
                        SparsityObjective& objective) {
-  if (conditions.empty()) return std::numeric_limits<double>::infinity();
-  return objective.EvaluateConditions(conditions).sparsity;
+  if (conditions.empty()) return kInfinity;
+  const std::optional<CubeEvaluation> eval =
+      objective.EvaluateConditionsBelow(conditions, bound);
+  return eval ? eval->sparsity : kInfinity;
 }
 
 // A Type II position (neither parent *) with both parents' cells.
@@ -118,7 +127,7 @@ void OptimizedCrossover(Projection& s1, Projection& s2, size_t target_k,
     }
     if (disagree.size() <= options.max_enumeration_bits) {
       // Exhaustive search over the 2^|disagree| assignments.
-      double best_sparsity = std::numeric_limits<double>::infinity();
+      double best_sparsity = kInfinity;
       uint64_t best_mask = 0;
       const uint64_t limit = uint64_t{1} << disagree.size();
       for (uint64_t mask = 0; mask < limit; ++mask) {
@@ -127,7 +136,8 @@ void OptimizedCrossover(Projection& s1, Projection& s2, size_t target_k,
           const Type2Position& t = type2[disagree[i]];
           conditions.push_back({t.pos, (mask >> i) & 1 ? t.cell2 : t.cell1});
         }
-        const double sparsity = PartialSparsity(conditions, objective);
+        const double sparsity =
+            PartialSparsity(conditions, best_sparsity, objective);
         if (sparsity < best_sparsity) {
           best_sparsity = sparsity;
           best_mask = mask;
@@ -138,14 +148,17 @@ void OptimizedCrossover(Projection& s1, Projection& s2, size_t target_k,
       }
     } else {
       // Greedy fallback: fix each disagreeing position in turn to whichever
-      // parent's value leaves the partial cube sparser.
+      // parent's value leaves the partial cube sparser; both are counted
+      // in full.
       conditions = base;
       for (size_t i = 0; i < disagree.size(); ++i) {
         const Type2Position& t = type2[disagree[i]];
         conditions.push_back({t.pos, t.cell1});
-        const double with_s1 = PartialSparsity(conditions, objective);
+        const double with_s1 =
+            PartialSparsity(conditions, kInfinity, objective);
         conditions.back().cell = t.cell2;
-        const double with_s2 = PartialSparsity(conditions, objective);
+        const double with_s2 =
+            PartialSparsity(conditions, kInfinity, objective);
         from_s1[i] = with_s1 <= with_s2;
         if (from_s1[i]) conditions.back().cell = t.cell1;
       }
@@ -167,12 +180,13 @@ void OptimizedCrossover(Projection& s1, Projection& s2, size_t target_k,
     HIDO_CHECK_MSG(
         num_taken < type3.size(),
         "ran out of Type III candidates before reaching dimensionality k");
-    double best_sparsity = std::numeric_limits<double>::infinity();
+    double best_sparsity = kInfinity;
     size_t best_idx = type3.size();
     for (size_t i = 0; i < type3.size(); ++i) {
       if (taken[i]) continue;
       conditions.push_back(type3[i]);
-      const double sparsity = PartialSparsity(conditions, objective);
+      const double sparsity =
+          PartialSparsity(conditions, best_sparsity, objective);
       conditions.pop_back();
       if (sparsity < best_sparsity) {
         best_sparsity = sparsity;

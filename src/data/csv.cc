@@ -21,14 +21,9 @@ Result<Dataset> ReadCsvWindowed(const CsvSource& source,
   if (!parsed.ok()) return parsed.status();
   CsvTable& table = parsed.value();
 
-  // Column names are the header's, minus the label column's.
-  std::vector<std::string> names;
-  for (size_t c = 0; c < table.header.size(); ++c) {
-    if (static_cast<int>(c) == options.label_column) continue;
-    names.push_back(std::move(table.header[c]));
-  }
-  Dataset ds = Dataset::FromColumns(table.num_rows, std::move(table.columns),
-                                    std::move(names));
+  Dataset ds = Dataset::FromColumns(
+      table.num_rows, std::move(table.columns),
+      TakeColumnNames(table, options.label_column));
   if (options.label_column >= 0) {
     ds.SetLabels(std::move(table.labels));
   }

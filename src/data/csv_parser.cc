@@ -820,6 +820,15 @@ void Parser::EncodeCategorical() {
 
 }  // namespace
 
+std::vector<std::string> TakeColumnNames(CsvTable& table, int label_column) {
+  std::vector<std::string> names;
+  for (size_t c = 0; c < table.header.size(); ++c) {
+    if (static_cast<int>(c) == label_column) continue;
+    names.push_back(std::move(table.header[c]));
+  }
+  return names;
+}
+
 Result<CsvTable> ParseCsv(const CsvSource& source,
                           const CsvReadOptions& options,
                           bool encode_categorical, size_t window_bytes) {

@@ -43,6 +43,12 @@ struct CsvTable {
   std::vector<std::vector<std::string>> dictionaries;
 };
 
+/// The names of `table`'s columns, taken from its header: every field but
+/// the label column's. Without a header there are none, and Dataset names
+/// each column "c<column index>", counted after the label column is
+/// dropped. Both readers name their columns through this.
+std::vector<std::string> TakeColumnNames(CsvTable& table, int label_column);
+
 /// What a read parses: the file, pipe or FIFO at `*path`, or with no path
 /// the in-memory `text`.
 struct CsvSource {

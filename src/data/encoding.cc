@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/string_util.h"
 #include "data/csv_parser.h"
 #include "obs/metrics.h"
 
@@ -28,16 +27,10 @@ Result<EncodedDataset> ReadCsvEncodedWindowed(const CsvSource& source,
   if (!parsed.ok()) return parsed.status();
   CsvTable& table = parsed.value();
 
-  // Columns are named after the header, or "c<field index>" without one.
-  std::vector<std::string> names;
-  for (size_t c = 0; c < table.width; ++c) {
-    if (static_cast<int>(c) == options.label_column) continue;
-    names.push_back(c < table.header.size() ? std::move(table.header[c])
-                                            : StrFormat("c%zu", c));
-  }
   EncodedDataset out;
-  out.data = Dataset::FromColumns(table.num_rows, std::move(table.columns),
-                                  std::move(names));
+  out.data = Dataset::FromColumns(
+      table.num_rows, std::move(table.columns),
+      TakeColumnNames(table, options.label_column));
   if (options.label_column >= 0) out.data.SetLabels(std::move(table.labels));
   for (size_t i = 0; i < table.categorical.size(); ++i) {
     out.categorical.push_back(

@@ -75,17 +75,6 @@ TEST(BinomialMeanStddevTest, DegenerateProbabilities) {
   EXPECT_DOUBLE_EQ(BinomialMeanStddev(50.0, 1.0).mean, 50.0);
 }
 
-TEST(LogGammaTest, KnownValues) {
-  // Gamma(1) = 1, Gamma(2) = 1, Gamma(5) = 24, Gamma(0.5) = sqrt(pi).
-  EXPECT_NEAR(LogGamma(1.0), 0.0, 1e-12);
-  EXPECT_NEAR(LogGamma(2.0), 0.0, 1e-12);
-  EXPECT_NEAR(LogGamma(5.0), std::log(24.0), 1e-10);
-  EXPECT_NEAR(LogGamma(0.5), 0.5 * std::log(M_PI), 1e-10);
-  // Factorial consistency up the range.
-  EXPECT_NEAR(LogGamma(21.0), std::lgamma(21.0), 1e-8);
-  EXPECT_NEAR(LogGamma(171.5), std::lgamma(171.5), 1e-6);
-}
-
 TEST(BinomialLowerTailTest, SmallExactValues) {
   // Binomial(3, 0.5): P[<=1] = (1 + 3)/8.
   EXPECT_NEAR(BinomialLowerTail(3, 0.5, 1), 0.5, 1e-12);

@@ -565,32 +565,38 @@ TEST(OptimizedCrossoverDrawOrderTest, ChildrenAndCountsMatchFreshChildren) {
   // Children written over the parents from reused buffers must equal the
   // fresh children, after the same number of partial-cube evaluations.
   // Under the empirical model a partial cube's sparsity depends on its
-  // conditions' order, so that model pins the order too.
-  const GridModel grid = MakeGrid(300, 10, 4, 9);
-  Rng cases(9);
-  for (ExpectationModel model : {ExpectationModel::kUniform,
-                                 ExpectationModel::kEmpiricalMarginals}) {
-    SparsityObjective actual_objective(grid, model);
-    SparsityObjective expected_objective(grid, model);
-    for (int trial = 0; trial < kCases; ++trial) {
-      const size_t k = 1 + cases.UniformIndex(6);
-      const Projection a = reference::Random(10, k, 4, cases);
-      const Projection b = reference::Random(10, k, 4, cases);
-      OptimizedCrossoverOptions options;
-      // Small limits exercise the greedy Type II fallback.
-      options.max_enumeration_bits = cases.UniformIndex(4);
-      Projection child = a;
-      Projection complement = b;
-      OptimizedCrossover(child, complement, k, actual_objective, options);
-      const auto [expected_child, expected_complement] =
-          reference::OptimizedCrossover(a, b, k, expected_objective,
-                                        options.max_enumeration_bits);
-      ASSERT_EQ(child, expected_child)
-          << "case " << trial << ": " << a.ToString() << " x "
-          << b.ToString();
-      ASSERT_EQ(complement, expected_complement) << "case " << trial;
-      ASSERT_EQ(actual_objective.num_evaluations(),
-                expected_objective.num_evaluations());
+  // conditions' order, so that model pins the order too. The reference
+  // counts every candidate in full; the 30 000-row grid's bitmaps span
+  // four 128-word chunks, so there the operator's bounded counts stop
+  // partway through a candidate that cannot win.
+  for (const size_t rows : {size_t{300}, size_t{30000}}) {
+    SCOPED_TRACE(rows);
+    const GridModel grid = MakeGrid(rows, 10, 4, 9);
+    Rng cases(9);
+    for (ExpectationModel model : {ExpectationModel::kUniform,
+                                   ExpectationModel::kEmpiricalMarginals}) {
+      SparsityObjective actual_objective(grid, model);
+      SparsityObjective expected_objective(grid, model);
+      for (int trial = 0; trial < kCases; ++trial) {
+        const size_t k = 1 + cases.UniformIndex(6);
+        const Projection a = reference::Random(10, k, 4, cases);
+        const Projection b = reference::Random(10, k, 4, cases);
+        OptimizedCrossoverOptions options;
+        // Small limits exercise the greedy Type II fallback.
+        options.max_enumeration_bits = cases.UniformIndex(4);
+        Projection child = a;
+        Projection complement = b;
+        OptimizedCrossover(child, complement, k, actual_objective, options);
+        const auto [expected_child, expected_complement] =
+            reference::OptimizedCrossover(a, b, k, expected_objective,
+                                          options.max_enumeration_bits);
+        ASSERT_EQ(child, expected_child)
+            << "case " << trial << ": " << a.ToString() << " x "
+            << b.ToString();
+        ASSERT_EQ(complement, expected_complement) << "case " << trial;
+        ASSERT_EQ(actual_objective.num_evaluations(),
+                  expected_objective.num_evaluations());
+      }
     }
   }
 }

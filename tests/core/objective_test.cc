@@ -1,6 +1,9 @@
 #include "core/objective.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -265,6 +268,101 @@ TEST(SparsityObjectiveTest, CountsMatchOracleUpToTenConditions) {
     EXPECT_EQ(gapped_grid.RangeCardinality(1, cell), 0u) << "cell " << cell;
     EXPECT_EQ(objective.EvaluateConditions({{1, cell}, {2, 0}}).count, 0u);
     EXPECT_TRUE(gapped_grid.CoveredPoints({{1, cell}, {2, 0}}).empty());
+  }
+}
+
+// The bounded evaluation against the full one, on a grid whose counts span
+// at least three 128-word chunks (30 000 rows are 469 words): for bounds
+// at, just above and just below a cube's own sparsity, at the sparsities
+// of nearby counts, at or below an empty cube's and at +infinity, it
+// returns the exact evaluation exactly when that is below the bound, and
+// counts one evaluation every time.
+TEST(SparsityObjectiveTest, BoundedEvaluationIsExactBelowItsBound) {
+  constexpr size_t kRows = 30000;
+  const Dataset uniform = GenerateUniform(kRows, 8, 41);
+  const Dataset tied_and_gapped = TiedAndGappedColumns(kRows, 8, 43);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Dataset* data : {&uniform, &tied_and_gapped}) {
+    const GridModel grid = MakeGrid(*data, 3);
+    ASSERT_GE(grid.RangeBits(0, 0).num_words(), 3 * 128u);
+    for (const ExpectationModel model :
+         {ExpectationModel::kUniform, ExpectationModel::kEmpiricalMarginals}) {
+      SparsityObjective objective(grid, model);
+      Rng rng(47);
+      size_t below = 0;
+      size_t not_below = 0;
+      for (int trial = 0; trial < 60; ++trial) {
+        const size_t k = 2 + rng.UniformIndex(5);
+        const std::vector<DimRange> conditions =
+            trial % 2 == 0 ? RandomConditions(grid, k, rng)
+                           : ConditionsThroughRow(grid, k, rng);
+        const CubeEvaluation exact = objective.EvaluateConditions(conditions);
+        double probability = 1.0;
+        for (const DimRange& c : conditions) {
+          probability *= grid.RangeFraction(c.dim, c.cell);
+        }
+        const auto sparsity_of = [&](size_t count) {
+          return objective.Sparsity(count, k, probability);
+        };
+        std::vector<double> bounds = {
+            exact.sparsity,
+            std::nextafter(exact.sparsity, inf),
+            std::nextafter(exact.sparsity, -inf),
+            sparsity_of(exact.count + 1),
+            sparsity_of(exact.count / 2),
+            sparsity_of(0),
+            sparsity_of(0) - 1.0,
+            inf};
+        if (exact.count > 0) bounds.push_back(sparsity_of(exact.count - 1));
+        for (const double bound : bounds) {
+          const uint64_t evaluations = objective.num_evaluations();
+          const std::optional<CubeEvaluation> bounded =
+              objective.EvaluateConditionsBelow(conditions, bound);
+          EXPECT_EQ(objective.num_evaluations(), evaluations + 1);
+          if (exact.sparsity < bound) {
+            ++below;
+            ASSERT_TRUE(bounded.has_value())
+                << "k=" << k << " count=" << exact.count << " bound=" << bound;
+            EXPECT_EQ(bounded->count, exact.count);
+            EXPECT_EQ(bounded->sparsity, exact.sparsity);
+          } else {
+            ++not_below;
+            EXPECT_FALSE(bounded.has_value())
+                << "k=" << k << " count=" << exact.count << " bound=" << bound;
+          }
+        }
+      }
+      // Both answers are exercised.
+      EXPECT_GT(below, 100u);
+      EXPECT_GT(not_below, 100u);
+    }
+  }
+}
+
+// The uniform model's per-k moments give SparsityModel::Coefficient's
+// score bit for bit, for every k up to d; the empirical model gives
+// CoefficientWithProbability's.
+TEST(SparsityObjectiveTest, SparsityIsSparsityModelBitForBit) {
+  for (const size_t phi : {2u, 3u, 7u, 64u}) {
+    const GridModel grid = MakeGrid(1000, 12, phi, 49);
+    const SparsityObjective uniform(grid, ExpectationModel::kUniform);
+    const SparsityObjective empirical(grid,
+                                      ExpectationModel::kEmpiricalMarginals);
+    const size_t n = grid.num_points();
+    for (size_t k = 1; k <= grid.num_dims(); ++k) {
+      for (const size_t count :
+           {size_t{0}, size_t{1}, size_t{2}, size_t{7}, n / phi, n / 2,
+            n - 1, n}) {
+        EXPECT_EQ(uniform.Sparsity(count, k, 0.25),
+                  uniform.model().Coefficient(count, k))
+            << "phi=" << phi << " k=" << k << " count=" << count;
+        for (const double probability : {1e-9, 0.01, 0.5, 0.99}) {
+          EXPECT_EQ(empirical.Sparsity(count, k, probability),
+                    empirical.model().CoefficientWithProbability(
+                        count, probability));
+        }
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "common/run_control.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "data/csv.h"
 
 namespace hido {
 namespace {
@@ -225,6 +226,28 @@ TEST(EncodingTest, NoHeaderMode) {
   EXPECT_EQ(r.value().data.num_rows(), 2u);
   EXPECT_EQ(r.value().data.ColumnName(0), "c0");
   ASSERT_EQ(r.value().categorical.size(), 1u);
+}
+
+// Both readers name a header-less input's columns "c<column index>",
+// counted after the label column is dropped, wherever the label column is.
+TEST(EncodingTest, HeaderlessLabeledColumnsNamedAsReadCsvNamesThem) {
+  const std::string text = "5,1,2,3\n6,0,4,5\n";
+  for (const int label_column : {0, 1, 3}) {
+    SCOPED_TRACE(label_column);
+    CsvReadOptions opts;
+    opts.has_header = false;
+    opts.label_column = label_column;
+    const Result<EncodedDataset> encoded = ReadCsvEncodedString(text, opts);
+    const Result<Dataset> plain = ReadCsvString(text, opts);
+    ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_EQ(encoded.value().data.num_cols(), 3u);
+    ASSERT_EQ(plain.value().num_cols(), 3u);
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(encoded.value().data.ColumnName(c), StrFormat("c%zu", c));
+      EXPECT_EQ(plain.value().ColumnName(c), StrFormat("c%zu", c));
+    }
+  }
 }
 
 TEST(EncodingTest, StopTokenFailpointAbortsEncodedRead) {

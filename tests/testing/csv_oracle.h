@@ -186,6 +186,18 @@ inline Status ReadCsvRows(const std::string& text,
   return Status::Ok();
 }
 
+/// Both reads' column names: the header's fields but the label column's,
+/// and none without a header (Dataset's "c<column index>").
+inline std::vector<std::string> ColumnNames(const CsvRows& rows,
+                                            int label_col) {
+  std::vector<std::string> names;
+  for (size_t c = 0; c < rows.header.size(); ++c) {
+    if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
+    names.push_back(rows.header[c]);
+  }
+  return names;
+}
+
 /// ReadCsvString, one line at a time on the calling thread.
 inline Result<Dataset> ReadCsvString(const std::string& text,
                                      const CsvReadOptions& options = {}) {
@@ -193,12 +205,7 @@ inline Result<Dataset> ReadCsvString(const std::string& text,
   const Status read = ReadCsvRows(text, options, /*encode=*/false, &rows);
   if (!read.ok()) return read;
   const int label_col = options.label_column;
-  std::vector<std::string> names;
-  for (size_t c = 0; c < rows.header.size(); ++c) {
-    if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
-    names.push_back(rows.header[c]);
-  }
-  Dataset ds = Dataset::FromRows(rows.values, std::move(names));
+  Dataset ds = Dataset::FromRows(rows.values, ColumnNames(rows, label_col));
   if (label_col >= 0) ds.SetLabels(std::move(rows.labels));
   return ds;
 }
@@ -231,13 +238,7 @@ inline Result<EncodedDataset> ReadCsvEncodedString(
     }
     out.categorical.push_back({column, values});
   }
-  std::vector<std::string> names;
-  for (size_t c = 0; c < rows.width; ++c) {
-    if (label_col >= 0 && c == static_cast<size_t>(label_col)) continue;
-    names.push_back(c < rows.header.size() ? rows.header[c]
-                                           : StrFormat("c%zu", c));
-  }
-  out.data = Dataset::FromRows(rows.values, std::move(names));
+  out.data = Dataset::FromRows(rows.values, ColumnNames(rows, label_col));
   if (label_col >= 0) out.data.SetLabels(std::move(rows.labels));
   return out;
 }
